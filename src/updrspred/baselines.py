@@ -62,18 +62,16 @@ def _fit_adam_linear(X: np.ndarray, y: np.ndarray, spec: BaselineSpec) -> np.nda
     if sd == 0.0:
         sd = 1.0
     yz = (y - mu) / sd
-    params = {"w": np.zeros(d), "b": np.zeros(1)}
+    theta = np.zeros(d + 1)  # weights, then the intercept
+    grad = np.empty(d + 1)
     adam = Adam()
     for step in range(spec.adam_steps):
-        residual = X @ params["w"] + params["b"][0] - yz
-        grads = {
-            "w": (2.0 / n) * (X.T @ residual),
-            "b": np.array([(2.0 / n) * residual.sum()]),
-        }
-        adam.step(params, grads, lr_at_step(spec.adam_schedule, step))
-    weights = np.empty(d + 1)
-    weights[:d] = params["w"] * sd
-    weights[d] = params["b"][0] * sd + mu
+        residual = X @ theta[:d] + theta[d] - yz
+        grad[:d] = (2.0 / n) * (X.T @ residual)
+        grad[d] = (2.0 / n) * residual.sum()
+        adam.step(theta, grad, lr_at_step(spec.adam_schedule, step))
+    weights = theta * sd
+    weights[d] += mu
     return weights
 
 

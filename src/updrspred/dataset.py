@@ -109,28 +109,6 @@ class Dataset:
         raise ConfigError(f"unknown column {name!r}")
 
 
-@dataclass(frozen=True)
-class SequenceTensor:
-    """N sequences of T steps with d values per step, stored as (N, T, d)."""
-
-    data: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def t(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[2]
-
-    def flatten(self) -> np.ndarray:
-        return self.data.reshape(self.n, self.t * self.d)
-
-
 @dataclass
 class StandardizationStats:
     mean: np.ndarray
@@ -336,14 +314,15 @@ def grouped_kfold_split(groups: np.ndarray, k: int, rng: RandomSource):
     return folds
 
 
-def to_sequences(X: np.ndarray) -> SequenceTensor:
+def to_sequences(X: np.ndarray) -> np.ndarray:
     """Reshape (N, d) features into N pseudo-sequences of d steps of 1 value.
 
     Each selected feature of a recording becomes one timestep, in column
     order, so a recurrent model reads the feature vector as a sequence.
+    Returns a new (N, d, 1) array.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise EmptyInputError("cannot build sequences from an empty matrix")
     n, d = X.shape
-    return SequenceTensor(data=X.reshape(n, d, 1).copy())
+    return X.reshape(n, d, 1).copy()

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .forest import ForestParams
 from .linalg import RandomSource
-from .nn import init_model_params
+from .nn import INVARIANT_CHECKS, init_model_params
 from .optimize import LrSchedule, TrainSettings, predict_network, train_network
 from .rfe import rfe_select
 
@@ -155,8 +155,10 @@ def _fold_rngs(fold_rng: RandomSource) -> dict:
     }
 
 
-def _run_fold(args) -> tuple[dict, dict]:
+def _run_fold(args) -> tuple[dict, dict, dict]:
+    """One fold: (metrics per method, detail, invariant checks made)."""
     (fold_no, config, X_all, y_all, train_idx, val_idx, test_idx, fold_rng) = args
+    checks_before = dict(INVARIANT_CHECKS)
 
     overlap = (
         np.intersect1d(train_idx, test_idx).size
@@ -271,16 +273,16 @@ def _run_fold(args) -> tuple[dict, dict]:
     )
     trained, history = train_network(
         params,
-        to_sequences(X_aug).data,
+        to_sequences(X_aug),
         (y_aug - y_mu) / y_sd,
-        to_sequences(X_va_sel).data,
+        to_sequences(X_va_sel),
         (y_va - y_mu) / y_sd,
         settings,
         rngs["train"],
     )
 
     def net_predict(X_sel):
-        return predict_network(trained, to_sequences(X_sel).data) * y_sd + y_mu
+        return predict_network(trained, to_sequences(X_sel)) * y_sd + y_mu
 
     results[NETWORK_NAME] = MethodMetrics(
         train_mse=_check_finite(mse(y_tr, net_predict(X_tr_sel)),
@@ -300,7 +302,8 @@ def _run_fold(args) -> tuple[dict, dict]:
         "stopped_early": history.stopped_early,
         "final_val_loss": history.val_loss[-1] if history.val_loss else None,
     }
-    return results, detail
+    checks = {key: count - checks_before[key] for key, count in INVARIANT_CHECKS.items()}
+    return results, detail, checks
 
 
 def run_experiment(config: RunConfig) -> CvReport:
@@ -345,12 +348,16 @@ def run_experiment(config: RunConfig) -> CvReport:
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_run_fold, fold_args))
+        # the workers counted in their own copies of the counters
+        for _, _, checks in outcomes:
+            for key, count in checks.items():
+                INVARIANT_CHECKS[key] += count
     else:
         outcomes = [_run_fold(args) for args in fold_args]
 
-    folds = [results for results, _ in outcomes]
+    folds = [results for results, _, _ in outcomes]
     details = {
-        "folds": [detail for _, detail in outcomes],
+        "folds": [detail for _, detail, _ in outcomes],
         "n_rows": int(n),
         "n_test": int(len(test_idx)),
         "test_aggregation": "mean over fold models on one shared test partition",

@@ -1,4 +1,4 @@
-"""Dense float64 arithmetic, activations, and the seeded random source.
+"""The seeded random source.
 
 Every stochastic choice in the pipeline flows through :class:`RandomSource`
 so that a single integer seed reproduces a whole run bit for bit, on any
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -137,40 +137,3 @@ class RandomSource:
     def spawn(self) -> "RandomSource":
         """Derive an independent child stream (consumes one draw)."""
         return RandomSource(self.next_u64())
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
-def sigmoid(x):
-    """Logistic function, numerically stable on both tails."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def tanh_act(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.tanh(x)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def gaussian(rng: RandomSource, mean: float, stddev: float, n: int) -> np.ndarray:
-    """Draw ``n`` N(mean, stddev**2) values from ``rng``."""
-    return rng.gaussians(mean, stddev, n)

@@ -23,8 +23,6 @@ train-mode batch normalization must center each feature within 1e-6.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,7 +34,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .linalg import RandomSource, sigmoid
+from .linalg import RandomSource
 
 INVARIANT_CHECKS = {"attention_weight_sum": 0, "batchnorm_zero_mean": 0}
 
@@ -47,159 +45,83 @@ def reset_invariant_counters() -> None:
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
+# parameters
+
+# Column blocks of each fused LSTM weight and bias, in order. The three
+# sigmoid gates come first so the scan activates them as one block.
+GATES = ("forget", "input", "output", "cell")
 
 
-@dataclass
-class LstmParams:
-    """Gate weights over the concatenated [h_prev, x_t] input.
+class ModelParams:
+    """Every parameter of the network in one contiguous float64 vector.
 
-    Each matrix has shape (units + input_dim, units); biases have length
-    ``units``. Gate order everywhere is forget, input, candidate, output.
+    ``vector`` holds the trainable values first (``trainable``, the first
+    ``n_trainable`` entries) and the batch-norm running statistics after
+    them. ``p[name]`` is a reshaped view into it, so writing through a view
+    changes the vector and a snapshot is one ``vector.copy()``.
+
+    Each LSTM direction has one fused weight over the concatenated
+    [h_prev, x_t] input, shape (units + input_dim, 4 * units), and one
+    4 * units bias; both are split into column blocks in ``GATES`` order.
+    Dense weights are (out_dim, in_dim).
     """
 
-    w_forget: np.ndarray
-    w_input: np.ndarray
-    w_cell: np.ndarray
-    w_output: np.ndarray
-    b_forget: np.ndarray
-    b_input: np.ndarray
-    b_cell: np.ndarray
-    b_output: np.ndarray
+    def __init__(self, input_dim: int, units: int, attn_dim: int,
+                 dense_widths: tuple[int, int], dropout_rate: float = 0.3,
+                 l2: float = 1e-4, bn_momentum: float = 0.9, bn_eps: float = 1e-5):
+        rows = units + input_dim
+        hidden = 2 * units
+        d1, d2 = dense_widths
+        trainable = {
+            "fwd.w": (rows, 4 * units), "fwd.b": (4 * units,),
+            "bwd.w": (rows, 4 * units), "bwd.b": (4 * units,),
+            "attn.w": (attn_dim, hidden), "attn.v": (attn_dim,),
+            "dense1.w": (d1, hidden), "dense1.b": (d1,),
+            "bn1.gamma": (d1,), "bn1.beta": (d1,),
+            "dense2.w": (d2, d1), "dense2.b": (d2,),
+            "bn2.gamma": (d2,), "bn2.beta": (d2,),
+            "out.w": (d2,), "out.b": (1,),
+        }
+        running = {
+            "bn1.running_mean": (d1,), "bn1.running_var": (d1,),
+            "bn2.running_mean": (d2,), "bn2.running_var": (d2,),
+        }
+        self.shapes = {**trainable, **running}
+        self.n_trainable = sum(int(np.prod(s)) for s in trainable.values())
+        self.vector = np.zeros(sum(int(np.prod(s)) for s in self.shapes.values()))
+        self.trainable = self.vector[:self.n_trainable]
+        self._views = self.views(self.vector)
+        self.input_dim = input_dim
+        self.units = units
+        self.dropout_rate = dropout_rate
+        self.l2 = l2
+        self.bn_momentum = bn_momentum
+        self.bn_eps = bn_eps
 
-    @property
-    def units(self) -> int:
-        return self.w_forget.shape[1]
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
 
-    @property
-    def input_dim(self) -> int:
-        return self.w_forget.shape[0] - self.units
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into ``vector``, laid out like ``self.vector``.
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All gates as one (units + input_dim, 4 * units) matrix.
-
-        Packed (forget, input, output, candidate) so the three sigmoid gates
-        occupy one contiguous block in the fused scan.
+        A vector of ``n_trainable`` entries (a gradient) gets the trainable
+        names only.
         """
-        w = np.concatenate([self.w_forget, self.w_input, self.w_output, self.w_cell], axis=1)
-        b = np.concatenate([self.b_forget, self.b_input, self.b_output, self.b_cell])
-        return w, b
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-    forget: np.ndarray
-    input: np.ndarray
-    output: np.ndarray
-    candidate: np.ndarray
-
-
-@dataclass
-class AttentionParams:
-    w: np.ndarray  # (attn_dim, hidden_dim)
-    v: np.ndarray  # (attn_dim,) learned scoring query
-
-
-@dataclass
-class DenseParams:
-    w: np.ndarray  # (out_dim, in_dim)
-    b: np.ndarray  # (out_dim,)
-
-
-@dataclass
-class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
-
-
-@dataclass
-class ModelParams:
-    fwd: LstmParams
-    bwd: LstmParams
-    attn: AttentionParams
-    dense1: DenseParams
-    bn1: BatchNormParams
-    dense2: DenseParams
-    bn2: BatchNormParams
-    out_w: np.ndarray  # (dense2 width,)
-    out_b: np.ndarray  # (1,)
-    dropout_rate: float = 0.3
-    l2: float = 1e-4
-
-    def learnable(self) -> dict[str, np.ndarray]:
-        """Live references to every trainable array, in a fixed order."""
-        entries = {}
-        for tag, lstm in (("fwd", self.fwd), ("bwd", self.bwd)):
-            entries[f"{tag}.w_forget"] = lstm.w_forget
-            entries[f"{tag}.w_input"] = lstm.w_input
-            entries[f"{tag}.w_cell"] = lstm.w_cell
-            entries[f"{tag}.w_output"] = lstm.w_output
-            entries[f"{tag}.b_forget"] = lstm.b_forget
-            entries[f"{tag}.b_input"] = lstm.b_input
-            entries[f"{tag}.b_cell"] = lstm.b_cell
-            entries[f"{tag}.b_output"] = lstm.b_output
-        entries["attn.w"] = self.attn.w
-        entries["attn.v"] = self.attn.v
-        entries["dense1.w"] = self.dense1.w
-        entries["dense1.b"] = self.dense1.b
-        entries["bn1.gamma"] = self.bn1.gamma
-        entries["bn1.beta"] = self.bn1.beta
-        entries["dense2.w"] = self.dense2.w
-        entries["dense2.b"] = self.dense2.b
-        entries["bn2.gamma"] = self.bn2.gamma
-        entries["bn2.beta"] = self.bn2.beta
-        entries["out.w"] = self.out_w
-        entries["out.b"] = self.out_b
-        return entries
-
-    def copy(self) -> "ModelParams":
-        def lstm_copy(p: LstmParams) -> LstmParams:
-            return LstmParams(*(a.copy() for a in (
-                p.w_forget, p.w_input, p.w_cell, p.w_output,
-                p.b_forget, p.b_input, p.b_cell, p.b_output)))
-
-        def bn_copy(p: BatchNormParams) -> BatchNormParams:
-            return BatchNormParams(p.gamma.copy(), p.beta.copy(), p.running_mean.copy(),
-                                   p.running_var.copy(), p.momentum, p.eps)
-
-        return ModelParams(
-            fwd=lstm_copy(self.fwd),
-            bwd=lstm_copy(self.bwd),
-            attn=AttentionParams(self.attn.w.copy(), self.attn.v.copy()),
-            dense1=DenseParams(self.dense1.w.copy(), self.dense1.b.copy()),
-            bn1=bn_copy(self.bn1),
-            dense2=DenseParams(self.dense2.w.copy(), self.dense2.b.copy()),
-            bn2=bn_copy(self.bn2),
-            out_w=self.out_w.copy(),
-            out_b=self.out_b.copy(),
-            dropout_rate=self.dropout_rate,
-            l2=self.l2,
-        )
+        out = {}
+        offset = 0
+        for name, shape in self.shapes.items():
+            if offset == len(vector):
+                break
+            size = int(np.prod(shape))
+            out[name] = vector[offset:offset + size].reshape(shape)
+            offset += size
+        return out
 
 
 def _glorot(rng: RandomSource, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     size = int(np.prod(shape))
     return (rng.uniforms(size) * 2.0 - 1.0).reshape(shape) * limit
-
-
-def _init_lstm(rng: RandomSource, input_dim: int, units: int) -> LstmParams:
-    rows = units + input_dim
-    ws = [_glorot(rng, rows, units, (rows, units)) for _ in range(4)]
-    return LstmParams(
-        w_forget=ws[0], w_input=ws[1], w_cell=ws[2], w_output=ws[3],
-        # forget bias starts at 1 so early training does not flush the cell
-        b_forget=np.ones(units),
-        b_input=np.zeros(units),
-        b_cell=np.zeros(units),
-        b_output=np.zeros(units),
-    )
 
 
 def init_model_params(
@@ -215,57 +137,31 @@ def init_model_params(
 ) -> ModelParams:
     if not 0.0 <= dropout_rate < 1.0:
         raise ParameterError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
+    p = ModelParams(input_dim, units, attn_dim, dense_widths, dropout_rate, l2,
+                    bn_momentum, bn_eps)
     hidden = 2 * units
     d1, d2 = dense_widths
-
-    def bn(dim: int) -> BatchNormParams:
-        return BatchNormParams(
-            gamma=np.ones(dim), beta=np.zeros(dim),
-            running_mean=np.zeros(dim), running_var=np.ones(dim),
-            momentum=bn_momentum, eps=bn_eps,
-        )
-
-    return ModelParams(
-        fwd=_init_lstm(rng, input_dim, units),
-        bwd=_init_lstm(rng, input_dim, units),
-        attn=AttentionParams(
-            w=_glorot(rng, hidden, attn_dim, (attn_dim, hidden)),
-            v=_glorot(rng, attn_dim, 1, (attn_dim,)),
-        ),
-        dense1=DenseParams(w=_glorot(rng, hidden, d1, (d1, hidden)), b=np.zeros(d1)),
-        bn1=bn(d1),
-        dense2=DenseParams(w=_glorot(rng, d1, d2, (d2, d1)), b=np.zeros(d2)),
-        bn2=bn(d2),
-        out_w=_glorot(rng, d2, 1, (d2,)),
-        out_b=np.zeros(1),
-        dropout_rate=dropout_rate,
-        l2=l2,
-    )
+    rows = units + input_dim
+    for tag in ("fwd", "bwd"):
+        w = p[f"{tag}.w"]
+        for gate in ("forget", "input", "cell", "output"):  # the draw order
+            k = GATES.index(gate)
+            w[:, k * units:(k + 1) * units] = _glorot(rng, rows, units, (rows, units))
+        # forget bias starts at 1 so early training does not flush the cell
+        p[f"{tag}.b"][:units] = 1.0
+    p["attn.w"][:] = _glorot(rng, hidden, attn_dim, (attn_dim, hidden))
+    p["attn.v"][:] = _glorot(rng, attn_dim, 1, (attn_dim,))
+    p["dense1.w"][:] = _glorot(rng, hidden, d1, (d1, hidden))
+    p["dense2.w"][:] = _glorot(rng, d1, d2, (d2, d1))
+    p["out.w"][:] = _glorot(rng, d2, 1, (d2,))
+    for tag in ("bn1", "bn2"):
+        p[f"{tag}.gamma"][:] = 1.0
+        p[f"{tag}.running_var"][:] = 1.0
+    return p
 
 
 # ---------------------------------------------------------------------------
-# layer forwards (batched) and their single-vector forms
-
-
-def lstm_cell_forward(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-                      p: LstmParams) -> LstmState:
-    """One recurrence step on single vectors; gates cached for backprop."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    if x_t.shape != (p.input_dim,) or h_prev.shape != (p.units,) or c_prev.shape != (p.units,):
-        raise ShapeError(
-            f"cell expects x({p.input_dim},), h({p.units},), c({p.units},); "
-            f"got {x_t.shape}, {h_prev.shape}, {c_prev.shape}"
-        )
-    z = np.concatenate([h_prev, x_t])
-    f = sigmoid(z @ p.w_forget + p.b_forget)
-    i = sigmoid(z @ p.w_input + p.b_input)
-    g = np.tanh(z @ p.w_cell + p.b_cell)
-    o = sigmoid(z @ p.w_output + p.b_output)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return LstmState(h=h, c=c, forget=f, input=i, output=o, candidate=g)
+# layer forwards (batched) and backwards
 
 
 def _sigmoid_fast(x: np.ndarray) -> np.ndarray:
@@ -275,8 +171,11 @@ def _sigmoid_fast(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _lstm_scan(X: np.ndarray, p: LstmParams):
-    """Run the recurrence over (B, T, input_dim); returns states and a cache.
+def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Run the recurrence over (B, T, input_dim) from zero states.
+
+    ``w`` and ``b`` are one direction's fused weight and bias. Returns the
+    states (B, T, units) and a cache for :func:`_lstm_scan_backward`.
 
     The input-to-gate projection for every timestep is one matrix product
     up front, and all per-step values land in three preallocated blocks
@@ -284,11 +183,10 @@ def _lstm_scan(X: np.ndarray, p: LstmParams):
     not churn the allocator with dozens of small retained arrays.
     """
     B, T, _ = X.shape
-    u = p.units
-    w_all, b_all = p.stacked()
-    w_hidden = w_all[:u]
-    w_input = w_all[u:]
-    pre_input = X.reshape(B * T, -1) @ w_input + b_all
+    u = w.shape[1] // 4
+    w_hidden = w[:u]
+    w_input = w[u:]
+    pre_input = X.reshape(B * T, -1) @ w_input + b
     pre_input = np.ascontiguousarray(
         pre_input.reshape(B, T, 4 * u).transpose(1, 0, 2)
     )
@@ -312,14 +210,16 @@ def _lstm_scan(X: np.ndarray, p: LstmParams):
     return states, (X, states, acts, c_prevs, tanh_cs)
 
 
-def _lstm_scan_backward(cache, d_states: np.ndarray, p: LstmParams):
-    """Backpropagation through time for one scan direction."""
+def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
+                        dw: np.ndarray, db: np.ndarray) -> None:
+    """Backpropagation through time for one scan direction.
+
+    Accumulates into ``dw`` and ``db``, which are laid out like ``w`` and
+    the bias and start at zero.
+    """
     X, states, acts, c_prevs, tanh_cs = cache
     B, T, u = d_states.shape
-    w_all, _ = p.stacked()
-    w_hidden = w_all[:u]
-    dw_all = np.zeros_like(w_all)
-    db_all = np.zeros(4 * u)
+    w_hidden = w[:u]
     dh_next = np.zeros((B, u))
     dc_next = np.zeros((B, u))
     d_gates = np.empty((B, 4 * u))
@@ -340,55 +240,17 @@ def _lstm_scan_backward(cache, d_states: np.ndarray, p: LstmParams):
         d_gates[:, 2 * u:3 * u] = do * o * (1 - o)
         d_gates[:, 3 * u:] = dc * i * (1 - g * g)
         h_prev = states[:, t - 1, :] if t > 0 else np.zeros((B, u))
-        dw_all[:u] += h_prev.T @ d_gates
-        dw_all[u:] += X[:, t, :].T @ d_gates
-        db_all += d_gates.sum(axis=0)
+        dw[:u] += h_prev.T @ d_gates
+        dw[u:] += X[:, t, :].T @ d_gates
+        db += d_gates.sum(axis=0)
         dh_next = d_gates @ w_hidden.T
         dc_next = dc * f
-    grads = {
-        "w_forget": dw_all[:, :u], "w_input": dw_all[:, u:2 * u],
-        "w_output": dw_all[:, 2 * u:3 * u], "w_cell": dw_all[:, 3 * u:],
-        "b_forget": db_all[:u], "b_input": db_all[u:2 * u],
-        "b_output": db_all[2 * u:3 * u], "b_cell": db_all[3 * u:],
-    }
-    return grads
 
 
-def bilstm_forward(seq: np.ndarray, p_fwd: LstmParams, p_bwd: LstmParams) -> np.ndarray:
-    """Single sample: (T, input_dim) -> H of shape (T, 2*units).
-
-    Row t holds the forward state after consuming step t concatenated with
-    the backward state produced by the reversed scan at the same position.
-    Both scans start from zero states.
-    """
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2:
-        raise ShapeError(f"expected a (T, input_dim) sequence, got shape {seq.shape}")
-    if seq.shape[0] == 0:
-        raise EmptyInputError("empty sequence")
-    if seq.shape[1] != p_fwd.input_dim or seq.shape[1] != p_bwd.input_dim:
-        raise ShapeError(
-            f"sequence carries {seq.shape[1]} values per step, parameters expect "
-            f"{p_fwd.input_dim}/{p_bwd.input_dim}"
-        )
-    X = seq[None, :, :]
-    states_f, _ = _lstm_scan(X, p_fwd)
-    states_b, _ = _lstm_scan(X[:, ::-1, :], p_bwd)
-    return np.concatenate([states_f[0], states_b[0, ::-1, :]], axis=1)
-
-
-def attention_forward(H: np.ndarray, p: AttentionParams):
-    """Single sample: H (T, D) -> (context (D,), weights (T,))."""
-    H = np.asarray(H, dtype=np.float64)
-    if H.size == 0:
-        raise EmptyInputError("attention needs at least one state")
-    context, weights, _ = _attention_batch(H[None, :, :], p)
-    return context[0], weights[0]
-
-
-def _attention_batch(H: np.ndarray, p: AttentionParams):
-    pre = np.tanh(H @ p.w.T)  # (B, T, A)
-    scores = pre @ p.v  # (B, T)
+def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """H (B, T, D) -> (context (B, D), weights (B, T), tanh pre-scores)."""
+    pre = np.tanh(H @ w.T)  # (B, T, A)
+    scores = pre @ v  # (B, T)
     shifted = scores - scores.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     weights = expd / expd.sum(axis=1, keepdims=True)
@@ -400,20 +262,9 @@ def _attention_batch(H: np.ndarray, p: AttentionParams):
     return context, weights, pre
 
 
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
-    """activation(w @ x + b) for a single vector; relu or linear."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (w.shape[1],):
-        raise ShapeError(f"dense layer expects input ({w.shape[1]},), got {x.shape}")
-    lin = w @ x + b
-    if activation == "relu":
-        return np.maximum(lin, 0.0)
-    if activation == "linear":
-        return lin
-    raise ParameterError(f"unknown activation {activation!r}")
-
-
-def batchnorm_forward(X: np.ndarray, bn: BatchNormParams, mode: str):
+def batchnorm_forward(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                      running_mean: np.ndarray, running_var: np.ndarray, mode: str,
+                      momentum: float = 0.9, eps: float = 1e-5):
     """Normalize columns of (B, d); returns (out, cache).
 
     Train mode uses batch statistics and records updated running stats in
@@ -425,30 +276,30 @@ def batchnorm_forward(X: np.ndarray, bn: BatchNormParams, mode: str):
             raise ParameterError("train-mode batch norm needs a batch of at least 2")
         mean = X.mean(axis=0)
         var = X.var(axis=0)
-        istd = 1.0 / np.sqrt(var + bn.eps)
+        istd = 1.0 / np.sqrt(var + eps)
         xhat = (X - mean) * istd
         INVARIANT_CHECKS["batchnorm_zero_mean"] += 1
         if not np.all(np.abs(xhat.mean(axis=0)) <= 1e-6):
             raise NumericError("batch norm failed to center the batch")
-        new_mean = bn.momentum * bn.running_mean + (1 - bn.momentum) * mean
-        new_var = bn.momentum * bn.running_var + (1 - bn.momentum) * var
+        new_mean = momentum * running_mean + (1 - momentum) * mean
+        new_var = momentum * running_var + (1 - momentum) * var
         cache = {"mode": mode, "xhat": xhat, "istd": istd,
                  "new_running": (new_mean, new_var)}
     elif mode == "infer":
-        istd = 1.0 / np.sqrt(bn.running_var + bn.eps)
-        xhat = (X - bn.running_mean) * istd
+        istd = 1.0 / np.sqrt(running_var + eps)
+        xhat = (X - running_mean) * istd
         cache = {"mode": mode, "xhat": xhat, "istd": istd, "new_running": None}
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    return bn.gamma * xhat + bn.beta, cache
+    return gamma * xhat + beta, cache
 
 
-def _batchnorm_backward(dout: np.ndarray, cache, bn: BatchNormParams):
+def _batchnorm_backward(dout: np.ndarray, cache, gamma: np.ndarray):
     xhat = cache["xhat"]
     istd = cache["istd"]
     dgamma = (dout * xhat).sum(axis=0)
     dbeta = dout.sum(axis=0)
-    dxhat = dout * bn.gamma
+    dxhat = dout * gamma
     if cache["mode"] == "train":
         B = dout.shape[0]
         dx = (istd / B) * (
@@ -482,6 +333,12 @@ def dropout_forward(x: np.ndarray, rate: float, mode: str,
 # whole-model forward / backward
 
 
+def _batchnorm(p: ModelParams, tag: str, X: np.ndarray, mode: str):
+    return batchnorm_forward(X, p[f"{tag}.gamma"], p[f"{tag}.beta"],
+                             p[f"{tag}.running_mean"], p[f"{tag}.running_var"], mode,
+                             p.bn_momentum, p.bn_eps)
+
+
 def model_forward(x, p: ModelParams, mode: str = "infer",
                   rng: Optional[RandomSource] = None, dropout_masks=None):
     """Forward one sequence (T, input_dim) or a batch (B, T, input_dim).
@@ -490,7 +347,7 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
     sequence. Train mode needs either ``rng`` or explicit ``dropout_masks``
     and a batch of at least 2 (batch norm uses batch statistics).
     """
-    data = np.asarray(getattr(x, "data", x), dtype=np.float64)
+    data = np.asarray(x, dtype=np.float64)
     single = data.ndim == 2
     if single:
         data = data[None, :, :]
@@ -498,34 +355,34 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
         raise ShapeError(f"expected (T, d) or (B, T, d) input, got shape {data.shape}")
     if data.shape[1] == 0:
         raise EmptyInputError("empty sequence")
-    if data.shape[2] != p.fwd.input_dim:
+    if data.shape[2] != p.input_dim:
         raise ShapeError(
-            f"model expects {p.fwd.input_dim} values per step, got {data.shape[2]}"
+            f"model expects {p.input_dim} values per step, got {data.shape[2]}"
         )
 
-    states_f, caches_f = _lstm_scan(data, p.fwd)
-    states_b_rev, caches_b = _lstm_scan(data[:, ::-1, :], p.bwd)
+    states_f, caches_f = _lstm_scan(data, p["fwd.w"], p["fwd.b"])
+    states_b_rev, caches_b = _lstm_scan(data[:, ::-1, :], p["bwd.w"], p["bwd.b"])
     H = np.concatenate([states_f, states_b_rev[:, ::-1, :]], axis=2)
 
-    context, weights, pre = _attention_batch(H, p.attn)
+    context, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"])
 
-    lin1 = context @ p.dense1.w.T + p.dense1.b
+    lin1 = context @ p["dense1.w"].T + p["dense1.b"]
     a1 = np.maximum(lin1, 0.0)
-    bn1_out, bn1_cache = batchnorm_forward(a1, p.bn1, mode)
+    bn1_out, bn1_cache = _batchnorm(p, "bn1", a1, mode)
     drop1, mask1 = dropout_forward(
         bn1_out, p.dropout_rate, mode, rng,
         None if dropout_masks is None else dropout_masks[0],
     )
 
-    lin2 = drop1 @ p.dense2.w.T + p.dense2.b
+    lin2 = drop1 @ p["dense2.w"].T + p["dense2.b"]
     a2 = np.maximum(lin2, 0.0)
-    bn2_out, bn2_cache = batchnorm_forward(a2, p.bn2, mode)
+    bn2_out, bn2_cache = _batchnorm(p, "bn2", a2, mode)
     drop2, mask2 = dropout_forward(
         bn2_out, p.dropout_rate, mode, rng,
         None if dropout_masks is None else dropout_masks[1],
     )
 
-    preds = drop2 @ p.out_w + p.out_b[0]
+    preds = drop2 @ p["out.w"] + p["out.b"][0]
 
     cache = {
         "mode": mode, "data": data, "caches_f": caches_f, "caches_b": caches_b,
@@ -539,12 +396,16 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
     return preds, cache
 
 
+def _l2_penalty(p: ModelParams) -> float:
+    return p.l2 * (float((p["dense1.w"] ** 2).sum()) + float((p["dense2.w"] ** 2).sum()))
+
+
 def model_backward(cache, target, p: ModelParams):
-    """Loss and gradients for a train-mode forward cache.
+    """Loss and gradient for a train-mode forward cache.
 
     Loss is the batch mean of squared errors plus the L2 penalty on the two
-    hidden dense weight matrices. Gradients cover every array returned by
-    ``ModelParams.learnable()``.
+    hidden dense weight matrices. The gradient is one vector laid out like
+    ``p.trainable``.
     """
     if not isinstance(cache, dict) or "preds" not in cache:
         raise StateError("model_backward needs the cache from model_forward")
@@ -557,33 +418,31 @@ def model_backward(cache, target, p: ModelParams):
     B = len(y)
     residual = preds - y
     data_loss = float((residual * residual).mean())
-    penalty = p.l2 * (float((p.dense1.w ** 2).sum()) + float((p.dense2.w ** 2).sum()))
-    loss = data_loss + penalty
+    loss = data_loss + _l2_penalty(p)
 
-    grads: dict[str, np.ndarray] = {}
+    grad = np.zeros(p.n_trainable)
+    g = p.views(grad)
     dpreds = 2.0 * residual / B
 
-    grads["out.w"] = cache["drop2"].T @ dpreds
-    grads["out.b"] = np.array([dpreds.sum()])
-    d_drop2 = np.outer(dpreds, p.out_w)
+    g["out.w"][:] = cache["drop2"].T @ dpreds
+    g["out.b"][0] = dpreds.sum()
+    d_drop2 = np.outer(dpreds, p["out.w"])
 
     d_bn2_out = d_drop2 * cache["mask2"]
-    d_a2, dgamma2, dbeta2 = _batchnorm_backward(d_bn2_out, cache["bn2_cache"], p.bn2)
-    grads["bn2.gamma"] = dgamma2
-    grads["bn2.beta"] = dbeta2
+    d_a2, g["bn2.gamma"][:], g["bn2.beta"][:] = _batchnorm_backward(
+        d_bn2_out, cache["bn2_cache"], p["bn2.gamma"])
     d_lin2 = d_a2 * (cache["lin2"] > 0)
-    grads["dense2.w"] = d_lin2.T @ cache["drop1"] + 2.0 * p.l2 * p.dense2.w
-    grads["dense2.b"] = d_lin2.sum(axis=0)
-    d_drop1 = d_lin2 @ p.dense2.w
+    g["dense2.w"][:] = d_lin2.T @ cache["drop1"] + 2.0 * p.l2 * p["dense2.w"]
+    g["dense2.b"][:] = d_lin2.sum(axis=0)
+    d_drop1 = d_lin2 @ p["dense2.w"]
 
     d_bn1_out = d_drop1 * cache["mask1"]
-    d_a1, dgamma1, dbeta1 = _batchnorm_backward(d_bn1_out, cache["bn1_cache"], p.bn1)
-    grads["bn1.gamma"] = dgamma1
-    grads["bn1.beta"] = dbeta1
+    d_a1, g["bn1.gamma"][:], g["bn1.beta"][:] = _batchnorm_backward(
+        d_bn1_out, cache["bn1_cache"], p["bn1.gamma"])
     d_lin1 = d_a1 * (cache["lin1"] > 0)
-    grads["dense1.w"] = d_lin1.T @ cache["context"] + 2.0 * p.l2 * p.dense1.w
-    grads["dense1.b"] = d_lin1.sum(axis=0)
-    d_context = d_lin1 @ p.dense1.w
+    g["dense1.w"][:] = d_lin1.T @ cache["context"] + 2.0 * p.l2 * p["dense1.w"]
+    g["dense1.b"][:] = d_lin1.sum(axis=0)
+    d_context = d_lin1 @ p["dense1.w"]
 
     # attention: context = sum_t weights_t h_t with weights = softmax(scores)
     H = cache["H"]
@@ -593,34 +452,30 @@ def model_backward(cache, target, p: ModelParams):
     d_weights = np.einsum("bd,btd->bt", d_context, H)
     wsum = (weights * d_weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - wsum)
-    grads["attn.v"] = np.einsum("bt,bta->a", d_scores, pre)
-    d_pre = d_scores[:, :, None] * p.attn.v[None, None, :]
+    g["attn.v"][:] = np.einsum("bt,bta->a", d_scores, pre)
+    d_pre = d_scores[:, :, None] * p["attn.v"][None, None, :]
     d_pre_lin = d_pre * (1.0 - pre * pre)
-    grads["attn.w"] = np.einsum("bta,btd->ad", d_pre_lin, H)
-    dH += d_pre_lin @ p.attn.w
+    g["attn.w"][:] = np.einsum("bta,btd->ad", d_pre_lin, H)
+    dH += d_pre_lin @ p["attn.w"]
 
-    u = p.fwd.units
-    f_grads = _lstm_scan_backward(cache["caches_f"], dH[:, :, :u], p.fwd)
-    b_grads = _lstm_scan_backward(cache["caches_b"], dH[:, ::-1, u:], p.bwd)
-    for name, g in f_grads.items():
-        grads[f"fwd.{name}"] = g
-    for name, g in b_grads.items():
-        grads[f"bwd.{name}"] = g
-    return loss, grads
+    u = p.units
+    _lstm_scan_backward(cache["caches_f"], dH[:, :, :u], p["fwd.w"], g["fwd.w"], g["fwd.b"])
+    _lstm_scan_backward(cache["caches_b"], dH[:, ::-1, u:], p["bwd.w"], g["bwd.w"], g["bwd.b"])
+    return loss, grad
 
 
 def commit_batchnorm(cache, p: ModelParams) -> None:
     """Apply the running-stat updates recorded by a train-mode forward."""
-    for bn, key in ((p.bn1, "bn1_cache"), (p.bn2, "bn2_cache")):
-        new = cache[key]["new_running"]
+    for tag in ("bn1", "bn2"):
+        new = cache[f"{tag}_cache"]["new_running"]
         if new is not None:
-            bn.running_mean[:] = new[0]
-            bn.running_var[:] = new[1]
+            p[f"{tag}.running_mean"][:] = new[0]
+            p[f"{tag}.running_var"][:] = new[1]
 
 
 def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
     """Pre-draw the two per-batch dropout masks (used to freeze grad checks)."""
-    shapes = [(batch, p.dense1.b.shape[0]), (batch, p.dense2.b.shape[0])]
+    shapes = [(batch, p["dense1.b"].shape[0]), (batch, p["dense2.b"].shape[0])]
     masks = []
     for shape in shapes:
         if p.dropout_rate == 0.0:
@@ -631,17 +486,35 @@ def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
     return masks
 
 
+def param_blocks(p: ModelParams) -> dict[str, np.ndarray]:
+    """Positions in ``p.trainable`` of every named parameter block.
+
+    The fused LSTM weights and biases are split by gate (``fwd.w_forget``,
+    ``bwd.b_output``, ...), so a gradient error is reported against the
+    gate it sits in.
+    """
+    u = p.units
+    blocks = {}
+    for name, positions in p.views(np.arange(p.n_trainable)).items():
+        if name.startswith(("fwd.", "bwd.")):
+            for k, gate in enumerate(GATES):
+                blocks[f"{name}_{gate}"] = positions[..., k * u:(k + 1) * u].ravel()
+        else:
+            blocks[name] = positions.ravel()
+    return blocks
+
+
 def grad_check(p: ModelParams, x, y, eps: float = 1e-4):
     """Compare analytic gradients with central finite differences.
 
     The dropout masks are drawn once and reused for every perturbed
     forward, and forwards never mutate parameters, so the loss is a
     deterministic function of the parameter vector. Returns
-    (max relative error, worst error per parameter block).
+    (max relative error, worst error per block of :func:`param_blocks`).
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    data = np.asarray(getattr(x, "data", x), dtype=np.float64)
+    data = np.asarray(x, dtype=np.float64)
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     masks = draw_dropout_masks(p, data.shape[0], RandomSource(0x5EED))
 
@@ -650,27 +523,23 @@ def grad_check(p: ModelParams, x, y, eps: float = 1e-4):
 
     def loss_at() -> float:
         _, c = model_forward(data, p, mode="train", dropout_masks=masks)
-        preds = c["preds"]
-        r = preds - y
-        return float((r * r).mean()) + p.l2 * (
-            float((p.dense1.w ** 2).sum()) + float((p.dense2.w ** 2).sum())
-        )
+        r = c["preds"] - y
+        return float((r * r).mean()) + _l2_penalty(p)
 
+    theta = p.trainable
     worst = 0.0
     per_block: dict[str, float] = {}
-    for name, array in p.learnable().items():
-        flat = array.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
+    for name, positions in param_blocks(p).items():
         block_worst = 0.0
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + eps
+        for idx in positions:
+            keep = theta[idx]
+            theta[idx] = keep + eps
             up = loss_at()
-            flat[idx] = keep - eps
+            theta[idx] = keep - eps
             down = loss_at()
-            flat[idx] = keep
+            theta[idx] = keep
             numeric = (up - down) / (2.0 * eps)
-            a = grad_flat[idx]
+            a = analytic[idx]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             block_worst = max(block_worst, rel)
         per_block[name] = block_worst
@@ -718,71 +587,3 @@ def random_gradcheck_model(seed: int, eps: float = 1e-4):
         if smooth:
             return p, X, y
     raise NumericError(f"could not condition a grad-check model from seed {seed}")
-
-
-# ---------------------------------------------------------------------------
-# checkpointing
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(p: ModelParams, path) -> None:
-    """Structured-text checkpoint: field name -> shape -> row-major values."""
-    arrays = dict(p.learnable())
-    for tag, bn in (("bn1", p.bn1), ("bn2", p.bn2)):
-        arrays[f"{tag}.running_mean"] = bn.running_mean
-        arrays[f"{tag}.running_var"] = bn.running_var
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "scalars": {
-            "dropout_rate": p.dropout_rate,
-            "l2": p.l2,
-            "bn_momentum": p.bn1.momentum,
-            "bn_eps": p.bn1.eps,
-        },
-        "arrays": {
-            name: {"shape": list(a.shape), "values": a.reshape(-1).tolist()}
-            for name, a in arrays.items()
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-
-
-def load_checkpoint(path) -> ModelParams:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise StateError(f"unsupported checkpoint version {doc.get('version')!r}")
-    arrays = {
-        name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in doc["arrays"].items()
-    }
-    scalars = doc["scalars"]
-
-    def lstm(tag: str) -> LstmParams:
-        return LstmParams(
-            w_forget=arrays[f"{tag}.w_forget"], w_input=arrays[f"{tag}.w_input"],
-            w_cell=arrays[f"{tag}.w_cell"], w_output=arrays[f"{tag}.w_output"],
-            b_forget=arrays[f"{tag}.b_forget"], b_input=arrays[f"{tag}.b_input"],
-            b_cell=arrays[f"{tag}.b_cell"], b_output=arrays[f"{tag}.b_output"],
-        )
-
-    def bn(tag: str) -> BatchNormParams:
-        return BatchNormParams(
-            gamma=arrays[f"{tag}.gamma"], beta=arrays[f"{tag}.beta"],
-            running_mean=arrays[f"{tag}.running_mean"],
-            running_var=arrays[f"{tag}.running_var"],
-            momentum=scalars["bn_momentum"], eps=scalars["bn_eps"],
-        )
-
-    return ModelParams(
-        fwd=lstm("fwd"), bwd=lstm("bwd"),
-        attn=AttentionParams(w=arrays["attn.w"], v=arrays["attn.v"]),
-        dense1=DenseParams(w=arrays["dense1.w"], b=arrays["dense1.b"]),
-        bn1=bn("bn1"),
-        dense2=DenseParams(w=arrays["dense2.w"], b=arrays["dense2.b"]),
-        bn2=bn("bn2"),
-        out_w=arrays["out.w"], out_b=arrays["out.b"],
-        dropout_rate=scalars["dropout_rate"], l2=scalars["l2"],
-    )

@@ -1,6 +1,6 @@
 """Training machinery and direct solvers.
 
-One half drives the network: Adam over named parameter arrays, a staircase
+One half drives the network: Adam over a flat parameter vector, a staircase
 exponential learning-rate schedule, early stopping on validation loss, and
 the epoch loop tying them together. The other half solves the linear
 baselines directly: least squares by Householder QR, conjugate gradients on
@@ -52,39 +52,31 @@ def lr_at_step(schedule: LrSchedule, step: int) -> float:
 
 
 class Adam:
-    """Adam over a dict of named arrays; state is shape-congruent with them."""
+    """Adam over one flat parameter vector; the moments are vectors like it."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: Optional[np.ndarray] = None
+        self.v: Optional[np.ndarray] = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float) -> None:
-        """One in-place update of every array in ``params``."""
+    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """One in-place update of ``theta``."""
+        if grad.shape != theta.shape:
+            raise ShapeError(f"gradient has shape {grad.shape}, parameters have {theta.shape}")
+        if self.m is None:
+            self.m = np.zeros_like(theta)
+            self.v = np.zeros_like(theta)
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
-        for name, theta in params.items():
-            g = grads[name]
-            if g.shape != theta.shape:
-                raise ShapeError(f"gradient for {name} has shape {g.shape}, "
-                                 f"parameter has {theta.shape}")
-            if name not in self.m:
-                self.m[name] = np.zeros_like(theta)
-                self.v[name] = np.zeros_like(theta)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / correct1
-            v_hat = v / correct2
-            theta -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        m_hat = self.m / (1.0 - self.beta1 ** self.t)
+        v_hat = self.v / (1.0 - self.beta2 ** self.t)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 @dataclass
@@ -96,7 +88,7 @@ class EarlyStopper:
     min_delta: float = 1e-4
     best_loss: float = field(default=np.inf)
     stale_epochs: int = 0
-    best_params: Optional[ModelParams] = None
+    best_vector: Optional[np.ndarray] = None
 
     def update(self, val_loss: float, params: ModelParams) -> str:
         """Returns "continue" or "stop"."""
@@ -105,15 +97,18 @@ class EarlyStopper:
         if self.best_loss - val_loss > self.min_delta:
             self.best_loss = float(val_loss)
             self.stale_epochs = 0
-            self.best_params = params.copy()
+            self.best_vector = params.vector.copy()
             return "continue"
         self.stale_epochs += 1
         if self.stale_epochs > self.patience:
             return "stop"
         return "continue"
 
-    def restore(self, fallback: ModelParams) -> ModelParams:
-        return self.best_params if self.best_params is not None else fallback
+    def restore(self, params: ModelParams) -> ModelParams:
+        """Copy the best snapshot, if any, back into ``params``; returns it."""
+        if self.best_vector is not None:
+            params.vector[:] = self.best_vector
+        return params
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,7 @@ class TrainHistory:
 def predict_network(params: ModelParams, X_seq: np.ndarray,
                     batch_size: int = 256) -> np.ndarray:
     """Inference-mode predictions for (N, T, d) input, batched for memory."""
-    data = np.asarray(getattr(X_seq, "data", X_seq), dtype=np.float64)
+    data = np.asarray(X_seq, dtype=np.float64)
     out = np.empty(data.shape[0])
     for start in range(0, data.shape[0], batch_size):
         chunk = data[start:start + batch_size]
@@ -277,10 +272,13 @@ def train_network(
     """Minibatch Adam with LR decay and early stopping on validation MSE.
 
     Batches whose tail would be a single sample fold it into the previous
-    batch (train-mode batch norm needs at least two rows).
+    batch (train-mode batch norm needs at least two rows). A non-finite
+    minibatch loss raises NumericError before anything is updated.
+    Training updates ``params`` in place and returns it holding the best
+    snapshot.
     """
-    X_train = np.asarray(getattr(X_train, "data", X_train), dtype=np.float64)
-    X_val = np.asarray(getattr(X_val, "data", X_val), dtype=np.float64)
+    X_train = np.asarray(X_train, dtype=np.float64)
+    X_val = np.asarray(X_val, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
     y_val = np.asarray(y_val, dtype=np.float64)
     n = X_train.shape[0]
@@ -290,7 +288,6 @@ def train_network(
     optimizer = Adam(settings.beta1, settings.beta2, settings.adam_eps)
     stopper = EarlyStopper(patience=settings.patience, min_delta=settings.min_delta)
     history = TrainHistory()
-    learnable = params.learnable()
     step = 0
 
     for epoch in range(settings.epochs):
@@ -307,9 +304,14 @@ def train_network(
             xb = X_train[batch_idx]
             yb = y_train[batch_idx]
             _, cache = model_forward(xb, params, mode="train", rng=rng)
-            loss, grads = model_backward(cache, yb, params)
+            loss, grad = model_backward(cache, yb, params)
+            if not np.isfinite(loss):
+                # stop before one bad step writes NaN into every parameter
+                raise NumericError(
+                    f"epoch {epoch + 1}, step {n_batches + 1}: minibatch loss is not finite ({loss})"
+                )
             commit_batchnorm(cache, params)
-            optimizer.step(learnable, grads, lr_at_step(settings.schedule, step))
+            optimizer.step(params.trainable, grad, lr_at_step(settings.schedule, step))
             step += 1
             epoch_loss += loss
             n_batches += 1

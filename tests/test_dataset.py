@@ -222,17 +222,15 @@ class TestGroupedSplits:
 class TestToSequences:
     def test_shape(self):
         X = np.arange(30.0).reshape(3, 10)
-        tensor = to_sequences(X)
-        assert (tensor.n, tensor.t, tensor.d) == (3, 10, 1)
+        assert to_sequences(X).shape == (3, 10, 1)
 
     def test_flatten_is_inverse(self):
         rng = RandomSource(3)
         X = rng.gaussians(0, 1, 70).reshape(7, 10)
-        assert np.array_equal(to_sequences(X).flatten(), X)
+        assert np.array_equal(to_sequences(X).reshape(7, 10), X)
 
     def test_single_cell(self):
-        tensor = to_sequences(np.array([[4.2]]))
-        assert (tensor.n, tensor.t, tensor.d) == (1, 1, 1)
+        assert to_sequences(np.array([[4.2]])).shape == (1, 1, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):

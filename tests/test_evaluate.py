@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from updrspred.evaluate import (
     run_experiment,
 )
 from updrspred.linalg import RandomSource
+from updrspred.nn import INVARIANT_CHECKS, reset_invariant_counters
 
 
 class TestMse:
@@ -135,10 +137,56 @@ class TestRunExperiment:
         assert seq_doc["aggregate"] == par_doc["aggregate"]
         assert seq_doc["details"] == par_doc["details"]
 
+    def test_worker_processes_count_invariant_checks(self, synthetic_csv):
+        counts = {}
+        for jobs in (1, 2):
+            reset_invariant_counters()
+            run_experiment(smoke_config(synthetic_csv, jobs=jobs))
+            counts[jobs] = dict(INVARIANT_CHECKS)
+        assert counts[2] == counts[1]
+        assert all(count > 0 for count in counts[1].values())
+
     def test_seed_changes_results(self, synthetic_csv):
         a = run_experiment(smoke_config(synthetic_csv, seed=1))
         b = run_experiment(smoke_config(synthetic_csv, seed=2))
         assert a.to_structured() != b.to_structured()
+
+
+GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / "smoke_report.json"
+
+
+def assert_matches_golden(actual, expected, where="report"):
+    """Floats agree within 1e-9 relative; everything else exactly."""
+    if isinstance(expected, dict):
+        assert sorted(actual) == sorted(expected), where
+        for key in expected:
+            assert_matches_golden(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_matches_golden(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-9, abs=0.0), where
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+class TestGoldenReport:
+    """Behaviour lock: ``smoke_config`` on the default synthetic table.
+
+    ``tests/golden/smoke_report.json`` holds the methods, folds, aggregate
+    and details of ``run_experiment(smoke_config(csv))`` on
+    ``write_synthetic_csv(path)`` (240 rows, 8 subjects, seed 99). Selected
+    features, elimination order and epoch counts must match exactly and
+    every metric within 1e-9 relative; exact bytes would tie the file to
+    one BLAS kernel. A change that is meant to move these numbers
+    regenerates the file and says so.
+    """
+
+    def test_smoke_report_matches_golden(self, synthetic_csv):
+        doc = json.loads(run_experiment(smoke_config(synthetic_csv)).to_structured())
+        expected = json.loads(GOLDEN_REPORT.read_text())
+        assert_matches_golden({key: doc[key] for key in expected}, expected)
 
 
 def toy_report():

@@ -1,57 +1,8 @@
 import numpy as np
 import pytest
 
-from updrspred.errors import ParameterError, ShapeError
-from updrspred.linalg import RandomSource, gaussian, matmul, sigmoid, tanh_act
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_hand_multiplied(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        # 1*5 + 2*6 = 17, 3*5 + 4*6 = 39
-        assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match="2x3.*2x3"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associative_on_conforming_triples(self):
-        rng = RandomSource(42)
-        for _ in range(10):
-            a = rng.gaussians(0, 1, 12).reshape(3, 4)
-            b = rng.gaussians(0, 1, 20).reshape(4, 5)
-            c = rng.gaussians(0, 1, 10).reshape(5, 2)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9)
-
-
-class TestActivations:
-    def test_sigmoid_zero(self):
-        assert sigmoid(0.0) == 0.5
-
-    def test_tanh_zero(self):
-        assert tanh_act(0.0) == 0.0
-
-    def test_sigmoid_saturates(self):
-        assert abs(sigmoid(100.0) - 1.0) < 1e-12
-        assert sigmoid(-100.0) < 1e-12
-
-    def test_sigmoid_symmetry(self):
-        xs = np.linspace(-30, 30, 101)
-        assert np.allclose(sigmoid(xs) + sigmoid(-xs), 1.0, atol=1e-15)
-
-    def test_bounds(self):
-        xs = np.array([-1e3, -5.0, 0.3, 7.0, 1e3])
-        s = sigmoid(xs)
-        assert np.all((s >= 0) & (s <= 1))
-        t = tanh_act(xs)
-        assert np.all((t >= -1) & (t <= 1))
+from updrspred.errors import ParameterError
+from updrspred.linalg import RandomSource
 
 
 class TestRandomSource:
@@ -104,26 +55,26 @@ class TestRandomSource:
 
 class TestGaussian:
     def test_zero_stddev(self):
-        assert np.array_equal(gaussian(RandomSource(7), 0.0, 0.0, 5), np.zeros(5))
+        assert np.array_equal(RandomSource(7).gaussians(0.0, 0.0, 5), np.zeros(5))
 
     def test_law_of_large_numbers(self):
-        draws = gaussian(RandomSource(7), 0.0, 1.0, 100_000)
+        draws = RandomSource(7).gaussians(0.0, 1.0, 100_000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.std() - 1.0) < 0.02
 
     def test_same_seed_identical(self):
-        a = gaussian(RandomSource(7), 1.5, 2.0, 64)
-        b = gaussian(RandomSource(7), 1.5, 2.0, 64)
+        a = RandomSource(7).gaussians(1.5, 2.0, 64)
+        b = RandomSource(7).gaussians(1.5, 2.0, 64)
         assert np.array_equal(a, b)
 
     def test_negative_stddev_rejected(self):
         with pytest.raises(ParameterError):
-            gaussian(RandomSource(7), 0.0, -1.0, 5)
+            RandomSource(7).gaussians(0.0, -1.0, 5)
 
     def test_mean_shift_and_scale(self):
-        draws = gaussian(RandomSource(21), 10.0, 3.0, 50_000)
+        draws = RandomSource(21).gaussians(10.0, 3.0, 50_000)
         assert abs(draws.mean() - 10.0) < 0.1
         assert abs(draws.std() - 3.0) < 0.1
 
     def test_odd_count(self):
-        assert len(gaussian(RandomSource(4), 0.0, 1.0, 7)) == 7
+        assert len(RandomSource(4).gaussians(0.0, 1.0, 7)) == 7

@@ -51,17 +51,17 @@ class TestLrSchedule:
 
 class TestAdam:
     def test_first_step_magnitude(self):
-        params = {"w": np.array([0.0])}
+        theta = np.array([0.0])
         adam = Adam()
-        adam.step(params, {"w": np.array([1.0])}, lr=0.001)
+        adam.step(theta, np.array([1.0]), lr=0.001)
         # bias correction makes m_hat = g and v_hat = g*g at t=1
-        assert params["w"][0] == pytest.approx(-0.001, rel=1e-6)
+        assert theta[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_zero_gradient_fixed_point(self):
-        params = {"w": np.array([1.0, -2.0])}
+        theta = np.array([1.0, -2.0])
         adam = Adam()
-        adam.step(params, {"w": np.zeros(2)}, lr=0.1)
-        assert np.array_equal(params["w"], [1.0, -2.0])
+        adam.step(theta, np.zeros(2), lr=0.1)
+        assert np.array_equal(theta, [1.0, -2.0])
 
     def test_matches_scalar_recurrence(self):
         # hand-rolled two-step recurrence with constant gradient
@@ -76,16 +76,16 @@ class TestAdam:
             m_hat = m / (1 - b1 ** t)
             v_hat = v / (1 - b2 ** t)
             theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        params = {"w": np.array([0.5])}
+        params = np.array([0.5])
         adam = Adam()
         for _ in range(2):
-            adam.step(params, {"w": np.array([g])}, lr=lr)
-        assert params["w"][0] == pytest.approx(theta, abs=1e-15)
+            adam.step(params, np.array([g]), lr=lr)
+        assert params[0] == pytest.approx(theta, abs=1e-15)
 
     def test_shape_mismatch(self):
         adam = Adam()
         with pytest.raises(ShapeError):
-            adam.step({"w": np.zeros(3)}, {"w": np.zeros(2)}, lr=0.1)
+            adam.step(np.zeros(3), np.zeros(2), lr=0.1)
 
 
 class TestEarlyStopper:
@@ -114,11 +114,12 @@ class TestEarlyStopper:
         p = init_model_params(RandomSource(3), units=2, attn_dim=2, dense_widths=(3, 2))
         stopper = EarlyStopper(patience=1, min_delta=0.0)
         stopper.update(1.0, p)
-        best_w = p.out_w.copy()
-        p.out_w[:] = 99.0
+        best = p.vector.copy()
+        p["out.w"][:] = 99.0
+        p["bn1.running_mean"][:] = 5.0
         stopper.update(2.0, p)
         restored = stopper.restore(p)
-        assert np.array_equal(restored.out_w, best_w)
+        assert np.array_equal(restored.vector, best)
 
     def test_nan_loss_aborts(self):
         p = init_model_params(RandomSource(4), units=2, attn_dim=2, dense_widths=(3, 2))
@@ -263,7 +264,7 @@ class TestTrainNetwork:
         t2, h2 = train_network(self.small_params(18), Xt, yt, Xv, yv, settings,
                                RandomSource(19))
         assert h1.val_loss == h2.val_loss
-        assert np.array_equal(t1.out_w, t2.out_w)
+        assert np.array_equal(t1.vector, t2.vector)
 
     def test_no_singleton_batches(self):
         # 17 samples with batch 16 would leave a tail of 1; must not raise
@@ -274,3 +275,16 @@ class TestTrainNetwork:
                                    dense_widths=(4, 3), dropout_rate=0.0)
         settings = TrainSettings(epochs=2, batch_size=16)
         train_network(params, X, y, X[:4], y[:4], settings, RandomSource(22))
+
+    def test_non_finite_minibatch_loss_raises_before_any_update(self):
+        # an output weight of 1e300 overflows the squared error; Adam must
+        # not get to write the resulting NaN gradient into the parameters
+        Xt, yt, Xv, yv = self.make_problem(seed=23)
+        params = self.small_params(seed=24)
+        params["out.w"][:] = 1e300
+        before = params.vector.copy()
+        settings = TrainSettings(epochs=2, batch_size=16)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="epoch 1, step 1: minibatch loss is not finite"):
+            train_network(params, Xt, yt, Xv, yv, settings, RandomSource(25))
+        assert np.array_equal(params.vector, before)
