@@ -49,12 +49,11 @@ def augment_training_set(
     y: np.ndarray,
     config: JitterConfig,
     rng: RandomSource,
-    column_stddev: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Originals followed by ``copies`` jittered blocks with unchanged targets.
 
-    Column noise is ``sigma_scale`` times ``column_stddev`` (the columns' own
-    sample stddev when not supplied, which is 1 for standardized input).
+    Column noise is ``sigma_scale`` times the column's own stddev, which is
+    1 for standardized input.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -63,9 +62,7 @@ def augment_training_set(
     config.validate()
     if config.copies == 0:
         return X.copy(), y.copy()
-    if column_stddev is None:
-        column_stddev = X.std(axis=0)
-    sigma = config.sigma_scale * np.asarray(column_stddev, dtype=np.float64)
+    sigma = config.sigma_scale * X.std(axis=0)
     blocks_X = [X]
     blocks_y = [y]
     for _ in range(config.copies):

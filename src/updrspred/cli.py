@@ -25,10 +25,15 @@ import click
 import numpy as np
 
 from .config import ENV_DATASET, RunConfig, config_from_dict, load_config, parse_override
-from .dataset import REQUIRED_COLUMNS, load_csv
+from .dataset import (
+    REQUIRED_COLUMNS,
+    apply_standardizer,
+    build_design,
+    fit_standardizer,
+    load_csv,
+)
 from .errors import RuntimeFault, UsageFault
 from .evaluate import render_csv, render_mse_table, render_r2_table, run_experiment
-from .forest import ForestParams
 from .linalg import RandomSource
 from .nn import grad_check, random_gradcheck_model
 from .rfe import rfe_select
@@ -135,23 +140,11 @@ def select(ctx):
 
     def body():
         config = _build_config(ctx)
-        from .dataset import apply_standardizer, build_design, fit_standardizer
-
         ds = load_csv(config.dataset)
         X, y = build_design(ds, config.target, config.regressors)
-        if config.rfe_on_standardized:
-            stats = fit_standardizer(X, column_names=config.regressors)
-            X = apply_standardizer(stats, X)
-        params = ForestParams(
-            n_trees=config.forest_n_trees,
-            max_depth=config.forest_max_depth,
-            min_samples_leaf=config.forest_min_samples_leaf,
-            features_per_split=config.forest_features_per_split,
-            bootstrap=config.forest_bootstrap,
-        )
-        protected = [config.regressors.index(n) for n in config.protected_regressors]
-        result = rfe_select(X, y, config.rfe_k, params,
-                            RandomSource(config.seed), protected=protected)
+        X = apply_standardizer(fit_standardizer(X, column_names=config.regressors), X)
+        result = rfe_select(X, y, config.rfe_k, config.forest_params(),
+                            RandomSource(config.seed), protected=config.protected_indices())
         run_dir = _make_run_dir(config)
         names = list(config.regressors)
         (run_dir / "rfe_report.txt").write_text(result.to_report(names))

@@ -4,7 +4,9 @@ Defaults follow the experimental setup this pipeline reproduces where that
 setup is explicit (100 LSTM units, 0.3 dropout, learning rate 0.001
 decaying by 0.9 every 10,000 steps, 5 folds) and documented house choices
 everywhere else. Unknown keys are rejected rather than ignored so a typo
-cannot silently fall back to a default.
+cannot silently fall back to a default. The pipeline stages take their
+parameter objects from the ``RunConfig`` methods below, the one place that
+maps knobs to stages.
 """
 
 from __future__ import annotations
@@ -14,8 +16,12 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .augment import JitterConfig
+from .baselines import BaselineSpec
 from .dataset import DEFAULT_REGRESSORS
 from .errors import ConfigError
+from .forest import ForestParams
+from .optimize import LrSchedule, TrainSettings
 
 ENV_DATASET = "UPDRSPRED_DATASET"
 
@@ -30,14 +36,12 @@ class RunConfig:
 
     # feature elimination
     rfe_k: int = 10
-    rfe_on_standardized: bool = True
     protected_regressors: tuple = ("motor_UPDRS",)
 
     # forest estimator behind the elimination loop
     forest_n_trees: int = 100
     forest_max_depth: int = 12
     forest_min_samples_leaf: int = 5
-    forest_features_per_split: Optional[int] = None
     forest_bootstrap: bool = True
 
     # jitter augmentation
@@ -105,6 +109,53 @@ class RunConfig:
                 raise ConfigError(f"protected regressor {name!r} is not a regressor")
         if self.subsample_rows is not None and self.subsample_rows < 10:
             raise ConfigError("subsample_rows must be >= 10 when set")
+
+    # parameter objects of the pipeline stages
+
+    def forest_params(self) -> ForestParams:
+        return ForestParams(
+            n_trees=self.forest_n_trees,
+            max_depth=self.forest_max_depth,
+            min_samples_leaf=self.forest_min_samples_leaf,
+            bootstrap=self.forest_bootstrap,
+        )
+
+    def protected_indices(self) -> list:
+        """Column indices of ``protected_regressors`` within ``regressors``."""
+        return [self.regressors.index(name) for name in self.protected_regressors]
+
+    def jitter_config(self) -> JitterConfig:
+        return JitterConfig(sigma_scale=self.jitter_sigma_scale, copies=self.jitter_copies)
+
+    def lr_schedule(self) -> LrSchedule:
+        return LrSchedule(
+            initial=self.lr_initial,
+            decay_factor=self.lr_decay_factor,
+            decay_steps=self.lr_decay_steps,
+            staircase=self.lr_staircase,
+        )
+
+    def train_settings(self) -> TrainSettings:
+        return TrainSettings(
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            schedule=self.lr_schedule(),
+            beta1=self.adam_beta1,
+            beta2=self.adam_beta2,
+            adam_eps=self.adam_eps,
+            patience=self.patience,
+            min_delta=self.min_delta,
+        )
+
+    def baseline_spec(self, method: str) -> BaselineSpec:
+        return BaselineSpec(
+            method=method,
+            ridge_lambda=self.ridge_lambda,
+            cg_tol=self.cg_tol,
+            cg_max_iter_per_dim=self.cg_max_iter_per_dim,
+            adam_steps=self.adam_linear_steps,
+            adam_schedule=self.lr_schedule(),
+        )
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)

@@ -60,53 +60,26 @@ TARGET_COLUMNS = {"total": "total_UPDRS", "motor": "motor_UPDRS"}
 
 
 @dataclass(frozen=True)
-class VoiceRecord:
-    subject_id: int
-    age: float
-    sex: int
-    test_time: float
-    motor_updrs: float
-    total_updrs: float
-    voice_features: tuple  # 16 floats, VOICE_FEATURES order
-
-    def __post_init__(self):
-        if len(self.voice_features) != len(VOICE_FEATURES):
-            raise ParseError(
-                f"expected {len(VOICE_FEATURES)} voice features, got {len(self.voice_features)}"
-            )
-
-
-@dataclass(frozen=True)
 class Dataset:
-    records: tuple
+    columns: dict  # header name -> read-only array, one per required column
     feature_names: tuple  # column labels as they appeared in the file
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns["subject#"])
 
     @property
     def n_subjects(self) -> int:
-        return len({r.subject_id for r in self.records})
+        return len(np.unique(self.columns["subject#"]))
 
     def subject_ids(self) -> np.ndarray:
-        return np.array([r.subject_id for r in self.records], dtype=np.int64)
+        return self.columns["subject#"]
 
     def column(self, name: str) -> np.ndarray:
-        """Numeric column by header name (any column except subject#)."""
-        if name == "age":
-            return np.array([r.age for r in self.records])
-        if name == "sex":
-            return np.array([float(r.sex) for r in self.records])
-        if name == "test_time":
-            return np.array([r.test_time for r in self.records])
-        if name == "motor_UPDRS":
-            return np.array([r.motor_updrs for r in self.records])
-        if name == "total_UPDRS":
-            return np.array([r.total_updrs for r in self.records])
-        if name in VOICE_FEATURES:
-            idx = VOICE_FEATURES.index(name)
-            return np.array([r.voice_features[idx] for r in self.records])
-        raise ConfigError(f"unknown column {name!r}")
+        """Column by header name: float64, except int64 for subject#."""
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise ConfigError(f"unknown column {name!r}") from None
 
 
 @dataclass
@@ -147,7 +120,7 @@ def load_csv(path) -> Dataset:
         if missing:
             raise SchemaError(f"{path}: missing column(s) {', '.join(repr(m) for m in missing)}")
 
-        records = []
+        cells = {name: [] for name in REQUIRED_COLUMNS}
         for row_number, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
@@ -155,28 +128,28 @@ def load_csv(path) -> Dataset:
                 raise ParseError(
                     f"row {row_number}: expected {len(header)} cells, got {len(row)}"
                 )
-
-            def cell(col: str) -> float:
-                return _parse_cell(row[positions[col]].strip(), col, row_number)
-
-            sex_value = cell("sex")
+            for name, values in cells.items():
+                values.append(_parse_cell(row[positions[name]].strip(), name, row_number))
+            sex_value = cells["sex"][-1]
             if sex_value not in (0.0, 1.0):
                 raise ParseError(f"row {row_number}: column 'sex' must be 0 or 1, got {sex_value}")
-            records.append(
-                VoiceRecord(
-                    subject_id=int(cell("subject#")),
-                    age=cell("age"),
-                    sex=int(sex_value),
-                    test_time=cell("test_time"),
-                    motor_updrs=cell("motor_UPDRS"),
-                    total_updrs=cell("total_UPDRS"),
-                    voice_features=tuple(cell(v) for v in VOICE_FEATURES),
+            subject = cells["subject#"][-1]
+            if not (subject.is_integer() and abs(subject) < 2**63):
+                raise ParseError(
+                    f"row {row_number}: column 'subject#' must be a whole number "
+                    f"below 2**63 in magnitude, got {subject}"
                 )
-            )
+            cells["subject#"][-1] = int(subject)
 
-    if not records:
+    if not cells["subject#"]:
         raise EmptyInputError(f"{path}: no data rows")
-    return Dataset(records=tuple(records), feature_names=tuple(header))
+    columns = {
+        name: np.array(values, dtype=np.int64 if name == "subject#" else np.float64)
+        for name, values in cells.items()
+    }
+    for array in columns.values():
+        array.flags.writeable = False
+    return Dataset(columns=columns, feature_names=tuple(header))
 
 
 def build_design(dataset: Dataset, target: str, regressors) -> tuple[np.ndarray, np.ndarray]:
@@ -224,10 +197,6 @@ def apply_standardizer(stats: StandardizationStats, X: np.ndarray) -> np.ndarray
             f"standardizer fitted on {stats.mean.shape[0]} columns, got {X.shape[1]}"
         )
     return (X - stats.mean) / stats.stddev
-
-
-def invert_standardizer(stats: StandardizationStats, X: np.ndarray) -> np.ndarray:
-    return np.asarray(X, dtype=np.float64) * stats.stddev + stats.mean
 
 
 def kfold_split(n: int, k: int, rng: RandomSource):

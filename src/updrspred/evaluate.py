@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import JitterConfig, augment_training_set
-from .baselines import DISPLAY_NAMES, METHOD_ORDER, BaselineSpec, fit_baseline, predict_linear
+from .augment import augment_training_set
+from .baselines import DISPLAY_NAMES, METHOD_ORDER, fit_baseline, predict_linear
 from .config import RunConfig
 from .dataset import (
     build_design,
@@ -41,14 +41,12 @@ from .errors import (
     DegenerateTargetError,
     EmptyInputError,
     NumericError,
-    ParameterError,
     ShapeError,
     StateError,
 )
-from .forest import ForestParams
 from .linalg import RandomSource
 from .nn import INVARIANT_CHECKS, init_model_params
-from .optimize import LrSchedule, TrainSettings, predict_network, train_network
+from .optimize import predict_network, train_network
 from .rfe import rfe_select
 
 NETWORK_NAME = "LSTM-Attention"
@@ -144,6 +142,18 @@ def _check_finite(value: float, fold: int, method: str, metric: str) -> float:
     return float(value)
 
 
+def _score(fold_no: int, name: str, predict, X_parts, y_parts) -> MethodMetrics:
+    """Metrics of one fitted method, predicting train, val and test once each."""
+    y_tr, y_va, y_te = y_parts
+    p_tr, p_va, p_te = (predict(X) for X in X_parts)
+    return MethodMetrics(
+        train_mse=_check_finite(mse(y_tr, p_tr), fold_no, name, "train MSE"),
+        val_mse=_check_finite(mse(y_va, p_va), fold_no, name, "val MSE"),
+        test_mse=_check_finite(mse(y_te, p_te), fold_no, name, "test MSE"),
+        test_r2=_check_finite(r2(y_te, p_te), fold_no, name, "test R2"),
+    )
+
+
 def _fold_rngs(fold_rng: RandomSource) -> dict:
     # one derived stream per stochastic stage, in a fixed order
     return {
@@ -172,15 +182,14 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
     X_tr_raw, y_tr = X_all[train_idx], y_all[train_idx]
     X_va_raw, y_va = X_all[val_idx], y_all[val_idx]
     X_te_raw, y_te = X_all[test_idx], y_all[test_idx]
+    y_parts = (y_tr, y_va, y_te)
 
     stats = fit_standardizer(X_tr_raw, column_names=config.regressors)
     X_tr = apply_standardizer(stats, X_tr_raw)
     X_va = apply_standardizer(stats, X_va_raw)
     X_te = apply_standardizer(stats, X_te_raw)
 
-    jitter_config = JitterConfig(
-        sigma_scale=config.jitter_sigma_scale, copies=config.jitter_copies
-    )
+    jitter_config = config.jitter_config()
 
     results = {}
     baseline_X, baseline_y = X_tr, y_tr
@@ -189,45 +198,15 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
             X_tr, y_tr, jitter_config, rngs["baseline_augment"]
         )
     for method in METHOD_ORDER:
-        spec = BaselineSpec(
-            method=method,
-            ridge_lambda=config.ridge_lambda,
-            cg_tol=config.cg_tol,
-            cg_max_iter_per_dim=config.cg_max_iter_per_dim,
-            adam_steps=config.adam_linear_steps,
-            adam_schedule=LrSchedule(
-                initial=config.lr_initial,
-                decay_factor=config.lr_decay_factor,
-                decay_steps=config.lr_decay_steps,
-                staircase=config.lr_staircase,
-            ),
-        )
-        model = fit_baseline(spec, baseline_X, baseline_y)
+        model = fit_baseline(config.baseline_spec(method), baseline_X, baseline_y)
         name = DISPLAY_NAMES[method]
-        results[name] = MethodMetrics(
-            train_mse=_check_finite(mse(y_tr, predict_linear(model, X_tr)),
-                                    fold_no, name, "train MSE"),
-            val_mse=_check_finite(mse(y_va, predict_linear(model, X_va)),
-                                  fold_no, name, "val MSE"),
-            test_mse=_check_finite(mse(y_te, predict_linear(model, X_te)),
-                                   fold_no, name, "test MSE"),
-            test_r2=_check_finite(r2(y_te, predict_linear(model, X_te)),
-                                  fold_no, name, "test R2"),
+        results[name] = _score(
+            fold_no, name, lambda X: predict_linear(model, X), (X_tr, X_va, X_te), y_parts
         )
 
-    forest_params = ForestParams(
-        n_trees=config.forest_n_trees,
-        max_depth=config.forest_max_depth,
-        min_samples_leaf=config.forest_min_samples_leaf,
-        features_per_split=config.forest_features_per_split,
-        bootstrap=config.forest_bootstrap,
-    )
-    protected = [
-        config.regressors.index(name) for name in config.protected_regressors
-    ]
-    rfe_input = X_tr if config.rfe_on_standardized else X_tr_raw
     selection = rfe_select(
-        rfe_input, y_tr, config.rfe_k, forest_params, rngs["rfe"], protected=protected
+        X_tr, y_tr, config.rfe_k, config.forest_params(), rngs["rfe"],
+        protected=config.protected_indices(),
     )
     selected = list(selection.selected)
 
@@ -256,43 +235,21 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
         bn_momentum=config.bn_momentum,
         bn_eps=config.bn_eps,
     )
-    settings = TrainSettings(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        schedule=LrSchedule(
-            initial=config.lr_initial,
-            decay_factor=config.lr_decay_factor,
-            decay_steps=config.lr_decay_steps,
-            staircase=config.lr_staircase,
-        ),
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        adam_eps=config.adam_eps,
-        patience=config.patience,
-        min_delta=config.min_delta,
-    )
     trained, history = train_network(
         params,
         to_sequences(X_aug),
         (y_aug - y_mu) / y_sd,
         to_sequences(X_va_sel),
         (y_va - y_mu) / y_sd,
-        settings,
+        config.train_settings(),
         rngs["train"],
     )
 
     def net_predict(X_sel):
         return predict_network(trained, to_sequences(X_sel)) * y_sd + y_mu
 
-    results[NETWORK_NAME] = MethodMetrics(
-        train_mse=_check_finite(mse(y_tr, net_predict(X_tr_sel)),
-                                fold_no, NETWORK_NAME, "train MSE"),
-        val_mse=_check_finite(mse(y_va, net_predict(X_va_sel)),
-                              fold_no, NETWORK_NAME, "val MSE"),
-        test_mse=_check_finite(mse(y_te, net_predict(X_te_sel)),
-                               fold_no, NETWORK_NAME, "test MSE"),
-        test_r2=_check_finite(r2(y_te, net_predict(X_te_sel)),
-                              fold_no, NETWORK_NAME, "test R2"),
+    results[NETWORK_NAME] = _score(
+        fold_no, NETWORK_NAME, net_predict, (X_tr_sel, X_va_sel, X_te_sel), y_parts
     )
 
     detail = {
@@ -416,24 +373,3 @@ def render_csv(report: CvReport) -> str:
             f"{agg['test_mse']['mean']!r},{agg['test_r2']['mean']!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> dict:
-    """Invert :func:`render_csv` for the tabular subset."""
-    lines = [line for line in text.strip().splitlines() if line]
-    header = lines[0].split(",")
-    out = {}
-    for line in lines[1:]:
-        cells = line.split(",")
-        out[cells[0]] = {key: float(cell) for key, cell in zip(header[1:], cells[1:])}
-    return out
-
-
-def render_report(report: CvReport, format: str = "text-table") -> str:
-    if format == "text-table":
-        return render_mse_table(report) + "\n" + render_r2_table(report)
-    if format == "csv":
-        return render_csv(report)
-    if format == "structured":
-        return report.to_structured()
-    raise ParameterError(f"unknown report format {format!r}")

@@ -10,7 +10,7 @@ is the signal the elimination loop consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,33 +23,21 @@ _VARIANCE_FLOOR = 1e-12
 
 @dataclass
 class ForestParams:
+    # Every split searches all features: with per-node subsampling the
+    # minimal split depth of a feature reflects sampling luck as much as
+    # merit, which wrecks the ranking once few features remain.
     n_trees: int = 100
     max_depth: int = 12
     min_samples_leaf: int = 5
-    features_per_split: Optional[int] = None  # None means all features
     bootstrap: bool = True
 
-    def validate(self, n_features: int) -> None:
+    def validate(self) -> None:
         if self.n_trees < 1:
             raise ParameterError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.max_depth < 0:
             raise ParameterError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.min_samples_leaf < 1:
             raise ParameterError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        m = self.resolved_features_per_split(n_features)
-        if not 1 <= m <= n_features:
-            raise ParameterError(
-                f"features_per_split must lie in 1..{n_features}, got {m}"
-            )
-
-    def resolved_features_per_split(self, n_features: int) -> int:
-        # All features by default: with per-node subsampling the minimal
-        # split depth of a feature reflects sampling luck as much as merit,
-        # which wrecks the ranking once few features remain. Pass an int
-        # (e.g. ceil(d / 3)) to opt into subsampling.
-        if self.features_per_split is None:
-            return n_features
-        return self.features_per_split
 
 
 @dataclass
@@ -69,30 +57,15 @@ class TreeNode:
 class RegressionForest:
     trees: list
     n_features: int
-    params: ForestParams
 
 
-@dataclass
-class FeatureRanking:
-    importance: np.ndarray
-    order: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        # Descending importance; equal scores keep ascending feature index,
-        # so the least-important end of `order` carries the highest index.
-        d = len(self.importance)
-        self.order = np.array(
-            sorted(range(d), key=lambda j: (-self.importance[j], j)), dtype=np.int64
-        )
-
-
-def _best_split(X, y, rows, candidates, min_leaf):
-    """Best (gain, feature, threshold) over candidate features, or None.
+def _best_split(X, y, rows, min_leaf):
+    """Best (gain, feature, threshold) over all features, or None.
 
     Thresholds are midpoints between consecutive distinct sorted values.
-    All candidate columns are searched in one vectorized pass; exact gain
-    ties resolve to the lowest feature index, then the lowest threshold
-    (the argmin scans features in ascending order, positions within each).
+    All columns are searched in one vectorized pass; exact gain ties
+    resolve to the lowest feature index, then the lowest threshold (the
+    argmin scans features in ascending order, positions within each).
     """
     y_node = y[rows]
     n = len(rows)
@@ -102,12 +75,7 @@ def _best_split(X, y, rows, candidates, min_leaf):
     if parent_sse <= _VARIANCE_FLOOR:
         return None
 
-    if candidates is None:
-        features = np.arange(X.shape[1])
-        values = X[rows]
-    else:
-        features = np.sort(np.asarray(candidates, dtype=np.int64))
-        values = X[np.ix_(rows, features)]
+    values = X[rows]
     order = np.argsort(values, axis=0, kind="stable")
     sv = np.take_along_axis(values, order, axis=0)
     sy = y_node[order]
@@ -129,38 +97,34 @@ def _best_split(X, y, rows, candidates, min_leaf):
     if not gain > 0.0:
         return None
     threshold = (sv[pos, col] + sv[pos + 1, col]) / 2.0
-    return gain, int(features[col]), float(threshold)
+    return gain, col, float(threshold)
 
 
-def _grow(X, y, rows, depth, params, m_features, rng):
+def _grow(X, y, rows, depth, params):
     node = TreeNode(prediction=float(y[rows].mean()))
     n = len(rows)
     if depth >= params.max_depth or n < 2 * params.min_samples_leaf:
         return node
-    d = X.shape[1]
-    # sampling all of d features is the identity; skip the draws
-    candidates = None if m_features == d else rng.sample_without_replacement(d, m_features)
-    best = _best_split(X, y, rows, candidates, params.min_samples_leaf)
+    best = _best_split(X, y, rows, params.min_samples_leaf)
     if best is None:
         return node
     _, node.feature, node.threshold = best
     mask = X[rows, node.feature] <= node.threshold
-    node.left = _grow(X, y, rows[mask], depth + 1, params, m_features, rng)
-    node.right = _grow(X, y, rows[~mask], depth + 1, params, m_features, rng)
+    node.left = _grow(X, y, rows[mask], depth + 1, params)
+    node.right = _grow(X, y, rows[~mask], depth + 1, params)
     return node
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, rng: RandomSource) -> TreeNode:
-    """Grow one CART regression tree with per-node feature subsampling."""
+def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> TreeNode:
+    """Grow one CART regression tree; every split searches all features."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a tree on empty data")
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    params.validate(X.shape[1])
-    m = params.resolved_features_per_split(X.shape[1])
-    return _grow(X, y, np.arange(X.shape[0]), 0, params, m, rng)
+    params.validate()
+    return _grow(X, y, np.arange(X.shape[0]), 0, params)
 
 
 def fit_forest(
@@ -176,17 +140,14 @@ def fit_forest(
     y = np.asarray(y, dtype=np.float64)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a forest on empty data")
-    params.validate(X.shape[1])
+    params.validate()
     tree_rngs = [rng.spawn() for _ in range(params.n_trees)]
     trees = []
     n = X.shape[0]
     for tree_rng in tree_rngs:
-        if params.bootstrap:
-            rows = tree_rng.integers(n, n)
-            trees.append(fit_tree(X[rows], y[rows], params, tree_rng))
-        else:
-            trees.append(fit_tree(X, y, params, tree_rng))
-    return RegressionForest(trees=trees, n_features=X.shape[1], params=params)
+        rows = tree_rng.integers(n, n) if params.bootstrap else slice(None)
+        trees.append(fit_tree(X[rows], y[rows], params))
+    return RegressionForest(trees=trees, n_features=X.shape[1])
 
 
 def predict_tree(tree: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -206,19 +167,6 @@ def predict_tree(tree: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_forest(forest: RegressionForest, X: np.ndarray) -> np.ndarray:
-    """Per-row mean of the trees' predictions."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != forest.n_features:
-        raise ShapeError(
-            f"forest was fitted on {forest.n_features} features, got input shape {X.shape}"
-        )
-    total = np.zeros(X.shape[0])
-    for tree in forest.trees:
-        total += predict_tree(tree, X)
-    return total / len(forest.trees)
-
-
 def _min_depths(tree: TreeNode, n_features: int) -> np.ndarray:
     depths = np.full(n_features, -1, dtype=np.int64)
     stack = [(tree, 0)]
@@ -233,7 +181,7 @@ def _min_depths(tree: TreeNode, n_features: int) -> np.ndarray:
     return depths
 
 
-def feature_importance(forest: RegressionForest) -> FeatureRanking:
+def feature_importance(forest: RegressionForest) -> np.ndarray:
     """Score features by 1 / (1 + mean minimal split depth).
 
     The mean runs over the trees in which the feature splits at all;
@@ -250,4 +198,4 @@ def feature_importance(forest: RegressionForest) -> FeatureRanking:
     importance = np.zeros(d)
     seen = used_in > 0
     importance[seen] = 1.0 / (1.0 + depth_sum[seen] / used_in[seen])
-    return FeatureRanking(importance=importance)
+    return importance

@@ -124,16 +124,6 @@ class RandomSource:
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 
-    def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """``k`` distinct values from 0..n-1 (partial Fisher-Yates)."""
-        if not 0 <= k <= n:
-            raise ParameterError(f"cannot sample {k} of {n} without replacement")
-        pool = np.arange(n, dtype=np.int64)
-        for i in range(k):
-            j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
-
     def spawn(self) -> "RandomSource":
         """Derive an independent child stream (consumes one draw)."""
         return RandomSource(self.next_u64())

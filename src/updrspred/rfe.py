@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .forest import FeatureRanking, ForestParams, feature_importance, fit_forest
+from .forest import ForestParams, feature_importance, fit_forest
 from .linalg import RandomSource
 
 
@@ -94,9 +94,9 @@ def rfe_select(
     while len(surviving) > k:
         round_rng = rng.spawn()
         forest = fit_forest(X[:, surviving], y, params, round_rng)
-        ranking: FeatureRanking = feature_importance(forest)
+        importance = feature_importance(forest)
         removable = [
-            (ranking.importance[j], -surviving[j], j)
+            (importance[j], -surviving[j], j)
             for j in range(len(surviving))
             if surviving[j] not in protected
         ]
@@ -107,7 +107,7 @@ def rfe_select(
         rounds.append(
             RfeRound(
                 surviving=tuple(surviving),
-                importance=ranking.importance.copy(),
+                importance=importance,
                 removed=dropped,
             )
         )

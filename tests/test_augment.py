@@ -83,14 +83,14 @@ class TestAugmentTrainingSet:
         delta = Xa[20_000:] - X
         assert abs(delta.std() - 0.05) < 0.005
 
-    def test_explicit_column_stddev_used(self):
-        X = np.zeros((30_000, 1))
+    def test_noise_follows_column_stddev(self):
+        X = np.column_stack([np.tile([-10.0, 10.0], 15_000), np.tile([-1.0, 1.0], 15_000)])
         y = np.zeros(30_000)
-        Xa, _ = augment_training_set(
-            X, y, JitterConfig(sigma_scale=0.1, copies=1), RandomSource(8),
-            column_stddev=np.array([10.0]),
-        )
-        assert abs(Xa[30_000:].std() - 1.0) < 0.02
+        Xa, _ = augment_training_set(X, y, JitterConfig(sigma_scale=0.1, copies=1),
+                                     RandomSource(8))
+        delta = Xa[30_000:] - X
+        assert abs(delta[:, 0].std() - 1.0) < 0.02
+        assert abs(delta[:, 1].std() - 0.1) < 0.002
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from updrspred.dataset import (
     DEFAULT_REGRESSORS,
+    REQUIRED_COLUMNS,
     VOICE_FEATURES,
     apply_standardizer,
     build_design,
@@ -10,7 +13,6 @@ from updrspred.dataset import (
     grouped_holdout_split,
     grouped_kfold_split,
     holdout_split,
-    invert_standardizer,
     kfold_split,
     load_csv,
     to_sequences,
@@ -31,14 +33,14 @@ class TestLoadCsv:
         ds = load_csv(synthetic_csv)
         assert len(ds) == 240
         assert ds.n_subjects == 8
-        assert ds.records[0].subject_id == 1
+        assert ds.subject_ids()[0] == 1
 
     def test_order_preserved(self, synthetic_csv):
         ds = load_csv(synthetic_csv)
         with open(synthetic_csv) as fh:
             lines = fh.read().splitlines()[1:]
         first_motor = float(lines[0].split(",")[4])
-        assert ds.records[0].motor_updrs == pytest.approx(first_motor)
+        assert ds.column("motor_UPDRS")[0] == pytest.approx(first_motor)
 
     def test_header_only_is_empty_input(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -64,6 +66,23 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 4"):
             load_csv(p)
 
+    @pytest.mark.parametrize("raw", ["1.5", "1e300"])
+    def test_bad_subject_id_reports_row(self, synthetic_csv, tmp_path, raw):
+        # 1.5 must not be truncated into subject 1: a merged subject would
+        # straddle the grouped splits; 1e300 does not fit the int64 ids
+        lines = open(synthetic_csv).read().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = raw
+        lines[3] = ",".join(cells)
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"row 4: column 'subject#' must be a whole number"):
+            load_csv(p)
+
+    def test_unknown_column_rejected(self, synthetic_csv):
+        with pytest.raises(ConfigError, match="mystery"):
+            load_csv(synthetic_csv).column("mystery")
+
     def test_columns_mapped_by_name_not_position(self, synthetic_csv, tmp_path):
         lines = open(synthetic_csv).read().splitlines()
         header = lines[0].split(",")
@@ -78,7 +97,7 @@ class TestLoadCsv:
         p.write_text("\n".join(swapped) + "\n")
         original = load_csv(synthetic_csv)
         reordered = load_csv(p)
-        assert [r.age for r in original.records] == [r.age for r in reordered.records]
+        assert np.array_equal(original.column("age"), reordered.column("age"))
 
     def test_canonical_file(self, real_data):
         ds = load_csv(real_data)
@@ -144,7 +163,7 @@ class TestStandardizer:
         rng = RandomSource(2)
         X = rng.gaussians(-2.0, 0.5, 60).reshape(20, 3)
         stats = fit_standardizer(X)
-        back = invert_standardizer(stats, apply_standardizer(stats, X))
+        back = apply_standardizer(stats, X) * stats.stddev + stats.mean
         assert np.allclose(back, X, atol=1e-10)
 
 
@@ -243,3 +262,41 @@ def test_dataset_column_roundtrip(synthetic_csv):
         col = ds.column(name)
         assert col.shape == (len(ds),)
         assert np.all(np.isfinite(col))
+
+
+@st.composite
+def telemonitoring_tables(draw):
+    """(header order, column -> values written) for a random valid table."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    order = draw(st.permutations(REQUIRED_COLUMNS))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    table = {"subject#": column(st.integers(min_value=0, max_value=10**6)),
+             "sex": column(st.sampled_from([0.0, 1.0]))}
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    table.update({name: column(finite) for name in REQUIRED_COLUMNS if name not in table})
+    return order, table
+
+
+class TestLoadCsvProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=telemonitoring_tables(), whole_floats=st.booleans())
+    def test_columns_read_back_exactly(self, tmp_path_factory, drawn, whole_floats):
+        order, table = drawn
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        # subject ids written as "7" or as "7.0"; every float by repr
+        cells = {name: [repr(v) for v in values] for name, values in table.items()}
+        if whole_floats:
+            cells["subject#"] = [repr(float(v)) for v in table["subject#"]]
+        rows = zip(*(cells[name] for name in order))
+        path.write_text(",".join(order) + "\n" + "".join(",".join(r) + "\n" for r in rows))
+
+        ds = load_csv(path)
+        assert ds.feature_names == tuple(order)
+        assert len(ds) == len(table["subject#"])
+        assert ds.subject_ids().tolist() == table["subject#"]
+        for name in REQUIRED_COLUMNS[1:]:
+            written = np.array(table[name], dtype=np.float64)
+            assert np.array_equal(ds.column(name).view(np.uint64), written.view(np.uint64)), name

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -5,23 +7,17 @@ import numpy as np
 import pytest
 
 from updrspred.config import RunConfig, config_from_dict
-from updrspred.errors import (
-    DegenerateTargetError,
-    EmptyInputError,
-    ParameterError,
-    ShapeError,
-)
+from updrspred import evaluate
+from updrspred.errors import DegenerateTargetError, EmptyInputError, ShapeError
 from updrspred.evaluate import (
     NETWORK_NAME,
     CvReport,
     MethodMetrics,
     mse,
-    parse_csv,
     r2,
     render_csv,
     render_mse_table,
     render_r2_table,
-    render_report,
     run_experiment,
 )
 from updrspred.linalg import RandomSource
@@ -146,6 +142,25 @@ class TestRunExperiment:
         assert counts[2] == counts[1]
         assert all(count > 0 for count in counts[1].values())
 
+    def test_each_partition_predicted_once_per_method(self, synthetic_csv, monkeypatch):
+        # train_network's own validation predictions go through optimize,
+        # not through these names, so they are not counted
+        calls = {"network": 0, "linear": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluate, "predict_network",
+                            counted("network", evaluate.predict_network))
+        monkeypatch.setattr(evaluate, "predict_linear",
+                            counted("linear", evaluate.predict_linear))
+        config = smoke_config(synthetic_csv)
+        run_experiment(config)
+        assert calls == {"network": 3 * config.k_folds, "linear": 12 * config.k_folds}
+
     def test_seed_changes_results(self, synthetic_csv):
         a = run_experiment(smoke_config(synthetic_csv, seed=1))
         b = run_experiment(smoke_config(synthetic_csv, seed=2))
@@ -225,23 +240,16 @@ class TestRendering:
 
     def test_csv_round_trip(self):
         report = toy_report()
-        parsed = parse_csv(render_csv(report))
-        for name in report.methods:
+        rows = list(csv.DictReader(io.StringIO(render_csv(report))))
+        assert [row["method"] for row in rows] == report.methods
+        for row in rows:
             for key in ("train_mse", "val_mse", "test_mse", "test_r2"):
-                assert parsed[name][key] == report.aggregate[name][key]["mean"]
+                assert float(row[key]) == report.aggregate[row["method"]][key]["mean"]
 
     def test_structured_is_versioned_json(self):
         doc = json.loads(toy_report().to_structured())
         assert doc["version"] == 1
         assert doc["methods"][0] == "LLS"
-
-    def test_render_report_dispatch(self):
-        report = toy_report()
-        assert "R2" in render_report(report, "text-table")
-        assert render_report(report, "csv").startswith("method,")
-        assert json.loads(render_report(report, "structured"))["seed"] == 0
-        with pytest.raises(ParameterError):
-            render_report(report, "yaml")
 
 
 class TestConfig:
@@ -266,3 +274,27 @@ class TestConfig:
                 "protected_regressors": ["motor_UPDRS"],
                 "rfe_k": 1,
             })
+
+    @pytest.mark.parametrize("key", ["rfe_on_standardized", "forest_features_per_split"])
+    def test_removed_keys_rejected(self, key):
+        with pytest.raises(Exception, match=f"unknown config key.*{key}"):
+            config_from_dict({"dataset": "x.csv", key: None})
+
+    def test_stage_parameters_follow_config(self):
+        config = config_from_dict({
+            "dataset": "x.csv", "forest_n_trees": 7, "forest_bootstrap": False,
+            "jitter_copies": 3, "lr_initial": 0.02, "lr_staircase": False,
+            "epochs": 9, "patience": 4, "adam_linear_steps": 11, "ridge_lambda": 0.5,
+            "regressors": ["age", "sex", "motor_UPDRS"], "rfe_k": 2,
+        })
+        forest = config.forest_params()
+        assert (forest.n_trees, forest.bootstrap) == (7, False)
+        assert config.jitter_config().copies == 3
+        assert config.protected_indices() == [2]
+        settings = config.train_settings()
+        assert (settings.epochs, settings.patience) == (9, 4)
+        assert settings.schedule == config.lr_schedule()
+        assert (settings.schedule.initial, settings.schedule.staircase) == (0.02, False)
+        spec = config.baseline_spec("ridge")
+        assert (spec.method, spec.ridge_lambda, spec.adam_steps) == ("ridge", 0.5, 11)
+        assert spec.adam_schedule == config.lr_schedule()

@@ -1,39 +1,32 @@
 import numpy as np
 import pytest
 
-from updrspred.errors import EmptyInputError, ShapeError
-from updrspred.forest import (
-    FeatureRanking,
-    ForestParams,
-    RegressionForest,
-    TreeNode,
-    feature_importance,
-    fit_forest,
-    fit_tree,
-    predict_forest,
-    predict_tree,
-)
+from updrspred.errors import EmptyInputError
+from updrspred.forest import ForestParams, feature_importance, fit_forest, fit_tree, predict_tree
 from updrspred.linalg import RandomSource
 
 
 def full_growth_params(**overrides):
-    base = dict(n_trees=1, max_depth=64, min_samples_leaf=1, features_per_split=None,
-                bootstrap=False)
+    base = dict(n_trees=1, max_depth=64, min_samples_leaf=1, bootstrap=False)
     base.update(overrides)
     return ForestParams(**base)
+
+
+def predict_trees(forest, X):
+    return np.array([predict_tree(tree, X) for tree in forest.trees])
 
 
 class TestFitTree:
     def test_constant_target_single_leaf(self):
         X = np.arange(10.0).reshape(10, 1)
         y = np.full(10, 3.5)
-        tree = fit_tree(X, y, full_growth_params(), RandomSource(0))
+        tree = fit_tree(X, y, full_growth_params())
         assert tree.is_leaf and tree.prediction == 3.5
 
     def test_single_available_split(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 10.0])
-        tree = fit_tree(X, y, full_growth_params(), RandomSource(0))
+        tree = fit_tree(X, y, full_growth_params())
         assert not tree.is_leaf
         assert tree.feature == 0
         assert tree.threshold == 0.5
@@ -43,25 +36,25 @@ class TestFitTree:
     def test_max_depth_zero_gives_mean_leaf(self):
         X = np.arange(6.0).reshape(6, 1)
         y = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        tree = fit_tree(X, y, full_growth_params(max_depth=0), RandomSource(0))
+        tree = fit_tree(X, y, full_growth_params(max_depth=0))
         assert tree.is_leaf and tree.prediction == pytest.approx(2.5)
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInputError):
-            fit_tree(np.zeros((0, 2)), np.zeros(0), full_growth_params(), RandomSource(0))
+            fit_tree(np.zeros((0, 2)), np.zeros(0), full_growth_params())
 
     def test_full_growth_memorizes_training_data(self):
         rng = RandomSource(5)
         X = rng.gaussians(0, 1, 200).reshape(50, 4)
         y = rng.gaussians(0, 1, 50)
-        tree = fit_tree(X, y, full_growth_params(), RandomSource(1))
+        tree = fit_tree(X, y, full_growth_params())
         assert np.allclose(predict_tree(tree, X), y, atol=1e-12)
 
     def test_min_samples_leaf_respected(self):
         rng = RandomSource(9)
         X = rng.gaussians(0, 1, 120).reshape(60, 2)
         y = rng.gaussians(0, 1, 60)
-        tree = fit_tree(X, y, full_growth_params(min_samples_leaf=7), RandomSource(2))
+        tree = fit_tree(X, y, full_growth_params(min_samples_leaf=7))
 
         def leaf_sizes(node, rows):
             if node.is_leaf:
@@ -79,30 +72,25 @@ class TestForest:
         y = X[:, 0] * 2.0 + X[:, 1]
         params = full_growth_params(max_depth=4)
         forest = fit_forest(X, y, params, RandomSource(11))
-        tree = fit_tree(X, y, params, RandomSource(11).spawn())
-        assert np.array_equal(predict_forest(forest, X), predict_tree(tree, X))
+        tree = fit_tree(X, y, params)
+        assert len(forest.trees) == 1
+        assert np.array_equal(predict_tree(forest.trees[0], X), predict_tree(tree, X))
 
     def test_constant_target(self):
         X = np.arange(20.0).reshape(20, 1)
         y = np.full(20, -2.0)
         forest = fit_forest(X, y, ForestParams(n_trees=5, max_depth=3, min_samples_leaf=1),
                             RandomSource(0))
-        assert np.all(predict_forest(forest, X) == -2.0)
+        assert np.all(predict_trees(forest, X) == -2.0)
 
     def test_same_seed_identical_predictions(self):
         rng = RandomSource(13)
         X = rng.gaussians(0, 1, 150).reshape(50, 3)
         y = X @ np.array([1.0, -2.0, 0.5])
         params = ForestParams(n_trees=8, max_depth=5, min_samples_leaf=2)
-        p1 = predict_forest(fit_forest(X, y, params, RandomSource(3)), X)
-        p2 = predict_forest(fit_forest(X, y, params, RandomSource(3)), X)
+        p1 = predict_trees(fit_forest(X, y, params, RandomSource(3)), X)
+        p2 = predict_trees(fit_forest(X, y, params, RandomSource(3)), X)
         assert np.array_equal(p1, p2)
-
-    def test_prediction_is_tree_mean(self):
-        t1 = TreeNode(prediction=1.0)
-        t2 = TreeNode(prediction=3.0)
-        forest = RegressionForest(trees=[t1, t2], n_features=1, params=ForestParams())
-        assert predict_forest(forest, np.array([[0.0]]))[0] == 2.0
 
     def test_tree_order_irrelevant(self):
         rng = RandomSource(21)
@@ -110,23 +98,16 @@ class TestForest:
         y = X[:, 1]
         forest = fit_forest(X, y, ForestParams(n_trees=6, max_depth=4, min_samples_leaf=2),
                             RandomSource(8))
-        p = predict_forest(forest, X)
+        importance = feature_importance(forest)
         forest.trees.reverse()
-        assert np.allclose(predict_forest(forest, X), p, atol=1e-12)
-
-    def test_wrong_column_count_rejected(self):
-        X = np.arange(12.0).reshape(6, 2)
-        forest = fit_forest(X, X[:, 0], ForestParams(n_trees=2, max_depth=2,
-                                                     min_samples_leaf=1), RandomSource(0))
-        with pytest.raises(ShapeError):
-            predict_forest(forest, np.zeros((3, 5)))
+        assert np.array_equal(feature_importance(forest), importance)
 
     def test_memorizes_with_full_growth(self):
         rng = RandomSource(17)
         X = rng.gaussians(0, 1, 120).reshape(40, 3)
         y = rng.gaussians(0, 1, 40)
         forest = fit_forest(X, y, full_growth_params(), RandomSource(1))
-        assert np.allclose(predict_forest(forest, X), y, atol=1e-12)
+        assert np.allclose(predict_trees(forest, X), y, atol=1e-12)
 
 
 class TestImportance:
@@ -135,20 +116,15 @@ class TestImportance:
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 4.0])
         forest = fit_forest(X, y, full_growth_params(n_trees=1), RandomSource(0))
-        ranking = feature_importance(forest)
-        assert ranking.importance[0] == 1.0
+        assert feature_importance(forest)[0] == 1.0
 
     def test_unused_feature_scores_zero(self):
         X = np.column_stack([np.array([0.0, 1.0, 0.0, 1.0]), np.zeros(4)])
         y = np.array([0.0, 5.0, 0.0, 5.0])
-        forest = fit_forest(X, y, full_growth_params(features_per_split=2), RandomSource(0))
-        ranking = feature_importance(forest)
-        assert ranking.importance[1] == 0.0
-        assert list(ranking.order) == [0, 1]
-
-    def test_order_tie_break_ascending_index(self):
-        ranking = FeatureRanking(importance=np.array([0.5, 0.9, 0.5]))
-        assert list(ranking.order) == [1, 0, 2]
+        forest = fit_forest(X, y, full_growth_params(), RandomSource(0))
+        importance = feature_importance(forest)
+        assert importance[1] == 0.0
+        assert np.argmax(importance) == 0
 
     def test_informative_feature_ranks_first_across_seeds(self):
         hits = 0
@@ -162,7 +138,7 @@ class TestImportance:
                 ForestParams(n_trees=50, max_depth=6, min_samples_leaf=5),
                 rng.spawn(),
             )
-            if feature_importance(forest).order[0] == 0:
+            if np.argmax(feature_importance(forest)) == 0:
                 hits += 1
         assert hits >= 95
 
@@ -178,7 +154,6 @@ class TestImportance:
             forest = fit_forest(
                 X, y, ForestParams(n_trees=30, max_depth=6, min_samples_leaf=5), rng.spawn()
             )
-            ranking = feature_importance(forest)
-            if ranking.order[0] == 0:
+            if np.argmax(feature_importance(forest)) == 0:
                 wins += 1
         assert wins / n_seeds >= 0.95

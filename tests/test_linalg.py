@@ -34,14 +34,6 @@ class TestRandomSource:
     def test_permutation_deterministic(self):
         assert np.array_equal(RandomSource(5).permutation(50), RandomSource(5).permutation(50))
 
-    def test_sample_without_replacement(self):
-        rng = RandomSource(3)
-        s = rng.sample_without_replacement(10, 4)
-        assert len(set(s.tolist())) == 4
-        assert all(0 <= v < 10 for v in s)
-        with pytest.raises(ParameterError):
-            rng.sample_without_replacement(3, 4)
-
     def test_integers_within_bound(self):
         vals = RandomSource(8).integers(7, 1000)
         assert vals.min() >= 0 and vals.max() < 7

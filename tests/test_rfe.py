@@ -77,6 +77,14 @@ class TestRfeSelect:
                 hits += 1
         assert hits >= 95
 
+    def test_importance_ties_drop_highest_index_first(self):
+        # the two zero columns never split, so both score 0 every round
+        X = np.column_stack([np.arange(40.0), np.zeros(40), np.zeros(40)])
+        y = np.arange(40.0)
+        result = rfe_select(X, y, 1, FAST_FOREST, RandomSource(0))
+        assert result.elimination_order == (2, 1)
+        assert result.selected == (0,)
+
     def test_snapshots_align_with_survivors(self):
         X, y, rng = make_signal_problem(8)
         result = rfe_select(X, y, 3, FAST_FOREST, rng)
