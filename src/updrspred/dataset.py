@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class Dataset:
 class StandardizationStats:
     mean: np.ndarray
     stddev: np.ndarray
-    column_names: tuple = field(default=())
 
 
 def _parse_cell(raw: str, column: str, row_number: int) -> float:
@@ -187,7 +186,7 @@ def fit_standardizer(X: np.ndarray, column_names=()) -> StandardizationStats:
         if s <= 0.0:
             label = column_names[j] if j < len(column_names) else f"column {j}"
             raise DegenerateColumnError(f"{label} is constant; cannot standardize")
-    return StandardizationStats(mean=mean, stddev=stddev, column_names=tuple(column_names))
+    return StandardizationStats(mean=mean, stddev=stddev)
 
 
 def apply_standardizer(stats: StandardizationStats, X: np.ndarray) -> np.ndarray:
@@ -221,11 +220,22 @@ def kfold_split(n: int, k: int, rng: RandomSource):
     return folds
 
 
+def _check_holdout_sides(test_fraction: float, n_trainval: int, n_test: int) -> None:
+    # r2 on the test side needs two rows; the folds need a training side
+    if n_test < 2 or n_trainval < 1:
+        raise ParameterError(
+            f"test_fraction={test_fraction} puts {n_test} row(s) on the test side and "
+            f"{n_trainval} on the train/validation side; the test side needs at least 2 "
+            f"and the train/validation side at least 1"
+        )
+
+
 def holdout_split(n: int, test_fraction: float, rng: RandomSource):
     """One shuffled train-and-validate / test partition of 0..n-1."""
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n_test = int(round(n * test_fraction))
+    _check_holdout_sides(test_fraction, n - n_test, n_test)
     perm = rng.permutation(n)
     test = np.sort(perm[:n_test])
     trainval = np.sort(perm[n_test:])
@@ -255,6 +265,7 @@ def grouped_holdout_split(groups: np.ndarray, test_fraction: float, rng: RandomS
     mask = np.isin(groups, sorted(test_groups))
     test = np.nonzero(mask)[0]
     trainval = np.nonzero(~mask)[0]
+    _check_holdout_sides(test_fraction, len(trainval), len(test))
     return trainval, test
 
 

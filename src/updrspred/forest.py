@@ -1,11 +1,18 @@
 """CART regression trees and a bagged forest with depth-based importance.
 
-Trees split greedily on variance reduction. The forest's feature ranking
-uses how shallow each feature's first split sits, averaged over the trees
-that use it: a feature splitting at mean minimal depth m scores
-1 / (1 + m), with the root counting as depth 0 and never-used features
-scoring 0. Shallow use means the feature partitions the data early, which
-is the signal the elimination loop consumes.
+Trees split greedily on variance reduction and grow breadth-first on
+presorted columns (SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996): each
+column is sorted once per tree, one vectorized pass searches every open
+node of a depth, and the sorted row ids are then regrouped stably by
+child. Each node thus sees its rows as a stable sort of that node alone
+orders them, so the trees equal, bit for bit, those of a builder that
+sorts at every node.
+
+The forest's feature ranking uses how shallow each feature's first split
+sits, averaged over the trees that use it: a feature splitting at mean
+minimal depth m scores 1 / (1 + m), with the root counting as depth 0 and
+never-used features scoring 0. Shallow use means the feature partitions
+the data early, which is the signal the elimination loop consumes.
 """
 
 from __future__ import annotations
@@ -59,60 +66,44 @@ class RegressionForest:
     n_features: int
 
 
-def _best_split(X, y, rows, min_leaf):
-    """Best (gain, feature, threshold) over all features, or None.
+def _level_splits(XT, y, order, sizes, total1, total2, min_leaf):
+    """Best (feature, threshold, gain) of every node of one depth at once.
 
-    Thresholds are midpoints between consecutive distinct sorted values.
-    All columns are searched in one vectorized pass; exact gain ties
-    resolve to the lowest feature index, then the lowest threshold (the
-    argmin scans features in ascending order, positions within each).
+    ``order[j]`` holds the nodes' row ids node after node, each node's ids
+    sorted by column j. Each node's sorted ``y`` fills a zero-padded lane
+    of a (node, feature, position) block, so prefix sums and SSEs are those
+    of a search over that node alone. Thresholds are midpoints between
+    consecutive distinct values; gain ties go to the lowest feature, then
+    the lowest threshold.
     """
-    y_node = y[rows]
-    n = len(rows)
-    total1 = y_node.sum()
-    total2 = (y_node * y_node).sum()
-    parent_sse = total2 - total1 * total1 / n
-    if parent_sse <= _VARIANCE_FLOOR:
-        return None
-
-    values = X[rows]
-    order = np.argsort(values, axis=0, kind="stable")
-    sv = np.take_along_axis(values, order, axis=0)
-    sy = y_node[order]
-    c1 = np.cumsum(sy, axis=0)[:-1]
-    c2 = np.cumsum(sy * sy, axis=0)[:-1]
-
-    sizes = np.arange(1, n, dtype=np.float64)[:, None]
-    legal = (sv[:-1] < sv[1:]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
-    if not legal.any():
-        return None
-    right1 = total1 - c1
-    sse = c1 * (-c1) / sizes + c2 + right1 * (-right1) / (n - sizes) + (total2 - c2)
-    sse[~legal] = np.inf
-
+    K, d, N, m = len(sizes), XT.shape[0], order.shape[1], int(sizes.max())
+    lo, w = min_leaf - 1, m - 2 * min_leaf + 1  # the positions min_leaf allows
+    cols = np.arange(d)[:, None]
+    starts = np.cumsum(sizes) - sizes
+    node_of = np.repeat(np.arange(K), sizes)
+    dest = (node_of * d + cols) * m + (np.arange(N) - starts[node_of])
+    values = XT[cols, order]
+    sy = np.zeros((2, K, d, m))
+    sy[0].ravel()[dest] = y[order]
+    sy[1] = sy[0] * sy[0]
+    c1, c2 = np.cumsum(sy[..., :lo + w], axis=3)[..., lo:]
+    distinct = np.zeros((K, d, m), dtype=bool)
+    distinct.ravel()[dest[:, :-1]] = values[:, :-1] < values[:, 1:]
+    n = sizes[:, None, None].astype(np.float64)
+    left_n = np.arange(lo + 1, lo + w + 1, dtype=np.float64)
+    legal = distinct[..., lo:lo + w] & (n - left_n >= min_leaf)
+    t1, t2 = total1[:, None, None], total2[:, None, None]
+    right1 = t1 - c1
+    with np.errstate(divide="ignore", invalid="ignore"):  # padding past a node's end
+        sse = c1 * (-c1) / left_n + c2 + right1 * (-right1) / (n - left_n) + (t2 - c2)
     # scan feature-major so ties fall to the lowest feature index first
-    flat = int(np.argmin(sse.T))
-    col, pos = divmod(flat, sse.shape[0])
-    gain = parent_sse - sse[pos, col]
-    if not gain > 0.0:
-        return None
-    threshold = (sv[pos, col] + sv[pos + 1, col]) / 2.0
-    return gain, col, float(threshold)
-
-
-def _grow(X, y, rows, depth, params):
-    node = TreeNode(prediction=float(y[rows].mean()))
-    n = len(rows)
-    if depth >= params.max_depth or n < 2 * params.min_samples_leaf:
-        return node
-    best = _best_split(X, y, rows, params.min_samples_leaf)
-    if best is None:
-        return node
-    _, node.feature, node.threshold = best
-    mask = X[rows, node.feature] <= node.threshold
-    node.left = _grow(X, y, rows[mask], depth + 1, params)
-    node.right = _grow(X, y, rows[~mask], depth + 1, params)
-    return node
+    sse = np.where(legal, sse, np.inf).reshape(K, d * w)
+    flat = np.argmin(sse, axis=1)
+    feature, pos = np.divmod(flat, w)
+    at = starts + lo + pos
+    threshold = (values[feature, at] + values[feature, at + 1]) / 2.0
+    gain = total2 - total1 * total1 / sizes - sse[np.arange(K), flat]
+    return feature, threshold, gain
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> TreeNode:
@@ -124,7 +115,55 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> TreeNode:
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     params.validate()
-    return _grow(X, y, np.arange(X.shape[0]), 0, params)
+    (n, d), min_leaf = X.shape, params.min_samples_leaf
+    XT, cols = np.ascontiguousarray(X.T), np.arange(d)[:, None]
+
+    def make_node(rows, depth, open_nodes):
+        # ``rows`` ascend, as in a depth-first builder, so the sums round alike
+        y_node = y[rows]
+        total1 = y_node.sum()
+        node = TreeNode(prediction=float(total1 / len(rows)))
+        if depth < params.max_depth and len(rows) >= 2 * min_leaf:
+            total2 = (y_node * y_node).sum()
+            if total2 - total1 * total1 / len(rows) > _VARIANCE_FLOOR:
+                open_nodes.append((node, rows, total1, total2))
+        return node
+
+    open_nodes = []
+    root = make_node(np.arange(n), 0, open_nodes)
+    order = np.argsort(XT, axis=1, kind="stable")
+    depth = 0
+    while open_nodes:
+        nodes, node_rows, *totals = zip(*open_nodes)
+        sizes = np.array([len(rows) for rows in node_rows])
+        feature, threshold, gain = _level_splits(XT, y, order, sizes, *np.array(totals), min_leaf)
+        depth += 1
+        # side 2k / 2k + 1 holds node k's left / right rows; a stable sort
+        # keeps each side's rows ascending
+        node_of = np.repeat(np.arange(len(nodes)), sizes)
+        rows = np.concatenate(node_rows)
+        side = 2 * node_of + ~(XT[feature[node_of], rows] <= threshold[node_of])
+        ends = [0] + np.cumsum(np.bincount(side, minlength=2 * len(nodes))).tolist()
+        rows = rows[np.argsort(side, kind="stable")]
+        open_nodes = []
+        for k, node in enumerate(nodes):
+            if gain[k] > 0.0:
+                node.feature, node.threshold = int(feature[k]), float(threshold[k])
+                node.left = make_node(rows[ends[2 * k]:ends[2 * k + 1]], depth, open_nodes)
+                node.right = make_node(rows[ends[2 * k + 1]:ends[2 * k + 2]], depth, open_nodes)
+        if not open_nodes:
+            break
+        # regroup each column's sorted ids by open node with one stable sort
+        # of small-int (column, node) keys; rows of closed nodes sort after
+        # the open ones in every column and are cut off
+        slots = len(open_nodes) + 1
+        child = np.full(n, slots - 1, dtype=np.min_scalar_type(d * slots))
+        for i, (_, rows, _, _) in enumerate(open_nodes):
+            child[rows] = i
+        keys = child[order] + (cols * slots).astype(child.dtype)
+        order = order.ravel()[np.argsort(keys.ravel(), kind="stable")].reshape(d, -1)
+        order = order[:, :sum(len(rows) for _, rows, _, _ in open_nodes)]
+    return root
 
 
 def fit_forest(

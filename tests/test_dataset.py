@@ -219,6 +219,22 @@ class TestHoldout:
         with pytest.raises(ParameterError):
             holdout_split(10, 1.0, RandomSource(0))
 
+    def test_test_side_below_two_rows_rejected(self):
+        # round(3 * 0.1) = 0 test rows: r2 needs two
+        with pytest.raises(ParameterError, match=r"test_fraction=0.1 puts 0 row\(s\) on the "
+                                                 r"test side and 3 on the train/validation"):
+            holdout_split(3, 0.1, RandomSource(0))
+        with pytest.raises(ParameterError, match="puts 1 row"):
+            holdout_split(10, 0.1, RandomSource(0))
+
+    def test_empty_train_side_rejected(self):
+        with pytest.raises(ParameterError, match="puts 3 row"):
+            holdout_split(3, 0.9, RandomSource(0))
+
+    def test_smallest_usable_sides_accepted(self):
+        trainval, test = holdout_split(3, 0.6, RandomSource(0))
+        assert len(test) == 2 and len(trainval) == 1
+
 
 class TestGroupedSplits:
     def test_grouped_holdout_keeps_groups_whole(self):
@@ -236,6 +252,56 @@ class TestGroupedSplits:
                 assert val_groups[i].isdisjoint(val_groups[j])
         union = np.sort(np.concatenate([val for _, val in folds]))
         assert np.array_equal(union, np.arange(len(groups)))
+
+    def test_grouped_holdout_rejects_empty_train_side(self):
+        # group 0 (1 row) is drawn first and falls short of the 50-row target,
+        # so group 1 follows it: every row lands on the test side
+        groups = np.array([0] + [1] * 100)
+        with pytest.raises(ParameterError, match=r"test_fraction=0.5 puts 101 row\(s\) on the "
+                                                 r"test side and 0 on the train/validation"):
+            grouped_holdout_split(groups, 0.5, RandomSource(0))
+
+    def test_grouped_holdout_rejects_single_test_row(self):
+        # one-row groups: the first group drawn meets the 1-row target
+        with pytest.raises(ParameterError, match=r"puts 1 row\(s\) on the test side and 19"):
+            grouped_holdout_split(np.arange(20), 0.05, RandomSource(0))
+
+
+class TestSplitProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 200), k_draw=st.integers(2, 30), seed=st.integers(0, 2**31 - 1))
+    def test_kfold_partitions_evenly(self, n, k_draw, seed):
+        k = min(k_draw, n)
+        folds = kfold_split(n, k, RandomSource(seed))
+        assert len(folds) == k
+        vals = [val for _, val in folds]
+        assert np.array_equal(np.sort(np.concatenate(vals)), np.arange(n))
+        sizes = [len(val) for val in vals]
+        assert max(sizes) - min(sizes) <= 1
+        for train, val in folds:
+            assert np.array_equal(train, np.setdiff1d(np.arange(n), val))
+
+    @settings(max_examples=200, deadline=None)
+    @given(groups=st.lists(st.integers(0, 12), min_size=2, max_size=150),
+           k_draw=st.integers(2, 13), seed=st.integers(0, 2**31 - 1))
+    def test_grouped_kfold_never_splits_a_group(self, groups, k_draw, seed):
+        groups = np.array(groups)
+        k = min(k_draw, len(np.unique(groups)))
+        if k < 2:
+            with pytest.raises(ParameterError):
+                grouped_kfold_split(groups, k_draw, RandomSource(seed))
+            return
+        folds = grouped_kfold_split(groups, k, RandomSource(seed))
+        assert len(folds) == k
+        vals = [val for _, val in folds]
+        assert np.array_equal(np.sort(np.concatenate(vals)), np.arange(len(groups)))
+        seen = set()
+        for train, val in folds:
+            val_groups = set(groups[val].tolist())
+            assert seen.isdisjoint(val_groups)
+            seen |= val_groups
+            assert val_groups.isdisjoint(groups[train].tolist())
+            assert np.array_equal(train, np.setdiff1d(np.arange(len(groups)), val))
 
 
 class TestToSequences:

@@ -8,7 +8,7 @@ import pytest
 
 from updrspred.config import RunConfig, config_from_dict
 from updrspred import evaluate
-from updrspred.errors import DegenerateTargetError, EmptyInputError, ShapeError
+from updrspred.errors import DegenerateTargetError, EmptyInputError, ParameterError, ShapeError
 from updrspred.evaluate import (
     NETWORK_NAME,
     CvReport,
@@ -160,6 +160,21 @@ class TestRunExperiment:
         config = smoke_config(synthetic_csv)
         run_experiment(config)
         assert calls == {"network": 3 * config.k_folds, "linear": 12 * config.k_folds}
+
+    # 240 rows at 0.005 round to a 1-row test side; 8 subjects of 30 rows
+    # reach a 216-row target only with all 8 on the test side
+    @pytest.mark.parametrize("grouped, fraction, sides", [
+        (False, 0.005, "1 row(s) on the test side and 239"),
+        (True, 0.9, "240 row(s) on the test side and 0"),
+    ])
+    def test_unusable_holdout_rejected_before_any_fold(self, synthetic_csv, monkeypatch,
+                                                       grouped, fraction, sides):
+        monkeypatch.setattr(evaluate, "_run_fold", lambda args: pytest.fail("a fold ran"))
+        config = smoke_config(synthetic_csv, test_fraction=fraction, subsample_rows=None,
+                              group_by_subject=grouped)
+        with pytest.raises(ParameterError) as caught:
+            run_experiment(config)
+        assert f"test_fraction={fraction} puts {sides}" in str(caught.value)
 
     def test_seed_changes_results(self, synthetic_csv):
         a = run_experiment(smoke_config(synthetic_csv, seed=1))

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from updrspred.errors import EmptyInputError
-from updrspred.forest import ForestParams, feature_importance, fit_forest, fit_tree, predict_tree
+from updrspred.forest import (
+    _VARIANCE_FLOOR,
+    ForestParams,
+    TreeNode,
+    feature_importance,
+    fit_forest,
+    fit_tree,
+    predict_tree,
+)
 from updrspred.linalg import RandomSource
 
 
@@ -63,6 +73,114 @@ class TestFitTree:
             return leaf_sizes(node.left, rows[mask]) + leaf_sizes(node.right, rows[~mask])
 
         assert min(leaf_sizes(tree, np.arange(60))) >= 7
+
+
+def _reference_best_split(X, y, rows, min_leaf):
+    """The depth-first builder's split search: one node, one fresh argsort."""
+    y_node = y[rows]
+    n = len(rows)
+    total1 = y_node.sum()
+    total2 = (y_node * y_node).sum()
+    parent_sse = total2 - total1 * total1 / n
+    if parent_sse <= _VARIANCE_FLOOR:
+        return None
+
+    values = X[rows]
+    order = np.argsort(values, axis=0, kind="stable")
+    sv = np.take_along_axis(values, order, axis=0)
+    sy = y_node[order]
+    c1 = np.cumsum(sy, axis=0)[:-1]
+    c2 = np.cumsum(sy * sy, axis=0)[:-1]
+
+    sizes = np.arange(1, n, dtype=np.float64)[:, None]
+    legal = (sv[:-1] < sv[1:]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
+    if not legal.any():
+        return None
+    right1 = total1 - c1
+    sse = c1 * (-c1) / sizes + c2 + right1 * (-right1) / (n - sizes) + (total2 - c2)
+    sse[~legal] = np.inf
+
+    flat = int(np.argmin(sse.T))
+    col, pos = divmod(flat, sse.shape[0])
+    gain = parent_sse - sse[pos, col]
+    if not gain > 0.0:
+        return None
+    threshold = (sv[pos, col] + sv[pos + 1, col]) / 2.0
+    return gain, col, float(threshold)
+
+
+def _reference_grow(X, y, rows, depth, params):
+    node = TreeNode(prediction=float(y[rows].mean()))
+    n = len(rows)
+    if depth >= params.max_depth or n < 2 * params.min_samples_leaf:
+        return node
+    best = _reference_best_split(X, y, rows, params.min_samples_leaf)
+    if best is None:
+        return node
+    _, node.feature, node.threshold = best
+    mask = X[rows, node.feature] <= node.threshold
+    node.left = _reference_grow(X, y, rows[mask], depth + 1, params)
+    node.right = _reference_grow(X, y, rows[~mask], depth + 1, params)
+    return node
+
+
+def reference_tree(X, y, params):
+    """Recursive depth-first CART: the oracle for ``fit_tree``."""
+    return _reference_grow(X, y, np.arange(X.shape[0]), 0, params)
+
+
+def assert_same_tree(got, want, path="root"):
+    assert got.is_leaf == want.is_leaf, path
+    assert got.prediction == want.prediction, path
+    if want.is_leaf:
+        return
+    assert (got.feature, got.threshold) == (want.feature, want.threshold), path
+    assert_same_tree(got.left, want.left, path + ".left")
+    assert_same_tree(got.right, want.right, path + ".right")
+
+
+@st.composite
+def tree_problems(draw):
+    """A table with tied values and a binary column, plus tree settings."""
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["gaussian", "tied", "binary"]),
+                              min_size=d, max_size=d)):
+        if kind == "gaussian":
+            columns.append(rng.normal(size=n))
+        elif kind == "tied":
+            columns.append(rng.choice(rng.normal(size=draw(st.integers(1, 8))), size=n))
+        else:
+            columns.append(rng.integers(0, 2, size=n).astype(np.float64))
+    X = np.column_stack(columns)
+    y = rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        y = np.round(y, 1)  # tied targets: exact gain ties between candidates
+    params = ForestParams(n_trees=1, max_depth=draw(st.integers(0, 12)),
+                          min_samples_leaf=draw(st.integers(1, 10)), bootstrap=False)
+    return X, y, params
+
+
+class TestMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tree_problems())
+    def test_same_tree_node_for_node(self, problem):
+        X, y, params = problem
+        assert_same_tree(fit_tree(X, y, params), reference_tree(X, y, params))
+
+    def test_same_trees_at_rfe_shape(self):
+        # a bootstrap resample at the default depth and leaf size
+        rng = RandomSource(3)
+        X = rng.gaussians(0, 1, 587 * 20).reshape(587, 20)
+        X[:, 1] = X[:, 1] > 0
+        y = X[:, 0] * 3.0 + X[:, 1] + rng.gaussians(0, 1, 587)
+        params = ForestParams()
+        for _ in range(3):
+            rows = rng.integers(587, 587)
+            assert_same_tree(fit_tree(X[rows], y[rows], params),
+                             reference_tree(X[rows], y[rows], params))
 
 
 class TestForest:
