@@ -37,8 +37,6 @@ DISPLAY_NAMES = {
 class BaselineSpec:
     method: str = "lls"
     ridge_lambda: float = 1.0
-    cg_tol: float = 1e-10
-    cg_max_iter_per_dim: int = 10
     adam_steps: int = 5000
     adam_schedule: LrSchedule = field(default_factory=LrSchedule)
 
@@ -90,8 +88,7 @@ def fit_baseline(spec: BaselineSpec, X_train: np.ndarray, y_train: np.ndarray) -
     elif spec.method == "cg":
         A = Xi.T @ Xi
         b = Xi.T @ y
-        full = solve_cg(A, b, tol=spec.cg_tol,
-                        max_iter=spec.cg_max_iter_per_dim * (d + 1))
+        full = solve_cg(A, b)
     elif spec.method == "adam_linear":
         full = _fit_adam_linear(X, y, spec)
     else:

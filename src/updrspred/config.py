@@ -1,12 +1,23 @@
-"""Run configuration: one flat, serializable bag of knobs.
+"""Run configuration: one flat, serializable bag of the knobs a run varies.
 
-Defaults follow the experimental setup this pipeline reproduces where that
-setup is explicit (100 LSTM units, 0.3 dropout, learning rate 0.001
-decaying by 0.9 every 10,000 steps, 5 folds) and documented house choices
-everywhere else. Unknown keys are rejected rather than ignored so a typo
-cannot silently fall back to a default. The pipeline stages take their
-parameter objects from the ``RunConfig`` methods below, the one place that
-maps knobs to stages.
+Only settings that some run changes are keys here: the data, the
+elimination and forest budget, the jitter copies, the network's widths,
+the initial learning rate, the epoch, batch and patience budget, the
+evaluation protocol and the run plumbing. Constants of the setup this
+pipeline reproduces are stated once, as defaults of the stage that uses
+them: 0.3 dropout, the L2 penalty and batch-norm constants in
+``nn.init_model_params``; the 0.9-per-10,000-steps decay in
+``optimize.LrSchedule``; Adam's betas and epsilon in ``optimize.Adam``;
+the early-stopping ``min_delta`` in ``optimize.TrainSettings``; the leaf
+size and bootstrap in ``forest.ForestParams``; the noise scale in
+``augment.JitterConfig``; the ridge penalty in ``baselines.BaselineSpec``;
+and the CG tolerance and iteration cap in ``optimize.solve_cg``.
+
+Unknown keys, including keys that earlier versions accepted, are rejected
+rather than ignored so a typo cannot silently fall back to a default.
+``validate`` checks every key before any data is read. The pipeline
+stages take their parameter objects from the ``RunConfig`` methods below,
+the one place that maps knobs to stages.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from typing import Optional
 
 from .augment import JitterConfig
 from .baselines import BaselineSpec
-from .dataset import DEFAULT_REGRESSORS
+from .dataset import DEFAULT_REGRESSORS, check_design
 from .errors import ConfigError
 from .forest import ForestParams
 from .optimize import LrSchedule, TrainSettings
@@ -41,11 +52,8 @@ class RunConfig:
     # forest estimator behind the elimination loop
     forest_n_trees: int = 100
     forest_max_depth: int = 12
-    forest_min_samples_leaf: int = 5
-    forest_bootstrap: bool = True
 
     # jitter augmentation
-    jitter_sigma_scale: float = 0.01
     jitter_copies: int = 1
     augment_baselines: bool = False
 
@@ -53,28 +61,14 @@ class RunConfig:
     lstm_units: int = 100
     attn_dim: int = 64
     dense_widths: tuple = (64, 32)
-    dropout_rate: float = 0.3
-    l2: float = 1e-4
-    bn_momentum: float = 0.9
-    bn_eps: float = 1e-5
 
     # optimization
     lr_initial: float = 0.001
-    lr_decay_factor: float = 0.9
-    lr_decay_steps: int = 10_000
-    lr_staircase: bool = True
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 200
     batch_size: int = 64
     patience: int = 15
-    min_delta: float = 1e-4
 
     # baseline solvers
-    ridge_lambda: float = 1.0
-    cg_tol: float = 1e-10
-    cg_max_iter_per_dim: int = 10
     adam_linear_steps: int = 5000
 
     # evaluation protocol
@@ -88,8 +82,7 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self) -> None:
-        if self.target not in ("total", "motor"):
-            raise ConfigError(f"target must be 'total' or 'motor', got {self.target!r}")
+        check_design(self.target, self.regressors)
         if self.k_folds < 2:
             raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
         if not 0.0 < self.test_fraction < 1.0:
@@ -100,59 +93,51 @@ class RunConfig:
             )
         if self.epochs < 1 or self.batch_size < 2:
             raise ConfigError("epochs must be >= 1 and batch_size >= 2")
+        if self.patience < 0 or self.adam_linear_steps < 0:
+            raise ConfigError("patience and adam_linear_steps must be >= 0")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if len(self.dense_widths) != 2:
             raise ConfigError("dense_widths must name exactly two hidden layer widths")
+        widths = (self.lstm_units, self.attn_dim, *self.dense_widths)
+        if min(widths) < 1:
+            raise ConfigError(
+                f"lstm_units, attn_dim and dense_widths must be >= 1, got {widths}"
+            )
         for name in self.protected_regressors:
             if name not in self.regressors:
                 raise ConfigError(f"protected regressor {name!r} is not a regressor")
         if self.subsample_rows is not None and self.subsample_rows < 10:
             raise ConfigError("subsample_rows must be >= 10 when set")
+        for stage in (self.forest_params(), self.jitter_config(), self.lr_schedule()):
+            stage.validate()
 
     # parameter objects of the pipeline stages
 
     def forest_params(self) -> ForestParams:
-        return ForestParams(
-            n_trees=self.forest_n_trees,
-            max_depth=self.forest_max_depth,
-            min_samples_leaf=self.forest_min_samples_leaf,
-            bootstrap=self.forest_bootstrap,
-        )
+        return ForestParams(n_trees=self.forest_n_trees, max_depth=self.forest_max_depth)
 
     def protected_indices(self) -> list:
         """Column indices of ``protected_regressors`` within ``regressors``."""
         return [self.regressors.index(name) for name in self.protected_regressors]
 
     def jitter_config(self) -> JitterConfig:
-        return JitterConfig(sigma_scale=self.jitter_sigma_scale, copies=self.jitter_copies)
+        return JitterConfig(copies=self.jitter_copies)
 
     def lr_schedule(self) -> LrSchedule:
-        return LrSchedule(
-            initial=self.lr_initial,
-            decay_factor=self.lr_decay_factor,
-            decay_steps=self.lr_decay_steps,
-            staircase=self.lr_staircase,
-        )
+        return LrSchedule(initial=self.lr_initial)
 
     def train_settings(self) -> TrainSettings:
         return TrainSettings(
             epochs=self.epochs,
             batch_size=self.batch_size,
             schedule=self.lr_schedule(),
-            beta1=self.adam_beta1,
-            beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
             patience=self.patience,
-            min_delta=self.min_delta,
         )
 
     def baseline_spec(self, method: str) -> BaselineSpec:
         return BaselineSpec(
             method=method,
-            ridge_lambda=self.ridge_lambda,
-            cg_tol=self.cg_tol,
-            cg_max_iter_per_dim=self.cg_max_iter_per_dim,
             adam_steps=self.adam_linear_steps,
             adam_schedule=self.lr_schedule(),
         )
@@ -165,8 +150,23 @@ class RunConfig:
         return doc
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
-_TUPLE_FIELDS = ("regressors", "protected_regressors", "dense_widths")
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# what a JSON value must be for each annotation; a boolean is never a number
+_KINDS = {
+    "str": ("a string", str),
+    "int": ("an integer", int),
+    "float": ("a number", (int, float)),
+    "bool": ("true or false", bool),
+    "Optional[int]": ("an integer or null", (int, type(None))),
+    "tuple": ("a list", (list, tuple)),
+}
+_ITEM_TYPES = {"regressors": "str", "protected_regressors": "str", "dense_widths": "int"}
+
+
+def _check_type(key: str, value, annotation: str) -> None:
+    expected, kind = _KINDS[annotation]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -174,11 +174,13 @@ def config_from_dict(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs = dict(doc)
-    for name in _TUPLE_FIELDS:
-        if name in kwargs:
-            if not isinstance(kwargs[name], (list, tuple)):
-                raise ConfigError(f"config key {name!r} must be a list")
-            kwargs[name] = tuple(kwargs[name])
+    for key, value in doc.items():
+        _check_type(key, value, _FIELD_TYPES[key])
+    for key, item_type in _ITEM_TYPES.items():
+        if key in kwargs:
+            for item in kwargs[key]:
+                _check_type(key, item, item_type)
+            kwargs[key] = tuple(kwargs[key])
     config = RunConfig(**kwargs)
     config.validate()
     return config

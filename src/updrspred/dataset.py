@@ -151,16 +151,15 @@ def load_csv(path) -> Dataset:
     return Dataset(columns=columns, feature_names=tuple(header))
 
 
-def build_design(dataset: Dataset, target: str, regressors) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (X, y): one row per record in file order.
+def check_design(target: str, regressors) -> None:
+    """Reject a target or regressor list that no table can satisfy.
 
-    ``target`` is "total" or "motor"; ``regressors`` is an ordered list of
-    column names that become the columns of X.
+    ``target`` is "total" or "motor"; ``regressors`` names distinct
+    schema columns other than ``subject#`` and the target's own column.
     """
     if target not in TARGET_COLUMNS:
         raise ConfigError(f"target must be one of {sorted(TARGET_COLUMNS)}, got {target!r}")
     target_column = TARGET_COLUMNS[target]
-    regressors = list(regressors)
     if target_column in regressors:
         raise ConfigError(f"target column {target_column!r} cannot be a regressor")
     known = set(REQUIRED_COLUMNS) - {"subject#"}
@@ -169,9 +168,20 @@ def build_design(dataset: Dataset, target: str, regressors) -> tuple[np.ndarray,
             raise ConfigError(f"unknown regressor {name!r}")
     if not regressors:
         raise ConfigError("regressor list is empty")
-    columns = [dataset.column(name) for name in regressors]
-    X = np.column_stack(columns)
-    y = dataset.column(target_column)
+    if len(set(regressors)) != len(regressors):
+        raise ConfigError("a regressor is listed more than once")
+
+
+def build_design(dataset: Dataset, target: str, regressors) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble (X, y): one row per record in file order.
+
+    ``regressors`` is an ordered list of column names that become the
+    columns of X; see :func:`check_design` for what is accepted.
+    """
+    regressors = list(regressors)
+    check_design(target, regressors)
+    X = np.column_stack([dataset.column(name) for name in regressors])
+    y = dataset.column(TARGET_COLUMNS[target])
     return X, y
 
 

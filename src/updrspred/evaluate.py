@@ -230,10 +230,6 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
         units=config.lstm_units,
         attn_dim=config.attn_dim,
         dense_widths=tuple(config.dense_widths),
-        dropout_rate=config.dropout_rate,
-        l2=config.l2,
-        bn_momentum=config.bn_momentum,
-        bn_eps=config.bn_eps,
     )
     trained, history = train_network(
         params,

@@ -70,9 +70,6 @@ class RandomSource:
             state = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)
         return _mix64_block(state)
 
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * _INV_2_53
-
     def uniforms(self, n: int) -> np.ndarray:
         return (self.u64_block(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
@@ -99,12 +96,6 @@ class RandomSource:
         out[0::2] = radius * np.cos(angle)
         out[1::2] = radius * np.sin(angle)
         return mean + stddev * out[:n]
-
-    def below(self, bound: int) -> int:
-        """One integer in [0, bound). Uses floor(uniform * bound)."""
-        if bound <= 0:
-            raise ParameterError(f"bound must be positive, got {bound}")
-        return min(int(self.uniform() * bound), bound - 1)
 
     def integers(self, bound: int, n: int) -> np.ndarray:
         """``n`` integers in [0, bound), vectorized."""

@@ -67,8 +67,8 @@ class ModelParams:
     """
 
     def __init__(self, input_dim: int, units: int, attn_dim: int,
-                 dense_widths: tuple[int, int], dropout_rate: float = 0.3,
-                 l2: float = 1e-4, bn_momentum: float = 0.9, bn_eps: float = 1e-5):
+                 dense_widths: tuple[int, int], dropout_rate: float, l2: float,
+                 bn_momentum: float, bn_eps: float):
         rows = units + input_dim
         hidden = 2 * units
         d1, d2 = dense_widths
@@ -310,23 +310,23 @@ def _batchnorm_backward(dout: np.ndarray, cache, gamma: np.ndarray):
     return dx, dgamma, dbeta
 
 
-def dropout_forward(x: np.ndarray, rate: float, mode: str,
-                    rng: Optional[RandomSource] = None,
-                    mask: Optional[np.ndarray] = None):
-    """Inverted dropout: survivors are rescaled so inference is identity."""
-    x = np.asarray(x, dtype=np.float64)
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must lie in [0, 1), got {rate}")
-    if mode == "infer" or rate == 0.0:
-        return x.copy(), np.ones_like(x)
-    if mode != "train":
-        raise ParameterError(f"unknown mode {mode!r}")
-    if mask is None:
-        if rng is None:
-            raise ParameterError("train-mode dropout needs a random source or a mask")
-        keep = rng.uniforms(x.size).reshape(x.shape) >= rate
-        mask = keep / (1.0 - rate)
-    return x * mask, mask
+def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
+    """The two inverted-dropout masks of a train-mode batch of ``batch`` rows.
+
+    Each entry keeps its unit with probability ``1 - dropout_rate`` and
+    scales survivors by ``1 / (1 - dropout_rate)``, so inference, which
+    applies no mask, sees the same expected activations. A zero rate draws
+    nothing and returns masks of ones.
+    """
+    shapes = [(batch, p["dense1.b"].shape[0]), (batch, p["dense2.b"].shape[0])]
+    masks = []
+    for shape in shapes:
+        if p.dropout_rate == 0.0:
+            masks.append(np.ones(shape))
+        else:
+            keep = rng.uniforms(shape[0] * shape[1]).reshape(shape) >= p.dropout_rate
+            masks.append(keep / (1.0 - p.dropout_rate))
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +344,10 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
     """Forward one sequence (T, input_dim) or a batch (B, T, input_dim).
 
     Returns (predictions, cache); predictions is a scalar for a single
-    sequence. Train mode needs either ``rng`` or explicit ``dropout_masks``
-    and a batch of at least 2 (batch norm uses batch statistics).
+    sequence. Train mode needs a batch of at least 2 (batch norm uses batch
+    statistics) and applies ``dropout_masks``, drawn from ``rng`` by
+    :func:`draw_dropout_masks` when not given. Infer mode applies no
+    dropout.
     """
     data = np.asarray(x, dtype=np.float64)
     single = data.ndim == 2
@@ -359,6 +361,12 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
         raise ShapeError(
             f"model expects {p.input_dim} values per step, got {data.shape[2]}"
         )
+    train = mode == "train"
+    if train and dropout_masks is None:
+        if rng is None:
+            raise ParameterError("train mode needs a random source or dropout masks")
+        dropout_masks = draw_dropout_masks(p, data.shape[0], rng)
+    mask1, mask2 = dropout_masks if train else (None, None)
 
     states_f, caches_f = _lstm_scan(data, p["fwd.w"], p["fwd.b"])
     states_b_rev, caches_b = _lstm_scan(data[:, ::-1, :], p["bwd.w"], p["bwd.b"])
@@ -369,18 +377,12 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
     lin1 = context @ p["dense1.w"].T + p["dense1.b"]
     a1 = np.maximum(lin1, 0.0)
     bn1_out, bn1_cache = _batchnorm(p, "bn1", a1, mode)
-    drop1, mask1 = dropout_forward(
-        bn1_out, p.dropout_rate, mode, rng,
-        None if dropout_masks is None else dropout_masks[0],
-    )
+    drop1 = bn1_out * mask1 if train else bn1_out
 
     lin2 = drop1 @ p["dense2.w"].T + p["dense2.b"]
     a2 = np.maximum(lin2, 0.0)
     bn2_out, bn2_cache = _batchnorm(p, "bn2", a2, mode)
-    drop2, mask2 = dropout_forward(
-        bn2_out, p.dropout_rate, mode, rng,
-        None if dropout_masks is None else dropout_masks[1],
-    )
+    drop2 = bn2_out * mask2 if train else bn2_out
 
     preds = drop2 @ p["out.w"] + p["out.b"][0]
 
@@ -471,19 +473,6 @@ def commit_batchnorm(cache, p: ModelParams) -> None:
         if new is not None:
             p[f"{tag}.running_mean"][:] = new[0]
             p[f"{tag}.running_var"][:] = new[1]
-
-
-def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
-    """Pre-draw the two per-batch dropout masks (used to freeze grad checks)."""
-    shapes = [(batch, p["dense1.b"].shape[0]), (batch, p["dense2.b"].shape[0])]
-    masks = []
-    for shape in shapes:
-        if p.dropout_rate == 0.0:
-            masks.append(np.ones(shape))
-        else:
-            keep = rng.uniforms(shape[0] * shape[1]).reshape(shape) >= p.dropout_rate
-            masks.append(keep / (1.0 - p.dropout_rate))
-    return masks
 
 
 def param_blocks(p: ModelParams) -> dict[str, np.ndarray]:

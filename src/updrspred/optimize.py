@@ -28,10 +28,11 @@ from .nn import ModelParams, commit_batchnorm, model_backward, model_forward
 
 @dataclass
 class LrSchedule:
+    """Staircase exponential decay: ``initial * decay_factor ** (step // decay_steps)``."""
+
     initial: float = 0.001
     decay_factor: float = 0.9
     decay_steps: int = 10_000
-    staircase: bool = True
 
     def validate(self) -> None:
         if not 0.0 < self.decay_factor < 1.0:
@@ -41,14 +42,14 @@ class LrSchedule:
 
 
 def lr_at_step(schedule: LrSchedule, step: int) -> float:
-    """Learning rate after ``step`` optimizer updates (step 0 = initial)."""
-    schedule.validate()
+    """Learning rate after ``step`` optimizer updates (step 0 = initial).
+
+    Runs on every update, so it trusts ``schedule``; ``RunConfig.validate``
+    checks it once before a run.
+    """
     if step < 0:
         raise ParameterError(f"step must be >= 0, got {step}")
-    exponent = step / schedule.decay_steps
-    if schedule.staircase:
-        exponent = float(step // schedule.decay_steps)
-    return schedule.initial * schedule.decay_factor ** exponent
+    return schedule.initial * schedule.decay_factor ** float(step // schedule.decay_steps)
 
 
 class Adam:
@@ -233,9 +234,6 @@ class TrainSettings:
     epochs: int = 200
     batch_size: int = 64
     schedule: LrSchedule = field(default_factory=LrSchedule)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     patience: int = 15
     min_delta: float = 1e-4
 
@@ -285,7 +283,7 @@ def train_network(
     if n < 2:
         raise ParameterError("training needs at least 2 samples")
 
-    optimizer = Adam(settings.beta1, settings.beta2, settings.adam_eps)
+    optimizer = Adam()
     stopper = EarlyStopper(patience=settings.patience, min_delta=settings.min_delta)
     history = TrainHistory()
     step = 0

@@ -54,11 +54,11 @@ def write_synthetic_csv(path, n_rows=240, n_subjects=8, seed=99):
     per_subject = n_rows // n_subjects
     counts = [per_subject + (1 if i < n_rows % n_subjects else 0) for i in range(n_subjects)]
     for subject in range(1, n_subjects + 1):
-        age = 45 + rng.below(35)
-        sex = rng.below(2)
-        base_motor = 8.0 + 20.0 * rng.uniform()
+        age = 45 + int(rng.integers(35, 1)[0])
+        sex = int(rng.integers(2, 1)[0])
+        base_motor = 8.0 + 20.0 * float(rng.uniforms(1)[0])
         for visit in range(counts[subject - 1]):
-            test_time = visit * (180.0 / max(1, counts[subject - 1])) + rng.uniform()
+            test_time = visit * (180.0 / max(1, counts[subject - 1])) + float(rng.uniforms(1)[0])
             drift = 0.02 * test_time
             noise = rng.gaussians(0.0, 1.0, 20)
             motor = base_motor + drift + 0.8 * noise[0]

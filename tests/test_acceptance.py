@@ -206,7 +206,7 @@ def test_criterion_7_determinism(synthetic_csv, tmp_path):
 def test_criterion_8_metric_identities():
     rng = RandomSource(0x1DE)
     for _ in range(1000):
-        n = 5 + rng.below(40)
+        n = 5 + int(rng.integers(40, 1)[0])
         y = rng.gaussians(0, 4, n)
         y_hat = y + rng.gaussians(0, 2, n)
         tss = float(((y - y.mean()) ** 2).sum())

@@ -8,7 +8,14 @@ import pytest
 
 from updrspred.config import RunConfig, config_from_dict
 from updrspred import evaluate
-from updrspred.errors import DegenerateTargetError, EmptyInputError, ParameterError, ShapeError
+from updrspred.errors import (
+    ConfigError,
+    DegenerateTargetError,
+    EmptyInputError,
+    ParameterError,
+    ShapeError,
+    UsageFault,
+)
 from updrspred.evaluate import (
     NETWORK_NAME,
     CvReport,
@@ -21,7 +28,7 @@ from updrspred.evaluate import (
     run_experiment,
 )
 from updrspred.linalg import RandomSource
-from updrspred.nn import INVARIANT_CHECKS, reset_invariant_counters
+from updrspred.nn import INVARIANT_CHECKS, init_model_params, reset_invariant_counters
 
 
 class TestMse:
@@ -275,11 +282,13 @@ class TestConfig:
     def test_defaults_follow_protocol(self):
         config = RunConfig()
         assert config.lstm_units == 100
-        assert config.dropout_rate == 0.3
         assert config.lr_initial == 0.001
-        assert config.lr_decay_factor == 0.9
-        assert config.lr_decay_steps == 10_000
         assert config.k_folds == 5
+        # the fixed constants live with the stage that uses them
+        p = init_model_params(RandomSource(0), units=2, attn_dim=2, dense_widths=(3, 2))
+        assert p.dropout_rate == 0.3
+        schedule = config.lr_schedule()
+        assert (schedule.decay_factor, schedule.decay_steps) == (0.9, 10_000)
 
     def test_protected_must_be_regressor(self):
         with pytest.raises(Exception, match="protected"):
@@ -290,26 +299,66 @@ class TestConfig:
                 "rfe_k": 1,
             })
 
-    @pytest.mark.parametrize("key", ["rfe_on_standardized", "forest_features_per_split"])
+    @pytest.mark.parametrize("key", [
+        "rfe_on_standardized", "forest_features_per_split",
+        "forest_min_samples_leaf", "forest_bootstrap", "jitter_sigma_scale",
+        "dropout_rate", "l2", "bn_momentum", "bn_eps",
+        "lr_decay_factor", "lr_decay_steps", "lr_staircase",
+        "adam_beta1", "adam_beta2", "adam_eps", "min_delta",
+        "ridge_lambda", "cg_tol", "cg_max_iter_per_dim",
+    ])
     def test_removed_keys_rejected(self, key):
         with pytest.raises(Exception, match=f"unknown config key.*{key}"):
             config_from_dict({"dataset": "x.csv", key: None})
 
+    @pytest.mark.parametrize("override", [
+        {"lstm_units": 0},
+        {"attn_dim": 0},
+        {"dense_widths": (0, 4)},
+        {"patience": -1},
+        {"adam_linear_steps": -1},
+        {"forest_n_trees": 0},
+        {"forest_max_depth": -1},
+        {"jitter_copies": -1},
+        {"lr_initial": 0},
+        {"target": "motor"},
+        {"regressors": ("age", "age"), "protected_regressors": (), "rfe_k": 1},
+    ], ids=lambda override: ",".join(f"{key}={value}" for key, value in override.items()))
+    def test_bad_values_rejected_before_reading(self, tmp_path, override):
+        config = RunConfig(dataset=str(tmp_path / "absent.csv"), **override)
+        with pytest.raises(UsageFault) as caught:
+            run_experiment(config)
+        assert not isinstance(caught.value, OSError)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lstm_units", "abc"),
+        ("lstm_units", 4.5),
+        ("epochs", True),
+        ("group_by_subject", 1),
+        ("dataset", 123),
+        ("regressors", "age"),
+        ("dense_widths", [4, "8"]),
+        ("subsample_rows", "all"),
+    ])
+    def test_wrong_types_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+            config_from_dict({"dataset": "x.csv", key: value})
+
     def test_stage_parameters_follow_config(self):
         config = config_from_dict({
-            "dataset": "x.csv", "forest_n_trees": 7, "forest_bootstrap": False,
-            "jitter_copies": 3, "lr_initial": 0.02, "lr_staircase": False,
-            "epochs": 9, "patience": 4, "adam_linear_steps": 11, "ridge_lambda": 0.5,
+            "dataset": "x.csv", "forest_n_trees": 7, "forest_max_depth": 3,
+            "jitter_copies": 3, "lr_initial": 0.02,
+            "epochs": 9, "patience": 4, "adam_linear_steps": 11,
             "regressors": ["age", "sex", "motor_UPDRS"], "rfe_k": 2,
         })
         forest = config.forest_params()
-        assert (forest.n_trees, forest.bootstrap) == (7, False)
+        assert (forest.n_trees, forest.max_depth) == (7, 3)
         assert config.jitter_config().copies == 3
         assert config.protected_indices() == [2]
         settings = config.train_settings()
         assert (settings.epochs, settings.patience) == (9, 4)
         assert settings.schedule == config.lr_schedule()
-        assert (settings.schedule.initial, settings.schedule.staircase) == (0.02, False)
+        assert settings.schedule.initial == 0.02
         spec = config.baseline_spec("ridge")
-        assert (spec.method, spec.ridge_lambda, spec.adam_steps) == ("ridge", 0.5, 11)
+        assert (spec.method, spec.adam_steps) == ("ridge", 11)
         assert spec.adam_schedule == config.lr_schedule()

@@ -19,7 +19,6 @@ from updrspred.nn import (
     batchnorm_forward,
     commit_batchnorm,
     draw_dropout_masks,
-    dropout_forward,
     grad_check,
     init_model_params,
     model_backward,
@@ -296,35 +295,54 @@ class TestBatchNorm:
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        x = np.arange(5.0)
-        out, mask = dropout_forward(x, 0.0, "train", RandomSource(0))
-        assert np.array_equal(out, x) and np.all(mask == 1.0)
+        p = tiny_model(40, dropout=0.0)
+        rng = RandomSource(0)
+        masks = draw_dropout_masks(p, 5, rng)
+        assert [m.shape for m in masks] == [(5, 6), (5, 4)]
+        assert all(np.all(m == 1.0) for m in masks)
+        assert rng.uniforms(1)[0] == RandomSource(0).uniforms(1)[0]
 
     def test_infer_identity(self):
-        x = np.arange(4.0)
-        out, _ = dropout_forward(x, 0.9, "infer")
-        assert np.array_equal(out, x)
+        p = tiny_model(41, dropout=0.9)
+        X = RandomSource(42).gaussians(0, 1, 3 * 5).reshape(3, 5, 1)
+        dropped, _ = model_forward(X, p, mode="infer")
+        p.dropout_rate = 0.0
+        kept, _ = model_forward(X, p, mode="infer")
+        assert np.array_equal(dropped, kept)
 
     def test_expectation_preserved(self):
+        p = tiny_model(43, dropout=0.3)
         rng = RandomSource(13)
-        total = np.zeros(8)
+        total = np.zeros(6)
         trials = 100_000
-        x = np.ones(8)
         for _ in range(trials // 100):
-            out, _ = dropout_forward(np.tile(x, (100, 1)), 0.3, "train", rng)
-            total += out.sum(axis=0)
+            total += draw_dropout_masks(p, 100, rng)[0].sum(axis=0)
         assert np.all(np.abs(total / trials - 1.0) < 0.02)
+
+    def test_survivors_scaled(self):
+        p = tiny_model(44, dropout=0.5)
+        for mask in draw_dropout_masks(p, 50, RandomSource(45)):
+            assert set(np.unique(mask)) == {0.0, 2.0}
 
     def test_rate_one_rejected(self):
         with pytest.raises(ParameterError):
-            dropout_forward(np.ones(3), 1.0, "train", RandomSource(0))
+            tiny_model(46, dropout=1.0)
 
     def test_mask_reuse(self):
-        x = np.ones((4, 3))
-        _, mask = dropout_forward(x, 0.5, "train", RandomSource(14))
-        out2, mask2 = dropout_forward(x, 0.5, "train", mask=mask)
-        assert np.array_equal(mask, mask2)
-        assert np.array_equal(out2, x * mask)
+        p = tiny_model(47, dropout=0.5)
+        X = RandomSource(48).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
+        drawn, cache = model_forward(X, p, mode="train", rng=RandomSource(14))
+        masks = draw_dropout_masks(p, 4, RandomSource(14))
+        given, cache2 = model_forward(X, p, mode="train", dropout_masks=masks)
+        assert np.array_equal(drawn, given)
+        assert np.array_equal(cache["mask1"], masks[0])
+        assert np.array_equal(cache["mask2"], masks[1])
+        assert np.array_equal(cache["drop2"], cache2["drop2"])
+
+    def test_train_mode_needs_masks_or_rng(self):
+        p = tiny_model(49, dropout=0.5)
+        with pytest.raises(ParameterError):
+            model_forward(np.ones((4, 5, 1)), p, mode="train")
 
 
 class TestModelForward:

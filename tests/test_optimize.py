@@ -35,10 +35,6 @@ class TestLrSchedule:
     def test_two_decays(self):
         assert lr_at_step(LrSchedule(), 25_000) == pytest.approx(0.00081)
 
-    def test_continuous_mode(self):
-        s = LrSchedule(staircase=False)
-        assert lr_at_step(s, 5_000) == pytest.approx(0.001 * 0.9 ** 0.5)
-
     def test_non_increasing(self):
         s = LrSchedule()
         rates = [lr_at_step(s, step) for step in range(0, 60_000, 2_500)]
@@ -46,7 +42,7 @@ class TestLrSchedule:
 
     def test_bad_factor(self):
         with pytest.raises(ParameterError):
-            lr_at_step(LrSchedule(decay_factor=1.5), 0)
+            LrSchedule(decay_factor=1.5).validate()
 
 
 class TestAdam:
