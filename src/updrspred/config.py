@@ -30,7 +30,7 @@ from typing import Optional
 from .augment import JitterConfig
 from .baselines import BaselineSpec
 from .dataset import DEFAULT_REGRESSORS, check_design
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .forest import ForestParams
 from .optimize import LrSchedule, TrainSettings
 
@@ -109,8 +109,18 @@ class RunConfig:
                 raise ConfigError(f"protected regressor {name!r} is not a regressor")
         if self.subsample_rows is not None and self.subsample_rows < 10:
             raise ConfigError("subsample_rows must be >= 10 when set")
-        for stage in (self.forest_params(), self.jitter_config(), self.lr_schedule()):
-            stage.validate()
+        # each stage checks its own fields; name the key that set the bad one
+        stage_keys = (
+            ("forest_n_trees", ForestParams(n_trees=self.forest_n_trees)),
+            ("forest_max_depth", ForestParams(max_depth=self.forest_max_depth)),
+            ("jitter_copies", self.jitter_config()),
+            ("lr_initial", self.lr_schedule()),
+        )
+        for key, stage in stage_keys:
+            try:
+                stage.validate()
+            except ParameterError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
 
     # parameter objects of the pipeline stages
 

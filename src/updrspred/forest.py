@@ -189,23 +189,6 @@ def fit_forest(
     return RegressionForest(trees=trees, n_features=X.shape[1])
 
 
-def predict_tree(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0])
-    stack = [(tree, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if len(rows) == 0:
-            continue
-        if node.is_leaf:
-            out[rows] = node.prediction
-            continue
-        mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
-    return out
-
-
 def _min_depths(tree: TreeNode, n_features: int) -> np.ndarray:
     depths = np.full(n_features, -1, dtype=np.int64)
     stack = [(tree, 0)]

@@ -164,50 +164,53 @@ def init_model_params(
 # layer forwards (batched) and backwards
 
 
-def _sigmoid_fast(x: np.ndarray) -> np.ndarray:
-    # IEEE semantics make the plain form exact on both tails: exp(-x)
-    # overflows to inf -> result 0, underflows to 0 -> result 1
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Run the recurrence over (B, T, input_dim) from zero states.
 
     ``w`` and ``b`` are one direction's fused weight and bias. Returns the
-    states (B, T, units) and a cache for :func:`_lstm_scan_backward`.
+    states (B, T, units), a view, and a cache for
+    :func:`_lstm_scan_backward`: ``(hx, acts, cells, tanh_cells)``.
 
-    The input-to-gate projection for every timestep is one matrix product
-    up front, and all per-step values land in three preallocated blocks
-    (post-activation gates, previous cells, cell tanhs) so the loop does
-    not churn the allocator with dozens of small retained arrays.
+    The scan runs time-major. Row t of ``hx`` (T + 1, B, units + input_dim)
+    holds [h_{t-1}, x_t], so a step's gates are one product with the fused
+    weight, written into ``acts[t]`` and activated there: f, i and o
+    sigmoided, the candidate tanhed. The step writes c_t into
+    ``cells[t + 1]`` (``cells[0]`` is the zero start) and h_t into the
+    hidden part of ``hx[t + 1]``; the last row's input part is unused.
+    ``X`` is only read.
     """
-    B, T, _ = X.shape
+    B, T, d = X.shape
     u = w.shape[1] // 4
-    w_hidden = w[:u]
-    w_input = w[u:]
-    pre_input = X.reshape(B * T, -1) @ w_input + b
-    pre_input = np.ascontiguousarray(
-        pre_input.reshape(B, T, 4 * u).transpose(1, 0, 2)
-    )
-    acts = np.empty((T, B, 4 * u))  # f, i, o sigmoided; candidate tanhed
-    c_prevs = np.empty((T, B, u))
-    tanh_cs = np.empty((T, B, u))
-    states = np.empty((B, T, u))
-    h = np.zeros((B, u))
-    c = np.zeros((B, u))
-    for t in range(T):
-        gates = h @ w_hidden
-        gates += pre_input[t]
-        step = acts[t]
-        step[:, :3 * u] = _sigmoid_fast(gates[:, :3 * u])
-        step[:, 3 * u:] = np.tanh(gates[:, 3 * u:])
-        c_prevs[t] = c
-        c = step[:, :u] * c + step[:, u:2 * u] * step[:, 3 * u:]
-        np.tanh(c, out=tanh_cs[t])
-        h = step[:, 2 * u:3 * u] * tanh_cs[t]
-        states[:, t, :] = h
-    return states, (X, states, acts, c_prevs, tanh_cs)
+    hx = np.empty((T + 1, B, u + d))
+    hx[0, :, :u] = 0.0
+    hx[:T, :, u:] = X.transpose(1, 0, 2)
+    acts = np.empty((T, B, 4 * u))
+    cells = np.empty((T + 1, B, u))
+    cells[0] = 0.0
+    tanh_cells = np.empty((T, B, u))
+    ig = np.empty((B, u))
+    sig = np.empty((B, 3 * u))  # contiguous, so the chain runs on flat data
+    # IEEE semantics make the plain sigmoid exact on both tails: exp(-x)
+    # overflows to inf -> 0, underflows to 0 -> 1
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            a = acts[t]
+            np.matmul(hx[t], w, out=a)
+            a += b
+            np.negative(a[:, :3 * u], out=sig)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.reciprocal(sig, out=a[:, :3 * u])
+            g = a[:, 3 * u:]
+            np.tanh(g, out=g)
+            c = cells[t + 1]
+            np.multiply(a[:, :u], cells[t], out=c)
+            np.multiply(a[:, u:2 * u], g, out=ig)
+            c += ig
+            np.tanh(c, out=tanh_cells[t])
+            np.multiply(a[:, 2 * u:3 * u], tanh_cells[t], out=hx[t + 1, :, :u])
+    states = hx[1:, :, :u].transpose(1, 0, 2)
+    return states, (hx, acts, cells, tanh_cells)
 
 
 def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
@@ -215,41 +218,69 @@ def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
     """Backpropagation through time for one scan direction.
 
     Accumulates into ``dw`` and ``db``, which are laid out like ``w`` and
-    the bias and start at zero.
+    the bias and start at zero. Each step writes its gate gradients into
+    one contiguous (B, 4u) row of ``d_gates``, and the weight and bias
+    gradients are one product and one sum over all steps after the loop
+    (Appleyard et al. 2016). The gate-derivative factors are formed step
+    by step in (B, u)-sized scratch: formed for all T up front they make
+    blocks that outgrow the cache, which measured slower.
     """
-    X, states, acts, c_prevs, tanh_cs = cache
-    B, T, u = d_states.shape
-    w_hidden = w[:u]
-    dh_next = np.zeros((B, u))
-    dc_next = np.zeros((B, u))
-    d_gates = np.empty((B, 4 * u))
+    hx, acts, cells, tanh_cells = cache
+    T, B, _ = acts.shape
+    u = w.shape[1] // 4
+    w_hidden_t = w[:u].T
+    d_states = d_states.transpose(1, 0, 2)
+    d_gates = np.empty((T, B, 4 * u))
+    dh = np.empty((B, u))
+    dc = np.zeros((B, u))
+    tmp = np.empty((B, u))
+    dsig = np.empty((B, 3 * u))
     for t in range(T - 1, -1, -1):
-        step = acts[t]
-        f = step[:, :u]
-        i = step[:, u:2 * u]
-        o = step[:, 2 * u:3 * u]
-        g = step[:, 3 * u:]
-        tanh_c = tanh_cs[t]
-        dh = d_states[:, t, :] + dh_next
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-        df = dc * c_prevs[t]
-        di = dc * g
-        d_gates[:, :u] = df * f * (1 - f)
-        d_gates[:, u:2 * u] = di * i * (1 - i)
-        d_gates[:, 2 * u:3 * u] = do * o * (1 - o)
-        d_gates[:, 3 * u:] = dc * i * (1 - g * g)
-        h_prev = states[:, t - 1, :] if t > 0 else np.zeros((B, u))
-        dw[:u] += h_prev.T @ d_gates
-        dw[u:] += X[:, t, :].T @ d_gates
-        db += d_gates.sum(axis=0)
-        dh_next = d_gates @ w_hidden.T
-        dc_next = dc * f
+        a = acts[t]
+        i = a[:, u:2 * u]
+        o = a[:, 2 * u:3 * u]
+        g = a[:, 3 * u:]
+        sig = a[:, :3 * u]
+        tanh_c = tanh_cells[t]
+        d = d_gates[t]
+        if t == T - 1:
+            dh[:] = d_states[t]
+        else:
+            np.matmul(d_gates[t + 1], w_hidden_t, out=dh)
+            dh += d_states[t]
+            dc *= acts[t + 1, :, :u]  # the next step's forget gate
+        # sigmoid'(z) = s * (1 - s) for the f, i, o blocks at once
+        np.subtract(1.0, sig, out=dsig)
+        dsig *= sig
+        # d_o = dh * tanh(c) * o'
+        np.multiply(dh, tanh_c, out=tmp)
+        np.multiply(tmp, dsig[:, 2 * u:], out=d[:, 2 * u:3 * u])
+        # dc += dh * o * (1 - tanh(c)^2)
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= o
+        tmp *= dh
+        dc += tmp
+        # d_f = dc * c_prev * f', d_i = dc * g * i', d_g = dc * i * (1 - g^2)
+        np.multiply(dc, cells[t], out=tmp)
+        np.multiply(tmp, dsig[:, :u], out=d[:, :u])
+        np.multiply(dc, g, out=tmp)
+        np.multiply(tmp, dsig[:, u:2 * u], out=d[:, u:2 * u])
+        np.multiply(g, g, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= i
+        np.multiply(dc, tmp, out=d[:, 3 * u:])
+    flat = d_gates.reshape(T * B, 4 * u)
+    dw += hx[:T].reshape(T * B, -1).T @ flat
+    db += flat.sum(axis=0)
 
 
 def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray):
     """H (B, T, D) -> (context (B, D), weights (B, T), tanh pre-scores)."""
-    pre = np.tanh(H @ w.T)  # (B, T, A)
+    B, T, D = H.shape
+    pre = H.reshape(B * T, D) @ w.T
+    np.tanh(pre, out=pre)
+    pre = pre.reshape(B, T, -1)  # (B, T, A)
     scores = pre @ v  # (B, T)
     shifted = scores - scores.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
@@ -258,13 +289,13 @@ def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray):
     INVARIANT_CHECKS["attention_weight_sum"] += len(sums)
     if not np.all(np.abs(sums - 1.0) <= 1e-9):
         raise NumericError("attention weights failed to normalize")
-    context = np.einsum("bt,btd->bd", weights, H)
+    context = np.matmul(weights[:, None, :], H)[:, 0, :]
     return context, weights, pre
 
 
 def batchnorm_forward(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray, mode: str,
-                      momentum: float = 0.9, eps: float = 1e-5):
+                      momentum: float, eps: float):
     """Normalize columns of (B, d); returns (out, cache).
 
     Train mode uses batch statistics and records updated running stats in
@@ -450,15 +481,16 @@ def model_backward(cache, target, p: ModelParams):
     H = cache["H"]
     weights = cache["weights"]
     pre = cache["pre"]
+    B, T, D = H.shape
     dH = weights[:, :, None] * d_context[:, None, :]
-    d_weights = np.einsum("bd,btd->bt", d_context, H)
+    d_weights = np.matmul(H, d_context[:, :, None])[:, :, 0]
     wsum = (weights * d_weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - wsum)
-    g["attn.v"][:] = np.einsum("bt,bta->a", d_scores, pre)
-    d_pre = d_scores[:, :, None] * p["attn.v"][None, None, :]
-    d_pre_lin = d_pre * (1.0 - pre * pre)
-    g["attn.w"][:] = np.einsum("bta,btd->ad", d_pre_lin, H)
-    dH += d_pre_lin @ p["attn.w"]
+    pre_rows = pre.reshape(B * T, -1)
+    g["attn.v"][:] = d_scores.reshape(B * T) @ pre_rows
+    d_pre_lin = d_scores.reshape(B * T, 1) * p["attn.v"] * (1.0 - pre_rows * pre_rows)
+    g["attn.w"][:] = d_pre_lin.T @ H.reshape(B * T, D)
+    dH += (d_pre_lin @ p["attn.w"]).reshape(B, T, D)
 
     u = p.units
     _lstm_scan_backward(cache["caches_f"], dH[:, :, :u], p["fwd.w"], g["fwd.w"], g["fwd.b"])

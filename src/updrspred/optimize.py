@@ -85,8 +85,8 @@ class EarlyStopper:
     """Track validation loss; stop after ``patience`` epochs without
     improvement by more than ``min_delta``, restoring the best snapshot."""
 
-    patience: int = 15
-    min_delta: float = 1e-4
+    patience: int
+    min_delta: float
     best_loss: float = field(default=np.inf)
     stale_epochs: int = 0
     best_vector: Optional[np.ndarray] = None

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from updrspred.baselines import (
     DISPLAY_NAMES,
@@ -97,3 +99,23 @@ class TestBaselineEquivalences:
             mses[method] = np.mean((predict_linear(model, X) - y) ** 2)
         assert abs(mses["lls"] - mses["cg"]) < 1e-3
         assert abs(mses["lls"] - mses["ridge"]) < 1e-3
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 200), d=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
+    def test_solvers_agree_on_well_conditioned_designs(self, n, d, seed):
+        # centered orthogonal columns scaled to norms in [sqrt(n)/2, sqrt(n)]
+        # next to the intercept's sqrt(n): the design with its intercept
+        # column has condition number at most 2
+        n = max(n, d + 2)
+        rng = RandomSource(seed)
+        Z = rng.gaussians(0, 1, n * d).reshape(n, d)
+        Q, _ = np.linalg.qr(Z - Z.mean(axis=0))
+        V, _ = np.linalg.qr(rng.gaussians(0, 1, d * d).reshape(d, d))
+        scales = np.sqrt(n) * (0.5 + 0.5 * rng.uniforms(d))
+        X = (Q * scales) @ V.T
+        y = X @ rng.gaussians(0, 3, d) + 20.0 + rng.gaussians(0, 2, n)
+        lls = fit_baseline(BaselineSpec(method="lls"), X, y)
+        for method in ("cg", "ridge"):
+            other = fit_baseline(BaselineSpec(method=method, ridge_lambda=0.0), X, y)
+            assert np.allclose(other.weights, lls.weights, rtol=0, atol=1e-8)
+            assert other.intercept == pytest.approx(lls.intercept, rel=0, abs=1e-8)

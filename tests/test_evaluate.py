@@ -274,6 +274,12 @@ class TestRendering:
         assert doc["methods"][0] == "LLS"
 
 
+def config_case(override, match=None):
+    """One bad-config case, with the message it must raise when given."""
+    return pytest.param(override, match,
+                        id=",".join(f"{key}={value}" for key, value in override.items()))
+
+
 class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(Exception, match="unknown config key"):
@@ -311,22 +317,23 @@ class TestConfig:
         with pytest.raises(Exception, match=f"unknown config key.*{key}"):
             config_from_dict({"dataset": "x.csv", key: None})
 
-    @pytest.mark.parametrize("override", [
-        {"lstm_units": 0},
-        {"attn_dim": 0},
-        {"dense_widths": (0, 4)},
-        {"patience": -1},
-        {"adam_linear_steps": -1},
-        {"forest_n_trees": 0},
-        {"forest_max_depth": -1},
-        {"jitter_copies": -1},
-        {"lr_initial": 0},
-        {"target": "motor"},
-        {"regressors": ("age", "age"), "protected_regressors": (), "rfe_k": 1},
-    ], ids=lambda override: ",".join(f"{key}={value}" for key, value in override.items()))
-    def test_bad_values_rejected_before_reading(self, tmp_path, override):
+    @pytest.mark.parametrize("override, match", [
+        config_case({"lstm_units": 0}),
+        config_case({"attn_dim": 0}),
+        config_case({"dense_widths": (0, 4)}),
+        config_case({"patience": -1}),
+        config_case({"adam_linear_steps": -1}),
+        config_case({"forest_n_trees": 0}, "config key 'forest_n_trees': n_trees must be >= 1"),
+        config_case({"forest_max_depth": -1},
+                    "config key 'forest_max_depth': max_depth must be >= 0"),
+        config_case({"jitter_copies": -1}, "config key 'jitter_copies': copies must be >= 0"),
+        config_case({"lr_initial": 0}, "config key 'lr_initial': initial rate must be positive"),
+        config_case({"target": "motor"}),
+        config_case({"regressors": ("age", "age"), "protected_regressors": (), "rfe_k": 1}),
+    ])
+    def test_bad_values_rejected_before_reading(self, tmp_path, override, match):
         config = RunConfig(dataset=str(tmp_path / "absent.csv"), **override)
-        with pytest.raises(UsageFault) as caught:
+        with pytest.raises(UsageFault, match=match) as caught:
             run_experiment(config)
         assert not isinstance(caught.value, OSError)
 

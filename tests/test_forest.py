@@ -11,7 +11,6 @@ from updrspred.forest import (
     feature_importance,
     fit_forest,
     fit_tree,
-    predict_tree,
 )
 from updrspred.linalg import RandomSource
 
@@ -20,10 +19,6 @@ def full_growth_params(**overrides):
     base = dict(n_trees=1, max_depth=64, min_samples_leaf=1, bootstrap=False)
     base.update(overrides)
     return ForestParams(**base)
-
-
-def predict_trees(forest, X):
-    return np.array([predict_tree(tree, X) for tree in forest.trees])
 
 
 class TestFitTree:
@@ -127,6 +122,28 @@ def _reference_grow(X, y, rows, depth, params):
 def reference_tree(X, y, params):
     """Recursive depth-first CART: the oracle for ``fit_tree``."""
     return _reference_grow(X, y, np.arange(X.shape[0]), 0, params)
+
+
+def predict_tree(tree: TreeNode, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf prediction, routing left when ``x[feature] <= threshold``."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0])
+    stack = [(tree, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if len(rows) == 0:
+            continue
+        if node.is_leaf:
+            out[rows] = node.prediction
+            continue
+        mask = X[rows, node.feature] <= node.threshold
+        stack.append((node.left, rows[mask]))
+        stack.append((node.right, rows[~mask]))
+    return out
+
+
+def predict_trees(forest, X):
+    return np.array([predict_tree(tree, X) for tree in forest.trees])
 
 
 def assert_same_tree(got, want, path="root"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from updrspred.errors import ParameterError
 from updrspred.linalg import RandomSource
@@ -43,6 +45,35 @@ class TestRandomSource:
         child = parent.spawn()
         assert child.seed != parent.seed
         assert child.next_u64() != parent.next_u64()
+
+
+class TestRandomSourceProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 300), n=st.integers(0, 64))
+    def test_block_equals_single_draws(self, seed, start, n):
+        blocks, singles = RandomSource(seed), RandomSource(seed)
+        for source in (blocks, singles):
+            for _ in range(start):
+                source.next_u64()
+        assert blocks.u64_block(n).tolist() == [singles.next_u64() for _ in range(n)]
+        assert blocks.next_u64() == singles.next_u64()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), before=st.integers(0, 200),
+           split=st.integers(0, 200), extra=st.integers(1, 50))
+    def test_spawn_depends_on_seed_and_draws_before(self, seed, before, split, extra):
+        singles = RandomSource(seed)
+        for _ in range(before):
+            singles.next_u64()
+        mixed = RandomSource(seed)  # as many draws, as a block and then uniforms
+        block = min(split, before)
+        mixed.u64_block(block)
+        mixed.uniforms(before - block)
+        later = RandomSource(seed)
+        later.u64_block(before + extra)
+        child = singles.spawn()
+        assert later.spawn().seed != child.seed
+        assert mixed.spawn().u64_block(8).tolist() == child.u64_block(8).tolist()
 
 
 class TestGaussian:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from updrspred.errors import (
     EmptyInputError,
@@ -16,6 +18,7 @@ from updrspred.nn import (
     INVARIANT_CHECKS,
     _attention_batch,
     _lstm_scan,
+    _lstm_scan_backward,
     batchnorm_forward,
     commit_batchnorm,
     draw_dropout_masks,
@@ -89,6 +92,65 @@ def scalar_scan_oracle(seq, gates):
     return states
 
 
+def reference_scan(X, w, b):
+    """The per-step batched scan that preceded the time-major one: the
+    oracle for ``_lstm_scan``. Returns the states (B, T, units) and the
+    cache ``(X, states, acts, c_prevs, tanh_cs)``."""
+    B, T, _ = X.shape
+    u = w.shape[1] // 4
+    pre_input = X.reshape(B * T, -1) @ w[u:] + b
+    pre_input = np.ascontiguousarray(pre_input.reshape(B, T, 4 * u).transpose(1, 0, 2))
+    acts = np.empty((T, B, 4 * u))
+    c_prevs = np.empty((T, B, u))
+    tanh_cs = np.empty((T, B, u))
+    states = np.empty((B, T, u))
+    h = np.zeros((B, u))
+    c = np.zeros((B, u))
+    for t in range(T):
+        gates = h @ w[:u] + pre_input[t]
+        with np.errstate(over="ignore"):
+            acts[t, :, :3 * u] = 1.0 / (1.0 + np.exp(-gates[:, :3 * u]))
+        acts[t, :, 3 * u:] = np.tanh(gates[:, 3 * u:])
+        c_prevs[t] = c
+        c = acts[t, :, :u] * c + acts[t, :, u:2 * u] * acts[t, :, 3 * u:]
+        tanh_cs[t] = np.tanh(c)
+        h = acts[t, :, 2 * u:3 * u] * tanh_cs[t]
+        states[:, t, :] = h
+    return states, (X, states, acts, c_prevs, tanh_cs)
+
+
+def reference_scan_backward(cache, d_states, w, dw, db):
+    """BPTT for :func:`reference_scan` with the weight gradient summed step
+    by step: the oracle for ``_lstm_scan_backward``."""
+    X, states, acts, c_prevs, tanh_cs = cache
+    B, T, u = d_states.shape
+    dh_next = np.zeros((B, u))
+    dc_next = np.zeros((B, u))
+    d_gates = np.empty((B, 4 * u))
+    for t in range(T - 1, -1, -1):
+        f, i, o, g = (acts[t, :, k * u:(k + 1) * u] for k in range(4))
+        tanh_c = tanh_cs[t]
+        dh = d_states[:, t, :] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+        d_gates[:, :u] = dc * c_prevs[t] * f * (1 - f)
+        d_gates[:, u:2 * u] = dc * g * i * (1 - i)
+        d_gates[:, 2 * u:3 * u] = dh * tanh_c * o * (1 - o)
+        d_gates[:, 3 * u:] = dc * i * (1 - g * g)
+        h_prev = states[:, t - 1, :] if t > 0 else np.zeros((B, u))
+        dw[:u] += h_prev.T @ d_gates
+        dw[u:] += X[:, t, :].T @ d_gates
+        db += d_gates.sum(axis=0)
+        dh_next = d_gates @ w[:u].T
+        dc_next = dc * f
+
+
+def assert_relatively_close(got, want, rel=1e-12):
+    """Largest difference within ``rel`` of the largest reference magnitude."""
+    assert got.shape == want.shape
+    scale = max(float(np.abs(want).max()), np.finfo(np.float64).tiny)
+    assert float(np.abs(got - want).max()) <= rel * scale
+
+
 class TestParamLayout:
     def test_paper_shape_counts(self):
         p = init_model_params(RandomSource(0))
@@ -125,7 +187,8 @@ class TestLstmCell:
     def test_zero_parameters(self):
         u = 3
         X = np.array([[[5.0, -1.0], [0.3, 2.0]]])
-        states, (_, _, acts, c_prevs, _) = _lstm_scan(X, *zero_lstm(2, u))
+        states, (_, acts, cells, _) = _lstm_scan(X, *zero_lstm(2, u))
+        c_prevs = cells[:-1]
         assert np.all(acts[:, :, :3 * u] == 0.5)  # forget, input, output
         assert np.all(acts[:, :, 3 * u:] == 0.0)  # candidate
         assert np.all(c_prevs == 0.0)
@@ -137,7 +200,8 @@ class TestLstmCell:
         b[:2 * u] = 100.0  # forget and input gates saturated open
         w[u:, 3 * u:] = 1.0  # candidate = tanh(x_t)
         X = np.array([[[0.7], [0.0], [0.0], [0.0]]])
-        _, (_, _, _, c_prevs, _) = _lstm_scan(X, w, b)
+        _, (_, _, cells, _) = _lstm_scan(X, w, b)
+        c_prevs = cells[:-1]
         # the first step writes tanh(0.7); zero inputs afterwards add nothing
         assert np.allclose(c_prevs[1:, 0, :], math.tanh(0.7), atol=1e-12)
 
@@ -155,9 +219,40 @@ class TestLstmCell:
         rng = RandomSource(5)
         u = 4
         w, b = fuse(random_gates(rng, 1, u, scale=0.8))
-        _, (_, _, acts, _, _) = _lstm_scan(rng.gaussians(0, 1, 12).reshape(2, 6, 1), w, b)
+        _, (_, acts, _, _) = _lstm_scan(rng.gaussians(0, 1, 12).reshape(2, 6, 1), w, b)
         assert np.all((acts[:, :, :3 * u] > 0) & (acts[:, :, :3 * u] < 1))
         assert np.all((acts[:, :, 3 * u:] > -1) & (acts[:, :, 3 * u:] < 1))
+
+
+class TestScanMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(batch=st.integers(1, 9), steps=st.integers(1, 7), input_dim=st.integers(1, 3),
+           units=st.integers(1, 6), reverse=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    def test_states_and_gradients_match(self, batch, steps, input_dim, units, reverse, seed):
+        rng = RandomSource(seed)
+        w, b = fuse(random_gates(rng, input_dim, units))
+        X = rng.gaussians(0, 1, batch * steps * input_dim).reshape(batch, steps, input_dim)
+        dH = rng.gaussians(0, 1, batch * steps * 2 * units).reshape(batch, steps, 2 * units)
+        kept = X.copy()
+        X.setflags(write=False)
+        dH.setflags(write=False)
+        # the views model_forward and model_backward pass for each direction
+        if reverse:
+            seq, d_states = X[:, ::-1, :], dH[:, ::-1, units:]
+        else:
+            seq, d_states = X, dH[:, :, :units]
+
+        states, cache = _lstm_scan(seq, w, b)
+        want_states, want_cache = reference_scan(seq, w, b)
+        assert_relatively_close(states, want_states)
+
+        dw, db = np.zeros_like(w), np.zeros_like(b)
+        _lstm_scan_backward(cache, d_states, w, dw, db)
+        want_dw, want_db = np.zeros_like(w), np.zeros_like(b)
+        reference_scan_backward(want_cache, d_states, w, want_dw, want_db)
+        assert_relatively_close(dw, want_dw)
+        assert_relatively_close(db, want_db)
+        assert np.array_equal(X, kept)
 
 
 class TestBilstm:
@@ -256,7 +351,8 @@ class TestAttention:
 class TestBatchNorm:
     def bn(self, d, **kw):
         base = dict(gamma=np.ones(d), beta=np.zeros(d),
-                    running_mean=np.zeros(d), running_var=np.ones(d))
+                    running_mean=np.zeros(d), running_var=np.ones(d),
+                    momentum=0.9, eps=1e-5)
         base.update(kw)
         return base
 

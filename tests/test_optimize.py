@@ -120,7 +120,7 @@ class TestEarlyStopper:
     def test_nan_loss_aborts(self):
         p = init_model_params(RandomSource(4), units=2, attn_dim=2, dense_widths=(3, 2))
         with pytest.raises(NumericError):
-            EarlyStopper().update(float("nan"), p)
+            EarlyStopper(patience=15, min_delta=1e-4).update(float("nan"), p)
 
 
 class TestSolveLls:
