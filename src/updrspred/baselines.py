@@ -16,12 +16,12 @@ step budget just moving the intercept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .optimize import Adam, LrSchedule, lr_at_step, solve_cg, solve_lls, solve_ridge
+from .optimize import Adam, lr_at_step, solve_cg, solve_lls, solve_ridge
 
 METHOD_ORDER = ("lls", "cg", "adam_linear", "ridge")
 
@@ -35,10 +35,10 @@ DISPLAY_NAMES = {
 
 @dataclass
 class BaselineSpec:
-    method: str = "lls"
+    method: str
+    adam_steps: int
+    lr_initial: float
     ridge_lambda: float = 1.0
-    adam_steps: int = 5000
-    adam_schedule: LrSchedule = field(default_factory=LrSchedule)
 
     def validate(self) -> None:
         if self.method not in METHOD_ORDER:
@@ -67,7 +67,7 @@ def _fit_adam_linear(X: np.ndarray, y: np.ndarray, spec: BaselineSpec) -> np.nda
         residual = X @ theta[:d] + theta[d] - yz
         grad[:d] = (2.0 / n) * (X.T @ residual)
         grad[d] = (2.0 / n) * residual.sum()
-        adam.step(theta, grad, lr_at_step(spec.adam_schedule, step))
+        adam.step(theta, grad, lr_at_step(spec.lr_initial, step))
     weights = theta * sd
     weights[d] += mu
     return weights

@@ -3,15 +3,17 @@
 Only settings that some run changes are keys here: the data, the
 elimination and forest budget, the jitter copies, the network's widths,
 the initial learning rate, the epoch, batch and patience budget, the
-evaluation protocol and the run plumbing. Constants of the setup this
-pipeline reproduces are stated once, as defaults of the stage that uses
-them: 0.3 dropout, the L2 penalty and batch-norm constants in
-``nn.init_model_params``; the 0.9-per-10,000-steps decay in
-``optimize.LrSchedule``; Adam's betas and epsilon in ``optimize.Adam``;
-the early-stopping ``min_delta`` in ``optimize.TrainSettings``; the leaf
-size and bootstrap in ``forest.ForestParams``; the noise scale in
-``augment.JitterConfig``; the ridge penalty in ``baselines.BaselineSpec``;
-and the CG tolerance and iteration cap in ``optimize.solve_cg``.
+evaluation protocol and the run plumbing. Each key's default and range
+check live here and nowhere else. Constants of the setup this pipeline
+reproduces are stated once, in the stage that uses them: 0.3 dropout, the
+L2 penalty and batch-norm constants in ``nn.init_model_params``; the
+0.9-per-10,000-steps decay in ``optimize.LR_DECAY_FACTOR`` and
+``optimize.LR_DECAY_STEPS``; Adam's betas and epsilon as class constants
+of ``optimize.Adam``; the early-stopping ``min_delta`` in
+``optimize.TrainSettings``; the leaf size in ``forest.ForestParams``, whose
+forest always bootstraps; the noise scale in ``augment.SIGMA_SCALE``; the
+ridge penalty in ``baselines.BaselineSpec``; and the CG tolerance and
+iteration cap in ``optimize.solve_cg``.
 
 Unknown keys, including keys that earlier versions accepted, are rejected
 rather than ignored so a typo cannot silently fall back to a default.
@@ -27,12 +29,11 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .augment import JitterConfig
 from .baselines import BaselineSpec
 from .dataset import DEFAULT_REGRESSORS, check_design
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .forest import ForestParams
-from .optimize import LrSchedule, TrainSettings
+from .optimize import TrainSettings
 
 ENV_DATASET = "UPDRSPRED_DATASET"
 
@@ -91,6 +92,14 @@ class RunConfig:
             raise ConfigError(
                 f"rfe_k must lie in 1..{len(self.regressors)}, got {self.rfe_k}"
             )
+        if self.forest_n_trees < 1:
+            raise ConfigError(f"forest_n_trees must be >= 1, got {self.forest_n_trees}")
+        if self.forest_max_depth < 0:
+            raise ConfigError(f"forest_max_depth must be >= 0, got {self.forest_max_depth}")
+        if self.jitter_copies < 0:
+            raise ConfigError(f"jitter_copies must be >= 0, got {self.jitter_copies}")
+        if self.lr_initial <= 0:
+            raise ConfigError(f"lr_initial must be > 0, got {self.lr_initial}")
         if self.epochs < 1 or self.batch_size < 2:
             raise ConfigError("epochs must be >= 1 and batch_size >= 2")
         if self.patience < 0 or self.adam_linear_steps < 0:
@@ -107,20 +116,12 @@ class RunConfig:
         for name in self.protected_regressors:
             if name not in self.regressors:
                 raise ConfigError(f"protected regressor {name!r} is not a regressor")
+        n_protected = len(set(self.protected_regressors))
+        if n_protected > self.rfe_k:
+            raise ConfigError(f"protected_regressors names {n_protected} features, "
+                              f"more than rfe_k={self.rfe_k} can keep")
         if self.subsample_rows is not None and self.subsample_rows < 10:
             raise ConfigError("subsample_rows must be >= 10 when set")
-        # each stage checks its own fields; name the key that set the bad one
-        stage_keys = (
-            ("forest_n_trees", ForestParams(n_trees=self.forest_n_trees)),
-            ("forest_max_depth", ForestParams(max_depth=self.forest_max_depth)),
-            ("jitter_copies", self.jitter_config()),
-            ("lr_initial", self.lr_schedule()),
-        )
-        for key, stage in stage_keys:
-            try:
-                stage.validate()
-            except ParameterError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
 
     # parameter objects of the pipeline stages
 
@@ -131,17 +132,11 @@ class RunConfig:
         """Column indices of ``protected_regressors`` within ``regressors``."""
         return [self.regressors.index(name) for name in self.protected_regressors]
 
-    def jitter_config(self) -> JitterConfig:
-        return JitterConfig(copies=self.jitter_copies)
-
-    def lr_schedule(self) -> LrSchedule:
-        return LrSchedule(initial=self.lr_initial)
-
     def train_settings(self) -> TrainSettings:
         return TrainSettings(
             epochs=self.epochs,
             batch_size=self.batch_size,
-            schedule=self.lr_schedule(),
+            lr_initial=self.lr_initial,
             patience=self.patience,
         )
 
@@ -149,7 +144,7 @@ class RunConfig:
         return BaselineSpec(
             method=method,
             adam_steps=self.adam_linear_steps,
-            adam_schedule=self.lr_schedule(),
+            lr_initial=self.lr_initial,
         )
 
     def to_dict(self) -> dict:

@@ -189,13 +189,11 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
     X_va = apply_standardizer(stats, X_va_raw)
     X_te = apply_standardizer(stats, X_te_raw)
 
-    jitter_config = config.jitter_config()
-
     results = {}
     baseline_X, baseline_y = X_tr, y_tr
     if config.augment_baselines:
         baseline_X, baseline_y = augment_training_set(
-            X_tr, y_tr, jitter_config, rngs["baseline_augment"]
+            X_tr, y_tr, config.jitter_copies, rngs["baseline_augment"]
         )
     for method in METHOD_ORDER:
         model = fit_baseline(config.baseline_spec(method), baseline_X, baseline_y)
@@ -214,7 +212,7 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
     X_va_sel = X_va[:, selected]
     X_te_sel = X_te[:, selected]
     X_aug, y_aug = augment_training_set(
-        X_tr_sel, y_tr, jitter_config, rngs["augment"]
+        X_tr_sel, y_tr, config.jitter_copies, rngs["augment"]
     )
 
     # the network regresses a z-scored target; the 0.001-rate schedule

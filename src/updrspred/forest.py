@@ -33,10 +33,9 @@ class ForestParams:
     # Every split searches all features: with per-node subsampling the
     # minimal split depth of a feature reflects sampling luck as much as
     # merit, which wrecks the ranking once few features remain.
-    n_trees: int = 100
-    max_depth: int = 12
+    n_trees: int
+    max_depth: int
     min_samples_leaf: int = 5
-    bootstrap: bool = True
 
     def validate(self) -> None:
         if self.n_trees < 1:
@@ -184,7 +183,7 @@ def fit_forest(
     trees = []
     n = X.shape[0]
     for tree_rng in tree_rngs:
-        rows = tree_rng.integers(n, n) if params.bootstrap else slice(None)
+        rows = tree_rng.integers(n, n)
         trees.append(fit_tree(X[rows], y[rows], params))
     return RegressionForest(trees=trees, n_features=X.shape[1])
 

@@ -314,12 +314,11 @@ def batchnorm_forward(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
             raise NumericError("batch norm failed to center the batch")
         new_mean = momentum * running_mean + (1 - momentum) * mean
         new_var = momentum * running_var + (1 - momentum) * var
-        cache = {"mode": mode, "xhat": xhat, "istd": istd,
-                 "new_running": (new_mean, new_var)}
+        cache = {"xhat": xhat, "istd": istd, "new_running": (new_mean, new_var)}
     elif mode == "infer":
         istd = 1.0 / np.sqrt(running_var + eps)
         xhat = (X - running_mean) * istd
-        cache = {"mode": mode, "xhat": xhat, "istd": istd, "new_running": None}
+        cache = {"xhat": xhat, "istd": istd, "new_running": None}
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     return gamma * xhat + beta, cache
@@ -331,13 +330,8 @@ def _batchnorm_backward(dout: np.ndarray, cache, gamma: np.ndarray):
     dgamma = (dout * xhat).sum(axis=0)
     dbeta = dout.sum(axis=0)
     dxhat = dout * gamma
-    if cache["mode"] == "train":
-        B = dout.shape[0]
-        dx = (istd / B) * (
-            B * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
-    else:
-        dx = dxhat * istd
+    B = dout.shape[0]
+    dx = (istd / B) * (B * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
     return dx, dgamma, dbeta
 
 

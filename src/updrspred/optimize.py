@@ -26,39 +26,29 @@ from .linalg import RandomSource
 from .nn import ModelParams, commit_batchnorm, model_backward, model_forward
 
 
-@dataclass
-class LrSchedule:
-    """Staircase exponential decay: ``initial * decay_factor ** (step // decay_steps)``."""
-
-    initial: float = 0.001
-    decay_factor: float = 0.9
-    decay_steps: int = 10_000
-
-    def validate(self) -> None:
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ParameterError(f"decay_factor must lie in (0, 1), got {self.decay_factor}")
-        if self.initial <= 0 or self.decay_steps < 1:
-            raise ParameterError("initial rate must be positive and decay_steps >= 1")
+# staircase exponential decay: the rate falls by LR_DECAY_FACTOR every
+# LR_DECAY_STEPS optimizer updates
+LR_DECAY_FACTOR = 0.9
+LR_DECAY_STEPS = 10_000
+# rows per inference batch in ``predict_network``
+PREDICT_BATCH = 256
 
 
-def lr_at_step(schedule: LrSchedule, step: int) -> float:
-    """Learning rate after ``step`` optimizer updates (step 0 = initial).
-
-    Runs on every update, so it trusts ``schedule``; ``RunConfig.validate``
-    checks it once before a run.
-    """
+def lr_at_step(initial: float, step: int) -> float:
+    """Learning rate after ``step`` optimizer updates (step 0 = ``initial``)."""
     if step < 0:
         raise ParameterError(f"step must be >= 0, got {step}")
-    return schedule.initial * schedule.decay_factor ** float(step // schedule.decay_steps)
+    return initial * LR_DECAY_FACTOR ** float(step // LR_DECAY_STEPS)
 
 
 class Adam:
     """Adam over one flat parameter vector; the moments are vectors like it."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self):
         self.t = 0
         self.m: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
@@ -71,13 +61,13 @@ class Adam:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
         self.t += 1
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.BETA1
+        self.m += (1.0 - self.BETA1) * grad
+        self.v *= self.BETA2
+        self.v += (1.0 - self.BETA2) * grad * grad
+        m_hat = self.m / (1.0 - self.BETA1 ** self.t)
+        v_hat = self.v / (1.0 - self.BETA2 ** self.t)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass
@@ -231,10 +221,10 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, lam: float,
 
 @dataclass
 class TrainSettings:
-    epochs: int = 200
-    batch_size: int = 64
-    schedule: LrSchedule = field(default_factory=LrSchedule)
-    patience: int = 15
+    epochs: int
+    batch_size: int
+    lr_initial: float
+    patience: int
     min_delta: float = 1e-4
 
 
@@ -246,13 +236,12 @@ class TrainHistory:
     stopped_early: bool = False
 
 
-def predict_network(params: ModelParams, X_seq: np.ndarray,
-                    batch_size: int = 256) -> np.ndarray:
+def predict_network(params: ModelParams, X_seq: np.ndarray) -> np.ndarray:
     """Inference-mode predictions for (N, T, d) input, batched for memory."""
     data = np.asarray(X_seq, dtype=np.float64)
     out = np.empty(data.shape[0])
-    for start in range(0, data.shape[0], batch_size):
-        chunk = data[start:start + batch_size]
+    for start in range(0, data.shape[0], PREDICT_BATCH):
+        chunk = data[start:start + PREDICT_BATCH]
         preds, _ = model_forward(chunk, params, mode="infer")
         out[start:start + len(chunk)] = preds
     return out
@@ -309,7 +298,7 @@ def train_network(
                     f"epoch {epoch + 1}, step {n_batches + 1}: minibatch loss is not finite ({loss})"
                 )
             commit_batchnorm(cache, params)
-            optimizer.step(params.trainable, grad, lr_at_step(settings.schedule, step))
+            optimizer.step(params.trainable, grad, lr_at_step(settings.lr_initial, step))
             step += 1
             epoch_loss += loss
             n_batches += 1

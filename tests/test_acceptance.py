@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from updrspred.baselines import BaselineSpec, fit_baseline, predict_linear
+from updrspred.baselines import fit_baseline, predict_linear
 from updrspred.cli import main as cli_main
-from updrspred.config import config_from_dict
+from updrspred.config import RunConfig, config_from_dict
 from updrspred.dataset import (
     DEFAULT_REGRESSORS,
     apply_standardizer,
@@ -83,7 +83,7 @@ def baseline_cv_metrics(path, seed=0):
         X_tr = apply_standardizer(stats, X_all[train_idx])
         X_te = apply_standardizer(stats, X_all[test])
         for method in sums:
-            model = fit_baseline(BaselineSpec(method=method), X_tr, y_all[train_idx])
+            model = fit_baseline(RunConfig().baseline_spec(method), X_tr, y_all[train_idx])
             preds = predict_linear(model, X_te)
             sums[method]["test_mse"] += mse(y_all[test], preds)
             sums[method]["test_r2"] += r2(y_all[test], preds)

@@ -15,6 +15,11 @@ from updrspred.errors import ConfigError, ShapeError
 from updrspred.linalg import RandomSource
 
 
+def spec(method, **fields):
+    """A spec with the run defaults: 5,000 Adam steps from rate 0.001."""
+    return BaselineSpec(method=method, adam_steps=5000, lr_initial=0.001, **fields)
+
+
 def standardized_problem(seed, n=200, d=5, noise=0.0):
     rng = RandomSource(seed)
     X = rng.gaussians(0, 1, n * d).reshape(n, d)
@@ -29,37 +34,37 @@ class TestFitBaseline:
         X = np.linspace(-1, 1, 50).reshape(50, 1)
         X = (X - X.mean()) / X.std()
         y = 2.0 * X[:, 0] + 1.0
-        model = fit_baseline(BaselineSpec(method="lls"), X, y)
+        model = fit_baseline(spec("lls"), X, y)
         assert model.weights[0] == pytest.approx(2.0, abs=1e-10)
         assert model.intercept == pytest.approx(1.0, abs=1e-10)
 
     def test_cg_matches_lls_predictions(self):
         X, y, _ = standardized_problem(1, noise=0.5)
-        lls = fit_baseline(BaselineSpec(method="lls"), X, y)
-        cg = fit_baseline(BaselineSpec(method="cg"), X, y)
+        lls = fit_baseline(spec("lls"), X, y)
+        cg = fit_baseline(spec("cg"), X, y)
         mse_l = np.mean((predict_linear(lls, X) - y) ** 2)
         mse_c = np.mean((predict_linear(cg, X) - y) ** 2)
         assert abs(mse_l - mse_c) < 1e-6
 
     def test_ridge_zero_lambda_equals_lls(self):
         X, y, _ = standardized_problem(2, noise=0.3)
-        lls = fit_baseline(BaselineSpec(method="lls"), X, y)
-        ridge = fit_baseline(BaselineSpec(method="ridge", ridge_lambda=0.0), X, y)
+        lls = fit_baseline(spec("lls"), X, y)
+        ridge = fit_baseline(spec("ridge", ridge_lambda=0.0), X, y)
         assert np.allclose(lls.weights, ridge.weights, atol=1e-8)
         assert lls.intercept == pytest.approx(ridge.intercept, abs=1e-8)
 
     def test_adam_linear_close_to_lls(self):
         X, y, _ = standardized_problem(3, noise=1.0)
         y = y * 10.0 + 25.0  # realistic score scale
-        lls = fit_baseline(BaselineSpec(method="lls"), X, y)
-        adam = fit_baseline(BaselineSpec(method="adam_linear"), X, y)
+        lls = fit_baseline(spec("lls"), X, y)
+        adam = fit_baseline(spec("adam_linear"), X, y)
         mse_l = np.mean((predict_linear(lls, X) - y) ** 2)
         mse_a = np.mean((predict_linear(adam, X) - y) ** 2)
         assert abs(mse_l - mse_a) < 0.05
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
-            fit_baseline(BaselineSpec(method="svm"), np.eye(3), np.ones(3))
+            fit_baseline(spec("svm"), np.eye(3), np.ones(3))
 
     def test_display_names_cover_methods(self):
         assert set(DISPLAY_NAMES) == set(METHOD_ORDER)
@@ -94,8 +99,7 @@ class TestBaselineEquivalences:
         y = y * 8.0 + 30.0
         mses = {}
         for method in ("lls", "cg", "ridge"):
-            spec = BaselineSpec(method=method, ridge_lambda=0.0)
-            model = fit_baseline(spec, X, y)
+            model = fit_baseline(spec(method, ridge_lambda=0.0), X, y)
             mses[method] = np.mean((predict_linear(model, X) - y) ** 2)
         assert abs(mses["lls"] - mses["cg"]) < 1e-3
         assert abs(mses["lls"] - mses["ridge"]) < 1e-3
@@ -114,8 +118,8 @@ class TestBaselineEquivalences:
         scales = np.sqrt(n) * (0.5 + 0.5 * rng.uniforms(d))
         X = (Q * scales) @ V.T
         y = X @ rng.gaussians(0, 3, d) + 20.0 + rng.gaussians(0, 2, n)
-        lls = fit_baseline(BaselineSpec(method="lls"), X, y)
+        lls = fit_baseline(spec("lls"), X, y)
         for method in ("cg", "ridge"):
-            other = fit_baseline(BaselineSpec(method=method, ridge_lambda=0.0), X, y)
+            other = fit_baseline(spec(method, ridge_lambda=0.0), X, y)
             assert np.allclose(other.weights, lls.weights, rtol=0, atol=1e-8)
             assert other.intercept == pytest.approx(lls.intercept, rel=0, abs=1e-8)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from updrspred.dataset import (
@@ -165,6 +165,24 @@ class TestStandardizer:
         stats = fit_standardizer(X)
         back = apply_standardizer(stats, X) * stats.stddev + stats.mean
         assert np.allclose(back, X, atol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 80), d=st.integers(1, 6), seed=st.integers(0, 2**31 - 1),
+           log_scales=st.lists(st.floats(-3, 3), min_size=6, max_size=6),
+           offsets=st.lists(st.floats(-100, 100), min_size=6, max_size=6))
+    def test_round_trip_property(self, n, d, seed, log_scales, offsets):
+        # column j: offset_j * scale_j plus noise of spread scale_j, so the
+        # offset is at most 100 spreads away from zero
+        base = np.random.default_rng(seed).normal(size=(n, d))
+        assume(np.all(base.std(axis=0) > 0.1))
+        scale = 10.0 ** np.array(log_scales[:d])
+        X = (base + np.array(offsets[:d])) * scale
+        stats = fit_standardizer(X)
+        Z = apply_standardizer(stats, X)
+        back = Z * stats.stddev + stats.mean
+        assert np.all(np.abs(back - X) <= 1e-12 * np.abs(X).max(axis=0))
+        assert np.all(np.abs(Z.mean(axis=0)) < 1e-10)
+        assert np.allclose(Z.std(axis=0), 1.0, rtol=0, atol=1e-10)
 
 
 class TestKfold:

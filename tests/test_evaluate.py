@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from updrspred.config import RunConfig, config_from_dict
+from updrspred import config as config_module
 from updrspred import evaluate
+from updrspred.config import RunConfig, config_from_dict
 from updrspred.errors import (
     ConfigError,
     DegenerateTargetError,
@@ -29,6 +31,9 @@ from updrspred.evaluate import (
 )
 from updrspred.linalg import RandomSource
 from updrspred.nn import INVARIANT_CHECKS, init_model_params, reset_invariant_counters
+from updrspred.optimize import LR_DECAY_FACTOR, LR_DECAY_STEPS
+
+from conftest import write_synthetic_csv
 
 
 class TestMse:
@@ -183,6 +188,21 @@ class TestRunExperiment:
             run_experiment(config)
         assert f"test_fraction={fraction} puts {sides}" in str(caught.value)
 
+    def test_grouped_run_at_paper_shape(self, tmp_path):
+        # the paper's 5,875 visits of 42 subjects, split by subject into the
+        # default 5 folds, with every stage cut to a token budget
+        path = write_synthetic_csv(tmp_path / "paper_shape.csv", n_rows=5_875, n_subjects=42)
+        config = config_from_dict({
+            "dataset": str(path), "group_by_subject": True, "rfe_k": 10,
+            "lstm_units": 4, "attn_dim": 4, "dense_widths": [4, 4], "epochs": 1,
+            "forest_n_trees": 1, "forest_max_depth": 3, "adam_linear_steps": 20,
+        })
+        report = run_experiment(config)
+        assert report.details["n_rows"] == 5_875
+        assert len(report.folds) == 5
+        for detail in report.details["folds"]:
+            assert len(detail["selected_features"]) == 10
+
     def test_seed_changes_results(self, synthetic_csv):
         a = run_experiment(smoke_config(synthetic_csv, seed=1))
         b = run_experiment(smoke_config(synthetic_csv, seed=2))
@@ -293,8 +313,7 @@ class TestConfig:
         # the fixed constants live with the stage that uses them
         p = init_model_params(RandomSource(0), units=2, attn_dim=2, dense_widths=(3, 2))
         assert p.dropout_rate == 0.3
-        schedule = config.lr_schedule()
-        assert (schedule.decay_factor, schedule.decay_steps) == (0.9, 10_000)
+        assert (LR_DECAY_FACTOR, LR_DECAY_STEPS) == (0.9, 10_000)
 
     def test_protected_must_be_regressor(self):
         with pytest.raises(Exception, match="protected"):
@@ -323,19 +342,24 @@ class TestConfig:
         config_case({"dense_widths": (0, 4)}),
         config_case({"patience": -1}),
         config_case({"adam_linear_steps": -1}),
-        config_case({"forest_n_trees": 0}, "config key 'forest_n_trees': n_trees must be >= 1"),
-        config_case({"forest_max_depth": -1},
-                    "config key 'forest_max_depth': max_depth must be >= 0"),
-        config_case({"jitter_copies": -1}, "config key 'jitter_copies': copies must be >= 0"),
-        config_case({"lr_initial": 0}, "config key 'lr_initial': initial rate must be positive"),
+        config_case({"forest_n_trees": 0}, "forest_n_trees must be >= 1, got 0"),
+        config_case({"forest_max_depth": -1}, "forest_max_depth must be >= 0, got -1"),
+        config_case({"jitter_copies": -1}, "jitter_copies must be >= 0, got -1"),
+        config_case({"lr_initial": 0}, "lr_initial must be > 0, got 0"),
         config_case({"target": "motor"}),
         config_case({"regressors": ("age", "age"), "protected_regressors": (), "rfe_k": 1}),
+        config_case({"rfe_k": 1, "protected_regressors": ("motor_UPDRS", "age")},
+                    "protected_regressors names 2 features, more than rfe_k=1 can keep"),
     ])
     def test_bad_values_rejected_before_reading(self, tmp_path, override, match):
         config = RunConfig(dataset=str(tmp_path / "absent.csv"), **override)
         with pytest.raises(UsageFault, match=match) as caught:
             run_experiment(config)
         assert not isinstance(caught.value, OSError)
+
+    def test_repeated_protected_regressor_counts_once(self):
+        # rfe_select protects distinct columns, so a repeat takes no extra slot
+        RunConfig(rfe_k=1, protected_regressors=("motor_UPDRS", "motor_UPDRS")).validate()
 
     @pytest.mark.parametrize("key, value", [
         ("lstm_units", "abc"),
@@ -360,12 +384,32 @@ class TestConfig:
         })
         forest = config.forest_params()
         assert (forest.n_trees, forest.max_depth) == (7, 3)
-        assert config.jitter_config().copies == 3
         assert config.protected_indices() == [2]
         settings = config.train_settings()
         assert (settings.epochs, settings.patience) == (9, 4)
-        assert settings.schedule == config.lr_schedule()
-        assert settings.schedule.initial == 0.02
+        assert settings.lr_initial == 0.02
         spec = config.baseline_spec("ridge")
         assert (spec.method, spec.adam_steps) == ("ridge", 11)
-        assert spec.adam_schedule == config.lr_schedule()
+        assert spec.lr_initial == 0.02
+
+    @pytest.mark.parametrize("stage, build", [
+        ("ForestParams", lambda config: config.forest_params()),
+        ("TrainSettings", lambda config: config.train_settings()),
+        ("BaselineSpec", lambda config: config.baseline_spec("lls")),
+    ])
+    def test_fields_a_builder_sets_have_no_default(self, monkeypatch, stage, build):
+        # a default on such a field would be a second home for a RunConfig key
+        cls = getattr(config_module, stage)
+        passed = {}
+
+        def recording(**kwargs):
+            passed.update(kwargs)
+            return cls(**kwargs)
+
+        monkeypatch.setattr(config_module, stage, recording)
+        build(RunConfig())
+        assert passed
+        defaulted = [f.name for f in dataclasses.fields(cls) if f.name in passed
+                     and (f.default is not dataclasses.MISSING
+                          or f.default_factory is not dataclasses.MISSING)]
+        assert defaulted == []

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from updrspred.config import RunConfig
 from updrspred.errors import EmptyInputError
 from updrspred.forest import (
     _VARIANCE_FLOOR,
     ForestParams,
+    RegressionForest,
     TreeNode,
     feature_importance,
     fit_forest,
@@ -16,7 +18,7 @@ from updrspred.linalg import RandomSource
 
 
 def full_growth_params(**overrides):
-    base = dict(n_trees=1, max_depth=64, min_samples_leaf=1, bootstrap=False)
+    base = dict(n_trees=1, max_depth=64, min_samples_leaf=1)
     base.update(overrides)
     return ForestParams(**base)
 
@@ -176,7 +178,7 @@ def tree_problems(draw):
     if draw(st.booleans()):
         y = np.round(y, 1)  # tied targets: exact gain ties between candidates
     params = ForestParams(n_trees=1, max_depth=draw(st.integers(0, 12)),
-                          min_samples_leaf=draw(st.integers(1, 10)), bootstrap=False)
+                          min_samples_leaf=draw(st.integers(1, 10)))
     return X, y, params
 
 
@@ -193,7 +195,7 @@ class TestMatchesReference:
         X = rng.gaussians(0, 1, 587 * 20).reshape(587, 20)
         X[:, 1] = X[:, 1] > 0
         y = X[:, 0] * 3.0 + X[:, 1] + rng.gaussians(0, 1, 587)
-        params = ForestParams()
+        params = RunConfig().forest_params()
         for _ in range(3):
             rows = rng.integers(587, 587)
             assert_same_tree(fit_tree(X[rows], y[rows], params),
@@ -201,13 +203,15 @@ class TestMatchesReference:
 
 
 class TestForest:
-    def test_single_tree_no_bootstrap_equals_tree(self):
+    def test_single_tree_equals_tree_on_its_bootstrap(self):
         rng = RandomSource(7)
         X = rng.gaussians(0, 1, 80).reshape(40, 2)
         y = X[:, 0] * 2.0 + X[:, 1]
         params = full_growth_params(max_depth=4)
         forest = fit_forest(X, y, params, RandomSource(11))
-        tree = fit_tree(X, y, params)
+        # fit_forest draws each tree's rows from the tree's own spawned stream
+        rows = RandomSource(11).spawn().integers(40, 40)
+        tree = fit_tree(X[rows], y[rows], params)
         assert len(forest.trees) == 1
         assert np.array_equal(predict_tree(forest.trees[0], X), predict_tree(tree, X))
 
@@ -237,26 +241,19 @@ class TestForest:
         forest.trees.reverse()
         assert np.array_equal(feature_importance(forest), importance)
 
-    def test_memorizes_with_full_growth(self):
-        rng = RandomSource(17)
-        X = rng.gaussians(0, 1, 120).reshape(40, 3)
-        y = rng.gaussians(0, 1, 40)
-        forest = fit_forest(X, y, full_growth_params(), RandomSource(1))
-        assert np.allclose(predict_trees(forest, X), y, atol=1e-12)
-
 
 class TestImportance:
     def test_root_only_feature_scores_one(self):
-        # Both trees split feature 0 at the root and nothing else.
+        # The tree splits feature 0 at the root and nothing else.
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 4.0])
-        forest = fit_forest(X, y, full_growth_params(n_trees=1), RandomSource(0))
+        forest = RegressionForest(trees=[fit_tree(X, y, full_growth_params())], n_features=1)
         assert feature_importance(forest)[0] == 1.0
 
     def test_unused_feature_scores_zero(self):
         X = np.column_stack([np.array([0.0, 1.0, 0.0, 1.0]), np.zeros(4)])
         y = np.array([0.0, 5.0, 0.0, 5.0])
-        forest = fit_forest(X, y, full_growth_params(), RandomSource(0))
+        forest = RegressionForest(trees=[fit_tree(X, y, full_growth_params())], n_features=2)
         importance = feature_importance(forest)
         assert importance[1] == 0.0
         assert np.argmax(importance) == 0

@@ -14,7 +14,6 @@ from updrspred.nn import init_model_params
 from updrspred.optimize import (
     Adam,
     EarlyStopper,
-    LrSchedule,
     TrainSettings,
     lr_at_step,
     predict_network,
@@ -27,22 +26,17 @@ from updrspred.optimize import (
 
 class TestLrSchedule:
     def test_initial(self):
-        assert lr_at_step(LrSchedule(), 0) == 0.001
+        assert lr_at_step(0.001, 0) == 0.001
 
     def test_one_decay(self):
-        assert lr_at_step(LrSchedule(), 10_000) == pytest.approx(0.0009)
+        assert lr_at_step(0.001, 10_000) == pytest.approx(0.0009)
 
     def test_two_decays(self):
-        assert lr_at_step(LrSchedule(), 25_000) == pytest.approx(0.00081)
+        assert lr_at_step(0.001, 25_000) == pytest.approx(0.00081)
 
     def test_non_increasing(self):
-        s = LrSchedule()
-        rates = [lr_at_step(s, step) for step in range(0, 60_000, 2_500)]
+        rates = [lr_at_step(0.001, step) for step in range(0, 60_000, 2_500)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_bad_factor(self):
-        with pytest.raises(ParameterError):
-            LrSchedule(decay_factor=1.5).validate()
 
 
 class TestAdam:
@@ -234,8 +228,7 @@ class TestTrainNetwork:
         # tiny data means few optimizer steps; raise the rate to compensate
         Xt, yt, Xv, yv = self.make_problem()
         params = self.small_params()
-        settings = TrainSettings(epochs=40, batch_size=16, patience=100,
-                                 schedule=LrSchedule(initial=0.01))
+        settings = TrainSettings(epochs=40, batch_size=16, lr_initial=0.01, patience=100)
         trained, history = train_network(params, Xt, yt, Xv, yv, settings, RandomSource(13))
         assert history.val_loss[-1] < 0.5 * history.val_loss[0]
         assert history.epochs_run == 40
@@ -243,7 +236,8 @@ class TestTrainNetwork:
     def test_early_stopping_restores_best(self):
         Xt, yt, Xv, yv = self.make_problem(seed=14)
         params = self.small_params(seed=15)
-        settings = TrainSettings(epochs=200, batch_size=16, patience=3, min_delta=1e-3)
+        settings = TrainSettings(epochs=200, batch_size=16, lr_initial=0.001, patience=3,
+                                 min_delta=1e-3)
         trained, history = train_network(params, Xt, yt, Xv, yv, settings, RandomSource(16))
         if history.stopped_early:
             assert history.epochs_run < 200
@@ -254,7 +248,7 @@ class TestTrainNetwork:
 
     def test_deterministic(self):
         Xt, yt, Xv, yv = self.make_problem(seed=17)
-        settings = TrainSettings(epochs=4, batch_size=16)
+        settings = TrainSettings(epochs=4, batch_size=16, lr_initial=0.001, patience=15)
         t1, h1 = train_network(self.small_params(18), Xt, yt, Xv, yv, settings,
                                RandomSource(19))
         t2, h2 = train_network(self.small_params(18), Xt, yt, Xv, yv, settings,
@@ -269,7 +263,7 @@ class TestTrainNetwork:
         y = rng.gaussians(0, 1, 17)
         params = init_model_params(RandomSource(21), units=3, attn_dim=2,
                                    dense_widths=(4, 3), dropout_rate=0.0)
-        settings = TrainSettings(epochs=2, batch_size=16)
+        settings = TrainSettings(epochs=2, batch_size=16, lr_initial=0.001, patience=15)
         train_network(params, X, y, X[:4], y[:4], settings, RandomSource(22))
 
     def test_non_finite_minibatch_loss_raises_before_any_update(self):
@@ -279,7 +273,7 @@ class TestTrainNetwork:
         params = self.small_params(seed=24)
         params["out.w"][:] = 1e300
         before = params.vector.copy()
-        settings = TrainSettings(epochs=2, batch_size=16)
+        settings = TrainSettings(epochs=2, batch_size=16, lr_initial=0.001, patience=15)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="epoch 1, step 1: minibatch loss is not finite"):
             train_network(params, Xt, yt, Xv, yv, settings, RandomSource(25))
