@@ -10,9 +10,11 @@ augmentation, or early stopping; the fold runner asserts that disjointness
 outright.
 
 Reported "train" numbers are computed on the un-augmented training rows so
-the network and the baselines are compared on the same footing. The single
-test partition is shared across folds and each method's test figure is the
-mean over the fold models.
+the network and the baselines are compared on the same footing. The
+network's validation figures come from the predictions early stopping made
+with the parameters it kept, so its validation rows are not predicted
+again. The single test partition is shared across folds and each method's
+test figure is the mean over the fold models.
 """
 
 from __future__ import annotations
@@ -142,10 +144,10 @@ def _check_finite(value: float, fold: int, method: str, metric: str) -> float:
     return float(value)
 
 
-def _score(fold_no: int, name: str, predict, X_parts, y_parts) -> MethodMetrics:
-    """Metrics of one fitted method, predicting train, val and test once each."""
+def _score(fold_no: int, name: str, pred_parts, y_parts) -> MethodMetrics:
+    """Metrics of one fitted method from its train, val and test predictions."""
     y_tr, y_va, y_te = y_parts
-    p_tr, p_va, p_te = (predict(X) for X in X_parts)
+    p_tr, p_va, p_te = pred_parts
     return MethodMetrics(
         train_mse=_check_finite(mse(y_tr, p_tr), fold_no, name, "train MSE"),
         val_mse=_check_finite(mse(y_va, p_va), fold_no, name, "val MSE"),
@@ -198,9 +200,8 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
     for method in METHOD_ORDER:
         model = fit_baseline(config.baseline_spec(method), baseline_X, baseline_y)
         name = DISPLAY_NAMES[method]
-        results[name] = _score(
-            fold_no, name, lambda X: predict_linear(model, X), (X_tr, X_va, X_te), y_parts
-        )
+        preds = tuple(predict_linear(model, X) for X in (X_tr, X_va, X_te))
+        results[name] = _score(fold_no, name, preds, y_parts)
 
     selection = rfe_select(
         X_tr, y_tr, config.rfe_k, config.forest_params(), rngs["rfe"],
@@ -242,9 +243,11 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
     def net_predict(X_sel):
         return predict_network(trained, to_sequences(X_sel)) * y_sd + y_mu
 
-    results[NETWORK_NAME] = _score(
-        fold_no, NETWORK_NAME, net_predict, (X_tr_sel, X_va_sel, X_te_sel), y_parts
-    )
+    # early stopping scored the kept parameters on the validation rows
+    # already; their predictions are the ones a fresh predict would give
+    net_preds = (net_predict(X_tr_sel), history.best_val_preds * y_sd + y_mu,
+                 net_predict(X_te_sel))
+    results[NETWORK_NAME] = _score(fold_no, NETWORK_NAME, net_preds, y_parts)
 
     detail = {
         "selected_features": [config.regressors[i] for i in selected],
@@ -332,6 +335,20 @@ def _fmt(value: float, places: int) -> str:
     return f"{value:.{places}f}"
 
 
+def _protocol_notes(report: CvReport) -> list:
+    """Closing lines of the text tables: the split protocol, and the
+    motor_UPDRS caveat when that subscale is a regressor."""
+    config = report.config
+    split = ("by subject" if config["group_by_subject"]
+             else "record-wise (one subject's visits can sit on both sides)")
+    notes = [f"Split: {split}, k_folds={config['k_folds']}, "
+             f"test_fraction={config['test_fraction']}"]
+    if "motor_UPDRS" in config["regressors"]:
+        notes.append("Note: the regressors include motor_UPDRS, "
+                     "which total UPDRS contains as a subscale")
+    return notes
+
+
 def render_mse_table(report: CvReport) -> str:
     width = max(len(m) for m in report.methods)
     lines = [f"{'Method'.ljust(width)} | Train MSE |  Val. MSE |  Test MSE"]
@@ -344,7 +361,7 @@ def render_mse_table(report: CvReport) -> str:
             f"{_fmt(agg['val_mse']['mean'], 4).rjust(9)} | "
             f"{_fmt(agg['test_mse']['mean'], 4).rjust(9)}"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _protocol_notes(report)) + "\n"
 
 
 def render_r2_table(report: CvReport) -> str:
@@ -355,7 +372,7 @@ def render_r2_table(report: CvReport) -> str:
         lines.append(
             f"{name.ljust(width)} | {_fmt(report.aggregate[name]['test_r2']['mean'], 6)}"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _protocol_notes(report)) + "\n"
 
 
 def render_csv(report: CvReport) -> str:

@@ -164,37 +164,41 @@ def init_model_params(
 # layer forwards (batched) and backwards
 
 
-def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray):
+def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, mode: str):
     """Run the recurrence over (B, T, input_dim) from zero states.
 
     ``w`` and ``b`` are one direction's fused weight and bias. Returns the
-    states (B, T, units), a view, and a cache for
+    states (B, T, units), a view, and in train mode a cache for
     :func:`_lstm_scan_backward`: ``(hx, acts, cells, tanh_cells)``.
 
     The scan runs time-major. Row t of ``hx`` (T + 1, B, units + input_dim)
     holds [h_{t-1}, x_t], so a step's gates are one product with the fused
-    weight, written into ``acts[t]`` and activated there: f, i and o
-    sigmoided, the candidate tanhed. The step writes c_t into
-    ``cells[t + 1]`` (``cells[0]`` is the zero start) and h_t into the
-    hidden part of ``hx[t + 1]``; the last row's input part is unused.
-    ``X`` is only read.
+    weight, written into its gate row and activated there: f, i and o
+    sigmoided, the candidate tanhed. The step writes c_t into the cell row
+    after c_{t-1} (the first is the zero start) and h_t into the hidden part
+    of ``hx[t + 1]``; the last row's input part is unused. Train mode keeps
+    a gate, cell and tanh(c) row for every step, which only the backward
+    pass reads. Infer mode keeps one gate row, one tanh row and two cell
+    rows, reused in turn, and returns no cache. ``X`` is only read.
     """
     B, T, d = X.shape
     u = w.shape[1] // 4
+    train = mode == "train"
+    kept = T if train else 1
     hx = np.empty((T + 1, B, u + d))
     hx[0, :, :u] = 0.0
     hx[:T, :, u:] = X.transpose(1, 0, 2)
-    acts = np.empty((T, B, 4 * u))
-    cells = np.empty((T + 1, B, u))
+    acts = np.empty((kept, B, 4 * u))
+    cells = np.empty((kept + 1, B, u))
     cells[0] = 0.0
-    tanh_cells = np.empty((T, B, u))
+    tanh_cells = np.empty((kept, B, u))
     ig = np.empty((B, u))
     sig = np.empty((B, 3 * u))  # contiguous, so the chain runs on flat data
     # IEEE semantics make the plain sigmoid exact on both tails: exp(-x)
     # overflows to inf -> 0, underflows to 0 -> 1
     with np.errstate(over="ignore"):
         for t in range(T):
-            a = acts[t]
+            a = acts[t % kept]
             np.matmul(hx[t], w, out=a)
             a += b
             np.negative(a[:, :3 * u], out=sig)
@@ -203,14 +207,15 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray):
             np.reciprocal(sig, out=a[:, :3 * u])
             g = a[:, 3 * u:]
             np.tanh(g, out=g)
-            c = cells[t + 1]
-            np.multiply(a[:, :u], cells[t], out=c)
+            c = cells[(t + 1) % (kept + 1)]
+            np.multiply(a[:, :u], cells[t % (kept + 1)], out=c)
             np.multiply(a[:, u:2 * u], g, out=ig)
             c += ig
-            np.tanh(c, out=tanh_cells[t])
-            np.multiply(a[:, 2 * u:3 * u], tanh_cells[t], out=hx[t + 1, :, :u])
+            tanh_c = tanh_cells[t % kept]
+            np.tanh(c, out=tanh_c)
+            np.multiply(a[:, 2 * u:3 * u], tanh_c, out=hx[t + 1, :, :u])
     states = hx[1:, :, :u].transpose(1, 0, 2)
-    return states, (hx, acts, cells, tanh_cells)
+    return states, (hx, acts, cells, tanh_cells) if train else None
 
 
 def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
@@ -372,8 +377,10 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
     sequence. Train mode needs a batch of at least 2 (batch norm uses batch
     statistics) and applies ``dropout_masks``, drawn from ``rng`` by
     :func:`draw_dropout_masks` when not given. Infer mode applies no
-    dropout.
+    dropout and keeps no per-step scan buffers in the cache.
     """
+    if mode not in ("train", "infer"):
+        raise ParameterError(f"unknown mode {mode!r}")
     data = np.asarray(x, dtype=np.float64)
     single = data.ndim == 2
     if single:
@@ -393,8 +400,8 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
         dropout_masks = draw_dropout_masks(p, data.shape[0], rng)
     mask1, mask2 = dropout_masks if train else (None, None)
 
-    states_f, caches_f = _lstm_scan(data, p["fwd.w"], p["fwd.b"])
-    states_b_rev, caches_b = _lstm_scan(data[:, ::-1, :], p["bwd.w"], p["bwd.b"])
+    states_f, caches_f = _lstm_scan(data, p["fwd.w"], p["fwd.b"], mode)
+    states_b_rev, caches_b = _lstm_scan(data[:, ::-1, :], p["bwd.w"], p["bwd.b"], mode)
     H = np.concatenate([states_f, states_b_rev[:, ::-1, :]], axis=2)
 
     context, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"])

@@ -42,7 +42,12 @@ def lr_at_step(initial: float, step: int) -> float:
 
 
 class Adam:
-    """Adam over one flat parameter vector; the moments are vectors like it."""
+    """Adam over one flat parameter vector; the moments are vectors like it.
+
+    A step works in two scratch vectors allocated with the moments and keeps
+    the operation order of the textbook expression, so it gives that
+    expression's bits without its whole-vector temporaries.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -52,6 +57,7 @@ class Adam:
         self.t = 0
         self.m: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
+        self._scratch: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
         """One in-place update of ``theta``."""
@@ -60,14 +66,26 @@ class Adam:
         if self.m is None:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
+            self._scratch = (np.empty_like(theta), np.empty_like(theta))
         self.t += 1
+        s1, s2 = self._scratch
+        # m = BETA1 m + (1 - BETA1) g
         self.m *= self.BETA1
-        self.m += (1.0 - self.BETA1) * grad
+        np.multiply(grad, 1.0 - self.BETA1, out=s1)
+        self.m += s1
+        # v = BETA2 v + (1 - BETA2) g g
         self.v *= self.BETA2
-        self.v += (1.0 - self.BETA2) * grad * grad
-        m_hat = self.m / (1.0 - self.BETA1 ** self.t)
-        v_hat = self.v / (1.0 - self.BETA2 ** self.t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        np.multiply(grad, 1.0 - self.BETA2, out=s1)
+        s1 *= grad
+        self.v += s1
+        # theta -= lr m_hat / (sqrt(v_hat) + EPS)
+        np.divide(self.m, 1.0 - self.BETA1 ** self.t, out=s1)
+        s1 *= lr
+        np.divide(self.v, 1.0 - self.BETA2 ** self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.EPS
+        s1 /= s2
+        theta -= s1
 
 
 @dataclass
@@ -230,10 +248,14 @@ class TrainSettings:
 
 @dataclass
 class TrainHistory:
+    """Per-epoch losses, plus the validation predictions of the epoch whose
+    parameters early stopping keeps (equal to predicting with them)."""
+
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     epochs_run: int = 0
     stopped_early: bool = False
+    best_val_preds: Optional[np.ndarray] = None
 
 
 def predict_network(params: ModelParams, X_seq: np.ndarray) -> np.ndarray:
@@ -262,7 +284,8 @@ def train_network(
     batch (train-mode batch norm needs at least two rows). A non-finite
     minibatch loss raises NumericError before anything is updated.
     Training updates ``params`` in place and returns it holding the best
-    snapshot.
+    snapshot; ``history.best_val_preds`` holds that snapshot's validation
+    predictions, so callers need not predict the validation set again.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     X_val = np.asarray(X_val, dtype=np.float64)
@@ -308,7 +331,10 @@ def train_network(
         history.train_loss.append(epoch_loss / max(1, n_batches))
         history.val_loss.append(val_mse)
         history.epochs_run = epoch + 1
-        if stopper.update(val_mse, params) == "stop":
+        verdict = stopper.update(val_mse, params)
+        if stopper.stale_epochs == 0:  # this epoch's parameters were kept
+            history.best_val_preds = val_preds
+        if verdict == "stop":
             history.stopped_early = True
             break
 

@@ -156,7 +156,9 @@ class TestRunExperiment:
 
     def test_each_partition_predicted_once_per_method(self, synthetic_csv, monkeypatch):
         # train_network's own validation predictions go through optimize,
-        # not through these names, so they are not counted
+        # not through these names, so they are not counted; the network's
+        # validation metrics reuse the predictions early stopping kept, so
+        # only its train and test rows are predicted here
         calls = {"network": 0, "linear": 0}
 
         def counted(key, fn):
@@ -171,7 +173,7 @@ class TestRunExperiment:
                             counted("linear", evaluate.predict_linear))
         config = smoke_config(synthetic_csv)
         run_experiment(config)
-        assert calls == {"network": 3 * config.k_folds, "linear": 12 * config.k_folds}
+        assert calls == {"network": 2 * config.k_folds, "linear": 12 * config.k_folds}
 
     # 240 rows at 0.005 round to a 1-row test side; 8 subjects of 30 rows
     # reach a 216-row target only with all 8 on the test side
@@ -246,7 +248,7 @@ class TestGoldenReport:
         assert_matches_golden({key: doc[key] for key in expected}, expected)
 
 
-def toy_report():
+def toy_report(**config_overrides):
     metrics = {
         "LLS": MethodMetrics(10.4735, 10.0138, 10.9074, 0.904409),
         NETWORK_NAME: MethodMetrics(6.3572, 6.6108, 7.0491, 0.9591),
@@ -260,8 +262,9 @@ def toy_report():
         }
         for name, m in metrics.items()
     }
+    config = dataclasses.replace(RunConfig(dataset="x.csv"), **config_overrides)
     return CvReport(methods=methods, folds=folds, aggregate=aggregate,
-                    config={"seed": 0}, seed=0)
+                    config=config.to_dict(), seed=0)
 
 
 class TestRendering:
@@ -272,6 +275,26 @@ class TestRendering:
         assert "10.9074" in text
         r2_text = render_r2_table(report)
         assert "0.904409" in r2_text
+
+    @pytest.mark.parametrize("grouped, folds, fraction, split", [
+        (False, 5, 0.2, "record-wise (one subject's visits can sit on both sides)"),
+        (True, 3, 0.25, "by subject"),
+    ])
+    def test_tables_end_with_the_split_protocol(self, grouped, folds, fraction, split):
+        report = toy_report(group_by_subject=grouped, k_folds=folds, test_fraction=fraction)
+        for text in (render_mse_table(report), render_r2_table(report)):
+            assert text.splitlines()[-2:] == [
+                f"Split: {split}, k_folds={folds}, test_fraction={fraction}",
+                "Note: the regressors include motor_UPDRS, "
+                "which total UPDRS contains as a subscale",
+            ]
+
+    def test_motor_note_only_when_motor_updrs_is_a_regressor(self):
+        report = toy_report(regressors=("age", "sex", "Jitter(%)"), protected_regressors=(),
+                            rfe_k=2)
+        for text in (render_mse_table(report), render_r2_table(report)):
+            assert text.splitlines()[-1].startswith("Split: record-wise")
+            assert "motor_UPDRS" not in text
 
     def test_row_order_preserved(self):
         text = render_mse_table(toy_report())

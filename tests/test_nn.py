@@ -187,7 +187,7 @@ class TestLstmCell:
     def test_zero_parameters(self):
         u = 3
         X = np.array([[[5.0, -1.0], [0.3, 2.0]]])
-        states, (_, acts, cells, _) = _lstm_scan(X, *zero_lstm(2, u))
+        states, (_, acts, cells, _) = _lstm_scan(X, *zero_lstm(2, u), "train")
         c_prevs = cells[:-1]
         assert np.all(acts[:, :, :3 * u] == 0.5)  # forget, input, output
         assert np.all(acts[:, :, 3 * u:] == 0.0)  # candidate
@@ -200,7 +200,7 @@ class TestLstmCell:
         b[:2 * u] = 100.0  # forget and input gates saturated open
         w[u:, 3 * u:] = 1.0  # candidate = tanh(x_t)
         X = np.array([[[0.7], [0.0], [0.0], [0.0]]])
-        _, (_, _, cells, _) = _lstm_scan(X, w, b)
+        _, (_, _, cells, _) = _lstm_scan(X, w, b, "train")
         c_prevs = cells[:-1]
         # the first step writes tanh(0.7); zero inputs afterwards add nothing
         assert np.allclose(c_prevs[1:, 0, :], math.tanh(0.7), atol=1e-12)
@@ -209,7 +209,7 @@ class TestLstmCell:
         rng = RandomSource(414)
         gates = random_gates(rng, 2, 3)
         X = rng.gaussians(0, 1, 2 * 6 * 2).reshape(2, 6, 2)
-        states, _ = _lstm_scan(X, *fuse(gates))
+        states, _ = _lstm_scan(X, *fuse(gates), "train")
         for row in range(2):
             assert np.allclose(states[row], scalar_scan_oracle(X[row], gates), atol=1e-12)
 
@@ -219,7 +219,8 @@ class TestLstmCell:
         rng = RandomSource(5)
         u = 4
         w, b = fuse(random_gates(rng, 1, u, scale=0.8))
-        _, (_, acts, _, _) = _lstm_scan(rng.gaussians(0, 1, 12).reshape(2, 6, 1), w, b)
+        X = rng.gaussians(0, 1, 12).reshape(2, 6, 1)
+        _, (_, acts, _, _) = _lstm_scan(X, w, b, "train")
         assert np.all((acts[:, :, :3 * u] > 0) & (acts[:, :, :3 * u] < 1))
         assert np.all((acts[:, :, 3 * u:] > -1) & (acts[:, :, 3 * u:] < 1))
 
@@ -242,7 +243,7 @@ class TestScanMatchesReference:
         else:
             seq, d_states = X, dH[:, :, :units]
 
-        states, cache = _lstm_scan(seq, w, b)
+        states, cache = _lstm_scan(seq, w, b, "train")
         want_states, want_cache = reference_scan(seq, w, b)
         assert_relatively_close(states, want_states)
 
@@ -253,6 +254,38 @@ class TestScanMatchesReference:
         assert_relatively_close(dw, want_dw)
         assert_relatively_close(db, want_db)
         assert np.array_equal(X, kept)
+
+
+class TestInferScan:
+    @settings(max_examples=100, deadline=None)
+    @given(batch=st.integers(1, 300), steps=st.integers(1, 12), input_dim=st.integers(1, 3),
+           units=st.integers(1, 8), scale=st.sampled_from([0.6, 30.0]),
+           reverse=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    def test_states_equal_the_training_scan(self, batch, steps, input_dim, units, scale,
+                                            reverse, seed):
+        # inputs of +-50 against weights of scale 30 drive gate pre-activations
+        # past -709, where exp(-z) overflows in the sigmoid
+        rng = RandomSource(seed)
+        w, b = fuse(random_gates(rng, input_dim, units, scale=scale))
+        size = batch * steps * input_dim
+        X = rng.gaussians(0, 1, size)
+        wild = rng.uniforms(size) < 0.2
+        X[wild] = np.where(rng.uniforms(size) < 0.5, -50.0, 50.0)[wild]
+        X = X.reshape(batch, steps, input_dim)
+        X.setflags(write=False)
+        seq = X[:, ::-1, :] if reverse else X  # the backward direction's view
+        want, _ = _lstm_scan(seq, w, b, "train")
+        got, cache = _lstm_scan(seq, w, b, "infer")
+        assert cache is None
+        assert np.array_equal(got, want)
+
+    def test_infer_cache_holds_no_scan_buffers(self):
+        p = tiny_model(40)
+        X = RandomSource(41).gaussians(0, 1, 6 * 5).reshape(6, 5, 1)
+        _, cache = model_forward(X, p, mode="infer")
+        assert cache["caches_f"] is None and cache["caches_b"] is None
+        _, train_cache = model_forward(X, p, mode="train", rng=RandomSource(42))
+        assert len(train_cache["caches_f"]) == len(train_cache["caches_b"]) == 4
 
 
 class TestBilstm:
@@ -479,6 +512,13 @@ class TestModelForward:
         p = tiny_model(9)
         with pytest.raises(ShapeError):
             model_forward(np.ones((4, 2)), p, mode="infer")
+
+    def test_unknown_mode_rejected_before_any_work(self):
+        p = tiny_model(9)
+        before = dict(INVARIANT_CHECKS)
+        with pytest.raises(ParameterError, match="unknown mode 'eval'"):
+            model_forward(np.ones((5, 4, 1)), p, mode="eval")
+        assert INVARIANT_CHECKS == before
 
 
 class TestModelBackward:

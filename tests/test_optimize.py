@@ -72,6 +72,31 @@ class TestAdam:
             adam.step(params, np.array([g]), lr=lr)
         assert params[0] == pytest.approx(theta, abs=1e-15)
 
+    def test_matches_expression_oracle_bit_for_bit(self):
+        # the update as one numpy expression per moment, with temporaries;
+        # the in-place step must keep its operation order and so its bits
+        b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPS
+        rng = RandomSource(26)
+        n = 1_000
+        theta = rng.gaussians(0, 1, n)
+        want = theta.copy()
+        m, v = np.zeros(n), np.zeros(n)
+        adam = Adam()
+        lr = 0.003
+        for t in range(1, 51):
+            grad = rng.gaussians(0, 1, n) * (0.0, 1.0, 1e6)[t % 3]
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            want -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            adam.step(theta, grad, lr)
+            assert np.array_equal(theta, want)
+            assert np.array_equal(adam.m, m)
+            assert np.array_equal(adam.v, v)
+
     def test_shape_mismatch(self):
         adam = Adam()
         with pytest.raises(ShapeError):
@@ -245,6 +270,20 @@ class TestTrainNetwork:
         preds = predict_network(trained, Xv)
         final = float(np.mean((preds - yv) ** 2))
         assert final == pytest.approx(best, rel=1e-9)
+
+    def test_kept_val_preds_equal_predicting_with_the_restored_weights(self):
+        # a high rate with no patience: validation loss rises after an early
+        # best epoch, and training stops and restores that epoch
+        Xt, yt, Xv, yv = self.make_problem(seed=27)
+        settings = TrainSettings(epochs=30, batch_size=8, lr_initial=0.1, patience=0)
+        trained, history = train_network(self.small_params(28), Xt, yt, Xv, yv, settings,
+                                         RandomSource(29))
+        best_epoch = int(np.argmin(history.val_loss))
+        assert history.stopped_early
+        assert best_epoch < history.epochs_run - 1
+        preds = predict_network(trained, Xv)
+        assert history.best_val_preds.tobytes() == preds.tobytes()
+        assert float(np.mean((preds - yv) ** 2)) == history.val_loss[best_epoch]
 
     def test_deterministic(self):
         Xt, yt, Xv, yv = self.make_problem(seed=17)
