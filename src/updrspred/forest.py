@@ -6,7 +6,9 @@ column is sorted once per tree, one vectorized pass searches every open
 node of a depth, and the sorted row ids are then regrouped stably by
 child. Each node thus sees its rows as a stable sort of that node alone
 orders them, so the trees equal, bit for bit, those of a builder that
-sorts at every node.
+sorts at every node. A tree's depths carve their search blocks from one
+grow-only workspace, so growing a tree does not allocate, free and fault
+in those blocks again at every depth.
 
 The forest's feature ranking uses how shallow each feature's first split
 sits, averaged over the trees that use it: a feature splitting at mean
@@ -65,41 +67,98 @@ class RegressionForest:
     n_features: int
 
 
-def _level_splits(XT, y, order, sizes, total1, total2, min_leaf):
+def as_table(X, y):
+    """``X`` as a float (rows, features) table and ``y`` as one float per row, or ShapeError."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError(f"X must be 2-D (rows, features), got shape {X.shape}")
+    if y.ndim != 1:
+        raise ShapeError(f"y must be 1-D, got shape {y.shape}")
+    if X.shape[0] != y.shape[0]:
+        raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+    return X, y
+
+
+class _LevelWorkspace:
+    """Grow-only flat float and bool buffers that one tree's depths share.
+
+    Each depth carves its (node, feature, position) blocks from the front
+    of these buffers. A buffer is replaced only when a depth needs more
+    than it holds, so a tree allocates its level blocks a few times rather
+    than once per depth, and no depth faults in pages that the previous
+    one handed back to the OS.
+    """
+
+    def __init__(self):
+        self.floats = np.empty(0)
+        self.flags = np.empty(0, dtype=bool)
+
+    def reserve(self, n_floats, n_flags):
+        """The two buffers, each first grown if it holds fewer items than asked."""
+        if self.floats.size < n_floats:
+            self.floats = None  # free the old buffer before the larger one
+            self.floats = np.empty(n_floats)
+        if self.flags.size < n_flags:
+            self.flags = None
+            self.flags = np.empty(n_flags, dtype=bool)
+        return self.floats, self.flags
+
+
+def _level_splits(XT, y, order, sizes, total1, total2, min_leaf, workspace):
     """Best (feature, threshold, gain) of every node of one depth at once.
 
     ``order[j]`` holds the nodes' row ids node after node, each node's ids
     sorted by column j. Each node's sorted ``y`` fills a zero-padded lane
     of a (node, feature, position) block, so prefix sums and SSEs are those
-    of a search over that node alone. Thresholds are midpoints between
+    of a search over that node alone. The blocks are views of the tree's
+    ``workspace``, filled in place. Thresholds are midpoints between
     consecutive distinct values; gain ties go to the lowest feature, then
     the lowest threshold.
     """
     K, d, N, m = len(sizes), XT.shape[0], order.shape[1], int(sizes.max())
-    lo, w = min_leaf - 1, m - 2 * min_leaf + 1  # the positions min_leaf allows
+    cells = K * d * m
+    floats, flags = workspace.reserve(4 * cells, 2 * cells)
+    blocks = floats[:4 * cells].reshape(4, K, d, m)
+    c1, c2, sse, term = blocks
+    distinct, illegal = flags[:2 * cells].reshape(2, K, d, m)
+
     cols = np.arange(d)[:, None]
     starts = np.cumsum(sizes) - sizes
     node_of = np.repeat(np.arange(K), sizes)
-    dest = (node_of * d + cols) * m + (np.arange(N) - starts[node_of])
+    dest = node_of * (d * m) + np.arange(N) - starts[node_of] + cols * m
     values = XT[cols, order]
-    sy = np.zeros((2, K, d, m))
-    sy[0].ravel()[dest] = y[order]
-    sy[1] = sy[0] * sy[0]
-    c1, c2 = np.cumsum(sy[..., :lo + w], axis=3)[..., lo:]
-    distinct = np.zeros((K, d, m), dtype=bool)
+    # c1 and c2 hold the padded y and y² until their prefix sums overwrite them
+    c1.fill(0.0)
+    c1.ravel()[dest] = y[order]
+    np.multiply(c1, c1, out=c2)
+    np.cumsum(blocks[:2], axis=3, out=blocks[:2])
+    # a node's last position and those past it keep stale or cross-node
+    # flags; a split there leaves fewer than min_leaf rows on the right
     distinct.ravel()[dest[:, :-1]] = values[:, :-1] < values[:, 1:]
-    n = sizes[:, None, None].astype(np.float64)
-    left_n = np.arange(lo + 1, lo + w + 1, dtype=np.float64)
-    legal = distinct[..., lo:lo + w] & (n - left_n >= min_leaf)
+    left_n = np.arange(1, m + 1, dtype=np.float64)
+    right_n = sizes[:, None, None] - left_n
+    # for bools, a <= b is ~a | b: not distinct, or a side below min_leaf
+    np.less_equal(distinct, np.minimum(left_n, right_n) < min_leaf, out=illegal)
     t1, t2 = total1[:, None, None], total2[:, None, None]
-    right1 = t1 - c1
+    # c1 * (-c1) / left_n + c2 + right1 * (-right1) / right_n + (t2 - c2), in
+    # this order; rounding is sign-symmetric, so x * (-x) / n == x * x / (-n)
     with np.errstate(divide="ignore", invalid="ignore"):  # padding past a node's end
-        sse = c1 * (-c1) / left_n + c2 + right1 * (-right1) / (n - left_n) + (t2 - c2)
+        np.multiply(c1, c1, out=sse)
+        sse /= -left_n
+        sse += c2
+        np.subtract(t1, c1, out=term)  # right1
+        np.multiply(term, term, out=term)
+        term /= -right_n
+        sse += term
+        np.subtract(t2, c2, out=term)
+        sse += term
+    np.putmask(sse, illegal, np.inf)
     # scan feature-major so ties fall to the lowest feature index first
-    sse = np.where(legal, sse, np.inf).reshape(K, d * w)
+    sse = sse.reshape(K, d * m)
     flat = np.argmin(sse, axis=1)
-    feature, pos = np.divmod(flat, w)
-    at = starts + lo + pos
+    feature, pos = np.divmod(flat, m)
+    at = starts + pos
     threshold = (values[feature, at] + values[feature, at + 1]) / 2.0
     gain = total2 - total1 * total1 / sizes - sse[np.arange(K), flat]
     return feature, threshold, gain
@@ -107,12 +166,9 @@ def _level_splits(XT, y, order, sizes, total1, total2, min_leaf):
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> TreeNode:
     """Grow one CART regression tree; every split searches all features."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X, y = as_table(X, y)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a tree on empty data")
-    if X.shape[0] != y.shape[0]:
-        raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     params.validate()
     (n, d), min_leaf = X.shape, params.min_samples_leaf
     XT, cols = np.ascontiguousarray(X.T), np.arange(d)[:, None]
@@ -128,14 +184,15 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> TreeNode:
                 open_nodes.append((node, rows, total1, total2))
         return node
 
-    open_nodes = []
+    open_nodes, workspace = [], _LevelWorkspace()
     root = make_node(np.arange(n), 0, open_nodes)
     order = np.argsort(XT, axis=1, kind="stable")
     depth = 0
     while open_nodes:
         nodes, node_rows, *totals = zip(*open_nodes)
         sizes = np.array([len(rows) for rows in node_rows])
-        feature, threshold, gain = _level_splits(XT, y, order, sizes, *np.array(totals), min_leaf)
+        feature, threshold, gain = _level_splits(XT, y, order, sizes, *np.array(totals),
+                                                min_leaf, workspace)
         depth += 1
         # side 2k / 2k + 1 holds node k's left / right rows; a stable sort
         # keeps each side's rows ascending
@@ -174,8 +231,7 @@ def fit_forest(
     implementation fitting trees out of order would produce the identical
     forest.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X, y = as_table(X, y)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a forest on empty data")
     params.validate()

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from updrspred import forest as forest_module
 from updrspred.config import RunConfig
-from updrspred.errors import EmptyInputError
+from updrspred.errors import EmptyInputError, ShapeError
 from updrspred.forest import (
     _VARIANCE_FLOOR,
     ForestParams,
@@ -200,6 +201,68 @@ class TestMatchesReference:
             rows = rng.integers(587, 587)
             assert_same_tree(fit_tree(X[rows], y[rows], params),
                              reference_tree(X[rows], y[rows], params))
+
+    def test_same_tree_while_the_level_block_grows_and_shrinks(self, monkeypatch):
+        # the depths after the widest one reuse buffers that it filled
+        rng = RandomSource(23)
+        X = rng.gaussians(0, 1, 300 * 4).reshape(300, 4)
+        X[:, 3] = np.round(X[:, 3])
+        y = np.sin(2.0 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.1 * rng.gaussians(0, 1, 300)
+        params = ForestParams(n_trees=1, max_depth=12, min_samples_leaf=2)
+        blocks = []
+        level_splits = forest_module._level_splits
+
+        def spy(XT, y, order, sizes, *rest):
+            blocks.append(len(sizes) * int(sizes.max()))  # lanes per feature
+            return level_splits(XT, y, order, sizes, *rest)
+
+        monkeypatch.setattr(forest_module, "_level_splits", spy)
+        tree = fit_tree(X, y, params)
+        widest = blocks.index(max(blocks))
+        assert 0 < widest < len(blocks) - 1
+        assert_same_tree(tree, reference_tree(X, y, params))
+
+    def test_every_forest_tree_matches_on_its_bootstrap(self):
+        rng = RandomSource(29)
+        X = rng.gaussians(0, 1, 150 * 5).reshape(150, 5)
+        X[:, 4] = X[:, 4] > 0.3
+        y = X[:, 0] * 2.0 - X[:, 4] + 0.5 * rng.gaussians(0, 1, 150)
+        params = ForestParams(n_trees=6, max_depth=8, min_samples_leaf=3)
+        forest = fit_forest(X, y, params, RandomSource(31))
+        # redraw each tree's rows from the same spawned stream
+        seeds = RandomSource(31)
+        tree_rngs = [seeds.spawn() for _ in range(params.n_trees)]
+        assert len(forest.trees) == params.n_trees
+        for tree, tree_rng in zip(forest.trees, tree_rngs):
+            rows = tree_rng.integers(150, 150)
+            assert_same_tree(tree, reference_tree(X[rows], y[rows], params))
+
+
+BAD_SHAPES = {
+    "y longer than X": ((50, 3), (80,), "X has 50 rows but y has 80"),
+    "y shorter than X": ((50, 3), (30,), "X has 50 rows but y has 30"),
+    "1-D X": ((50,), (50,), "X must be 2-D"),
+    "column y": ((40, 3), (40, 1), "y must be 1-D"),
+}
+
+
+@pytest.mark.parametrize("x_shape, y_shape, message", BAD_SHAPES.values(), ids=BAD_SHAPES)
+class TestShapeRefusals:
+    def test_fit_tree(self, x_shape, y_shape, message):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeError, match=message):
+            fit_tree(rng.normal(size=x_shape), rng.normal(size=y_shape), full_growth_params())
+
+    def test_fit_forest_fits_and_draws_nothing(self, x_shape, y_shape, message, monkeypatch):
+        fitted = []
+        monkeypatch.setattr(forest_module, "fit_tree", lambda *args: fitted.append(args))
+        data = np.random.default_rng(0)
+        rng = RandomSource(5)
+        with pytest.raises(ShapeError, match=message):
+            fit_forest(data.normal(size=x_shape), data.normal(size=y_shape),
+                       ForestParams(n_trees=3, max_depth=4), rng)
+        assert fitted == []
+        assert rng.next_u64() == RandomSource(5).next_u64()
 
 
 class TestForest:

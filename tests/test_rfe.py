@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from updrspred.errors import ParameterError
+from updrspred import rfe as rfe_module
+from updrspred.errors import ParameterError, ShapeError
 from updrspred.forest import ForestParams
 from updrspred.linalg import RandomSource
 from updrspred.rfe import rfe_select
@@ -92,6 +93,24 @@ class TestRfeSelect:
             assert len(record.surviving) == 6 - r
             assert len(record.importance) == len(record.surviving)
             assert record.removed in record.surviving
+
+
+@pytest.mark.parametrize("x_shape, y_shape, message", [
+    pytest.param((50, 3), (80,), "X has 50 rows but y has 80", id="y longer than X"),
+    pytest.param((50, 3), (30,), "X has 50 rows but y has 30", id="y shorter than X"),
+    pytest.param((50,), (50,), "X must be 2-D", id="1-D X"),
+    pytest.param((40, 3), (40, 1), "y must be 1-D", id="column y"),
+])
+def test_bad_shapes_refused_before_any_forest(x_shape, y_shape, message, monkeypatch):
+    fitted = []
+    monkeypatch.setattr(rfe_module, "fit_forest", lambda *args: fitted.append(args))
+    data = np.random.default_rng(0)
+    rng = RandomSource(6)
+    k = x_shape[1] if len(x_shape) == 2 else 1  # with k == d no round would run
+    with pytest.raises(ShapeError, match=message):
+        rfe_select(data.normal(size=x_shape), data.normal(size=y_shape), k, FAST_FOREST, rng)
+    assert fitted == []
+    assert rng.next_u64() == RandomSource(6).next_u64()
 
 
 class TestRfeReport:
