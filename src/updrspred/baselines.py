@@ -11,7 +11,17 @@ design matrix; they differ only in the solver:
 The Adam variant optimizes against a z-scored copy of the target and maps
 the weights back afterwards: with the shared 0.001 learning-rate schedule,
 a raw target whose mean sits tens of units from zero would eat the whole
-step budget just moving the intercept.
+step budget just moving the intercept. Its loss is a quadratic in the d+1
+weights, so the fit forms the Gram matrix ``Xi'Xi`` and ``Xi'yz`` of the
+intercept-augmented design once, and each step's gradient is
+``(2/n)(Xi'Xi theta - Xi'yz)``: one (d+1)-square product per step, with no
+pass over the training rows. This is the residual form's gradient in exact
+arithmetic; it rounds differently, so Adam's iterate moves in the last
+digits (see README, "Numerics worth knowing").
+
+``fit_baseline`` refuses a ``y`` that is not one value per row with
+``ShapeError`` and a design with no rows with ``EmptyInputError``, before
+any method runs.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, EmptyInputError, ShapeError
 from .optimize import Adam, lr_at_step, solve_cg, solve_lls, solve_ridge
 
 METHOD_ORDER = ("lls", "cg", "adam_linear", "ridge")
@@ -53,23 +63,28 @@ class LinearModel:
     method: str
 
 
-def _fit_adam_linear(X: np.ndarray, y: np.ndarray, spec: BaselineSpec) -> np.ndarray:
-    n, d = X.shape
+def _fit_adam_linear(Xi: np.ndarray, y: np.ndarray, spec: BaselineSpec) -> np.ndarray:
+    """Adam's iterate after ``spec.adam_steps`` steps on the intercept-augmented ``Xi``."""
+    n = Xi.shape[0]
     mu = y.mean()
     sd = y.std()
     if sd == 0.0:
         sd = 1.0
     yz = (y - mu) / sd
-    theta = np.zeros(d + 1)  # weights, then the intercept
-    grad = np.empty(d + 1)
+    gram = Xi.T @ Xi
+    rhs = Xi.T @ yz
+    scale = 2.0 / n
+    theta = np.zeros(Xi.shape[1])  # weights, then the intercept
+    grad = np.empty_like(theta)
     adam = Adam()
     for step in range(spec.adam_steps):
-        residual = X @ theta[:d] + theta[d] - yz
-        grad[:d] = (2.0 / n) * (X.T @ residual)
-        grad[d] = (2.0 / n) * residual.sum()
+        # grad = (2/n) (Xi'Xi theta - Xi'yz)
+        np.matmul(gram, theta, out=grad)
+        grad -= rhs
+        grad *= scale
         adam.step(theta, grad, lr_at_step(spec.lr_initial, step))
     weights = theta * sd
-    weights[d] += mu
+    weights[-1] += mu
     return weights
 
 
@@ -78,9 +93,12 @@ def fit_baseline(spec: BaselineSpec, X_train: np.ndarray, y_train: np.ndarray) -
     spec.validate()
     X = np.asarray(X_train, dtype=np.float64)
     y = np.asarray(y_train, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ShapeError(f"incompatible shapes X{X.shape}, y{y.shape}")
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ShapeError(f"need X (rows, features) and y with one value per row, "
+                         f"got X{X.shape}, y{y.shape}")
     n, d = X.shape
+    if n == 0:
+        raise EmptyInputError(f"no training rows to fit {spec.method!r} on (X{X.shape})")
     Xi = np.column_stack([X, np.ones(n)])
 
     if spec.method == "lls":
@@ -90,7 +108,7 @@ def fit_baseline(spec: BaselineSpec, X_train: np.ndarray, y_train: np.ndarray) -
         b = Xi.T @ y
         full = solve_cg(A, b)
     elif spec.method == "adam_linear":
-        full = _fit_adam_linear(X, y, spec)
+        full = _fit_adam_linear(Xi, y, spec)
     else:
         full = solve_ridge(Xi, y, spec.ridge_lambda, unpenalized=d)
 

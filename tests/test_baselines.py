@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from updrspred.baselines import (
     fit_baseline,
     predict_linear,
 )
-from updrspred.errors import ConfigError, ShapeError
+from updrspred.errors import ConfigError, EmptyInputError, ShapeError
 from updrspred.linalg import RandomSource
+from updrspred.optimize import Adam, lr_at_step
 
 
 def spec(method, **fields):
@@ -27,6 +30,44 @@ def standardized_problem(seed, n=200, d=5, noise=0.0):
     w = rng.gaussians(0, 2, d)
     y = X @ w + 3.0 + noise * rng.gaussians(0, 1, n)
     return X, y, w
+
+
+def near_collinear_problem(seed, n=200, d=5, noise=0.5):
+    """``standardized_problem`` with its last column a 1e-4-jittered copy of the first."""
+    X, y, w = standardized_problem(seed, n=n, d=d, noise=noise)
+    X[:, -1] = X[:, 0] + 1e-4 * RandomSource(seed + 1000).gaussians(0, 1, n)
+    X[:, -1] = (X[:, -1] - X[:, -1].mean()) / X[:, -1].std()
+    return X, y, w
+
+
+def off_center_problem(seed, n=200, d=5, noise=0.5):
+    """``standardized_problem`` with its columns shifted off zero mean, as a
+    fold's jittered or held-out rows can be; the intercept then couples to
+    the weights."""
+    X, y, w = standardized_problem(seed, n=n, d=d, noise=noise)
+    return X + np.linspace(-1.5, 1.5, d), y, w
+
+
+def reference_adam_linear(X, y, steps, lr_initial):
+    """The residual-form loop: two passes over the training rows per step.
+
+    Returns (weights, intercept) on the original target scale.
+    """
+    n, d = X.shape
+    mu = y.mean()
+    sd = y.std()
+    if sd == 0.0:
+        sd = 1.0
+    yz = (y - mu) / sd
+    theta = np.zeros(d + 1)
+    grad = np.empty(d + 1)
+    adam = Adam()
+    for step in range(steps):
+        residual = X @ theta[:d] + theta[d] - yz
+        grad[:d] = (2.0 / n) * (X.T @ residual)
+        grad[d] = (2.0 / n) * residual.sum()
+        adam.step(theta, grad, lr_at_step(lr_initial, step))
+    return theta[:d] * sd, theta[d] * sd + mu
 
 
 class TestFitBaseline:
@@ -123,3 +164,43 @@ class TestBaselineEquivalences:
             other = fit_baseline(spec(method, ridge_lambda=0.0), X, y)
             assert np.allclose(other.weights, lls.weights, rtol=0, atol=1e-8)
             assert other.intercept == pytest.approx(lls.intercept, rel=0, abs=1e-8)
+
+
+class TestAdamLinearMatchesReference:
+    """The Gram-form fit reaches the residual-form loop's training objective."""
+
+    @pytest.mark.parametrize("steps, lr", [(5000, 0.001), (1000, 0.03)])
+    @pytest.mark.parametrize("make, seed, n, d", [
+        (standardized_problem, 11, 200, 5),
+        (standardized_problem, 12, 600, 20),
+        (near_collinear_problem, 13, 200, 5),
+        (near_collinear_problem, 14, 600, 20),
+        (off_center_problem, 18, 200, 5),
+    ])
+    def test_training_objective_within_1e5(self, make, seed, n, d, steps, lr):
+        X, y, _ = make(seed, n=n, d=d, noise=1.0)
+        y = y * 8.0 + 30.0
+        ref_w, ref_b = reference_adam_linear(X, y, steps, lr)
+        model = fit_baseline(BaselineSpec("adam_linear", adam_steps=steps, lr_initial=lr), X, y)
+        ref_mse = np.mean((X @ ref_w + ref_b - y) ** 2)
+        mse = np.mean((predict_linear(model, X) - y) ** 2)
+        assert abs(mse - ref_mse) <= 1e-5 * ref_mse
+
+
+class TestFitBaselineRefusals:
+    """Misshapen or empty inputs are refused the same way by every method."""
+
+    @pytest.mark.parametrize("method", METHOD_ORDER)
+    @pytest.mark.parametrize("y_shape", [(30, 1), (20,)])
+    def test_y_not_one_value_per_row_refused_naming_both_shapes(self, method, y_shape):
+        X, y, _ = standardized_problem(16, n=30, d=3)
+        with pytest.raises(ShapeError) as err:
+            fit_baseline(spec(method), X, y[:y_shape[0]].reshape(y_shape))
+        assert "(30, 3)" in str(err.value) and str(y_shape) in str(err.value)
+
+    @pytest.mark.parametrize("method", METHOD_ORDER)
+    def test_empty_design_refused_without_warnings(self, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyInputError):
+                fit_baseline(spec(method), np.empty((0, 3)), np.empty(0))
