@@ -60,7 +60,6 @@ class BaselineSpec:
 class LinearModel:
     weights: np.ndarray
     intercept: float
-    method: str
 
 
 def _fit_adam_linear(Xi: np.ndarray, y: np.ndarray, spec: BaselineSpec) -> np.ndarray:
@@ -112,7 +111,7 @@ def fit_baseline(spec: BaselineSpec, X_train: np.ndarray, y_train: np.ndarray) -
     else:
         full = solve_ridge(Xi, y, spec.ridge_lambda, unpenalized=d)
 
-    return LinearModel(weights=full[:d], intercept=float(full[d]), method=spec.method)
+    return LinearModel(weights=full[:d], intercept=float(full[d]))
 
 
 def predict_linear(model: LinearModel, X: np.ndarray) -> np.ndarray:

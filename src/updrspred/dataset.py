@@ -118,12 +118,15 @@ def load_csv(path) -> Dataset:
         missing = [c for c in REQUIRED_COLUMNS if c not in positions]
         if missing:
             raise SchemaError(f"{path}: missing column(s) {', '.join(repr(m) for m in missing)}")
+        repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"{path}: repeated column(s) {', '.join(repr(r) for r in repeated)}")
 
         cells = {name: [] for name in REQUIRED_COLUMNS}
         for row_number, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise ParseError(
                     f"row {row_number}: expected {len(header)} cells, got {len(row)}"
                 )

@@ -5,22 +5,24 @@ presorted columns (SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996): each
 column is sorted once per tree, one vectorized pass searches every open
 node of a depth, and the sorted row ids are then regrouped stably by
 child. Each node thus sees its rows as a stable sort of that node alone
-orders them, so the trees equal, bit for bit, those of a builder that
+orders them, so the minimal split depths equal those of a builder that
 sorts at every node. A tree's depths carve their search blocks from one
 grow-only workspace, so growing a tree does not allocate, free and fault
 in those blocks again at every depth.
 
-The forest's feature ranking uses how shallow each feature's first split
-sits, averaged over the trees that use it: a feature splitting at mean
-minimal depth m scores 1 / (1 + m), with the root counting as depth 0 and
-never-used features scoring 0. Shallow use means the feature partitions
-the data early, which is the signal the elimination loop consumes.
+A tree's output is its minimal-depth vector: for each feature, the depth
+of the shallowest node that splits on it (Ishwaran et al., JASA 2010).
+No thresholds or leaf values are kept, because nothing reads them. The
+forest's feature ranking averages these depths over the trees that use
+the feature: a feature splitting at mean minimal depth m scores
+1 / (1 + m), with the root counting as depth 0 and never-used features
+scoring 0. Shallow use means the feature partitions the data early,
+which is the signal the elimination loop consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,25 +48,6 @@ class ForestParams:
             raise ParameterError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.min_samples_leaf < 1:
             raise ParameterError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-
-
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    prediction: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
-class RegressionForest:
-    trees: list
-    n_features: int
 
 
 def as_table(X, y):
@@ -164,72 +147,75 @@ def _level_splits(XT, y, order, sizes, total1, total2, min_leaf, workspace):
     return feature, threshold, gain
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> TreeNode:
-    """Grow one CART regression tree; every split searches all features."""
+def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
+    """Each feature's minimal split depth in one CART regression tree.
+
+    Returns a (d,) int64 array: the depth of the shallowest node that splits
+    on the feature, 0 for the root, or -1 where the feature never splits.
+    Every split searches all features.
+    """
     X, y = as_table(X, y)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a tree on empty data")
     params.validate()
     (n, d), min_leaf = X.shape, params.min_samples_leaf
     XT, cols = np.ascontiguousarray(X.T), np.arange(d)[:, None]
-
-    def make_node(rows, depth, open_nodes):
-        # ``rows`` ascend, as in a depth-first builder, so the sums round alike
-        y_node = y[rows]
-        total1 = y_node.sum()
-        node = TreeNode(prediction=float(total1 / len(rows)))
-        if depth < params.max_depth and len(rows) >= 2 * min_leaf:
-            total2 = (y_node * y_node).sum()
-            if total2 - total1 * total1 / len(rows) > _VARIANCE_FLOOR:
-                open_nodes.append((node, rows, total1, total2))
-        return node
-
-    open_nodes, workspace = [], _LevelWorkspace()
-    root = make_node(np.arange(n), 0, open_nodes)
-    order = np.argsort(XT, axis=1, kind="stable")
-    depth = 0
-    while open_nodes:
-        nodes, node_rows, *totals = zip(*open_nodes)
+    depths = np.full(d, -1, dtype=np.int64)
+    order, workspace = np.argsort(XT, axis=1, kind="stable"), _LevelWorkspace()
+    children = [np.arange(n)]
+    for depth in range(params.max_depth):
+        # a node opens when both sides can keep min_leaf rows and its y
+        # varies; its rows ascend, as in a depth-first builder, so the sums
+        # round alike
+        node_rows, totals = [], []
+        for rows in children:
+            if len(rows) >= 2 * min_leaf:
+                y_node = y[rows]
+                total1, total2 = y_node.sum(), (y_node * y_node).sum()
+                if total2 - total1 * total1 / len(rows) > _VARIANCE_FLOOR:
+                    node_rows.append(rows)
+                    totals.append((total1, total2))
+        if not node_rows:
+            break
         sizes = np.array([len(rows) for rows in node_rows])
-        feature, threshold, gain = _level_splits(XT, y, order, sizes, *np.array(totals),
+        if depth > 0:
+            # regroup each column's sorted ids by open node with one stable
+            # sort of small-int (column, node) keys; rows of closed nodes
+            # sort after the open ones in every column and are cut off
+            slots = len(node_rows) + 1
+            child = np.full(n, slots - 1, dtype=np.min_scalar_type(d * slots))
+            for i, rows in enumerate(node_rows):
+                child[rows] = i
+            keys = child[order] + (cols * slots).astype(child.dtype)
+            order = order.ravel()[np.argsort(keys.ravel(), kind="stable")].reshape(d, -1)
+            order = order[:, :sizes.sum()]
+        feature, threshold, gain = _level_splits(XT, y, order, sizes, *np.array(totals).T,
                                                 min_leaf, workspace)
-        depth += 1
+        split = gain > 0.0
+        # breadth-first, so a feature's first recorded depth is its minimum
+        used = feature[split]
+        depths[used[depths[used] < 0]] = depth
         # side 2k / 2k + 1 holds node k's left / right rows; a stable sort
         # keeps each side's rows ascending
-        node_of = np.repeat(np.arange(len(nodes)), sizes)
+        node_of = np.repeat(np.arange(len(node_rows)), sizes)
         rows = np.concatenate(node_rows)
         side = 2 * node_of + ~(XT[feature[node_of], rows] <= threshold[node_of])
-        ends = [0] + np.cumsum(np.bincount(side, minlength=2 * len(nodes))).tolist()
+        ends = [0] + np.cumsum(np.bincount(side, minlength=2 * len(node_rows))).tolist()
         rows = rows[np.argsort(side, kind="stable")]
-        open_nodes = []
-        for k, node in enumerate(nodes):
-            if gain[k] > 0.0:
-                node.feature, node.threshold = int(feature[k]), float(threshold[k])
-                node.left = make_node(rows[ends[2 * k]:ends[2 * k + 1]], depth, open_nodes)
-                node.right = make_node(rows[ends[2 * k + 1]:ends[2 * k + 2]], depth, open_nodes)
-        if not open_nodes:
-            break
-        # regroup each column's sorted ids by open node with one stable sort
-        # of small-int (column, node) keys; rows of closed nodes sort after
-        # the open ones in every column and are cut off
-        slots = len(open_nodes) + 1
-        child = np.full(n, slots - 1, dtype=np.min_scalar_type(d * slots))
-        for i, (_, rows, _, _) in enumerate(open_nodes):
-            child[rows] = i
-        keys = child[order] + (cols * slots).astype(child.dtype)
-        order = order.ravel()[np.argsort(keys.ravel(), kind="stable")].reshape(d, -1)
-        order = order[:, :sum(len(rows) for _, rows, _, _ in open_nodes)]
-    return root
+        children = [rows[ends[s]:ends[s + 1]]
+                    for k in np.flatnonzero(split) for s in (2 * k, 2 * k + 1)]
+    return depths
 
 
 def fit_forest(
     X: np.ndarray, y: np.ndarray, params: ForestParams, rng: RandomSource
-) -> RegressionForest:
-    """Fit ``n_trees`` trees, each on its own bootstrap resample.
+) -> np.ndarray:
+    """Minimal split depths of ``n_trees`` trees, one per bootstrap resample.
 
-    Per-tree seeds are all derived from ``rng`` up front, so a parallel
-    implementation fitting trees out of order would produce the identical
-    forest.
+    Returns an (n_trees, d) int64 array whose row t is tree t's
+    :func:`fit_tree` output. Per-tree seeds are all derived from ``rng`` up
+    front, so a parallel implementation fitting trees out of order would
+    produce the identical forest.
     """
     X, y = as_table(X, y)
     if X.size == 0 or y.size == 0:
@@ -241,38 +227,20 @@ def fit_forest(
     for tree_rng in tree_rngs:
         rows = tree_rng.integers(n, n)
         trees.append(fit_tree(X[rows], y[rows], params))
-    return RegressionForest(trees=trees, n_features=X.shape[1])
+    return np.stack(trees)
 
 
-def _min_depths(tree: TreeNode, n_features: int) -> np.ndarray:
-    depths = np.full(n_features, -1, dtype=np.int64)
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node.is_leaf:
-            continue
-        if depths[node.feature] < 0 or depth < depths[node.feature]:
-            depths[node.feature] = depth
-        stack.append((node.left, depth + 1))
-        stack.append((node.right, depth + 1))
-    return depths
-
-
-def feature_importance(forest: RegressionForest) -> np.ndarray:
+def feature_importance(depths: np.ndarray) -> np.ndarray:
     """Score features by 1 / (1 + mean minimal split depth).
 
-    The mean runs over the trees in which the feature splits at all;
-    features used by no tree score exactly 0.
+    ``depths`` is :func:`fit_forest`'s (n_trees, d) array. The mean runs
+    over the trees in which the feature splits at all; features used by no
+    tree score exactly 0.
     """
-    d = forest.n_features
-    depth_sum = np.zeros(d)
-    used_in = np.zeros(d)
-    for tree in forest.trees:
-        depths = _min_depths(tree, d)
-        mask = depths >= 0
-        depth_sum[mask] += depths[mask]
-        used_in[mask] += 1
-    importance = np.zeros(d)
+    used = depths >= 0
+    depth_sum = np.where(used, depths, 0).sum(axis=0)
+    used_in = used.sum(axis=0)
+    importance = np.zeros(depths.shape[1])
     seen = used_in > 0
     importance[seen] = 1.0 / (1.0 + depth_sum[seen] / used_in[seen])
     return importance

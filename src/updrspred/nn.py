@@ -371,10 +371,10 @@ def _batchnorm(p: ModelParams, tag: str, X: np.ndarray, mode: str):
 
 def model_forward(x, p: ModelParams, mode: str = "infer",
                   rng: Optional[RandomSource] = None, dropout_masks=None):
-    """Forward one sequence (T, input_dim) or a batch (B, T, input_dim).
+    """Forward a batch of sequences (B, T, input_dim).
 
-    Returns (predictions, cache); predictions is a scalar for a single
-    sequence. Train mode needs a batch of at least 2 (batch norm uses batch
+    Returns (predictions, cache); predictions holds one value per sequence.
+    Train mode needs a batch of at least 2 (batch norm uses batch
     statistics) and applies ``dropout_masks``, drawn from ``rng`` by
     :func:`draw_dropout_masks` when not given. Infer mode applies no
     dropout and keeps no per-step scan buffers in the cache.
@@ -382,11 +382,8 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
     if mode not in ("train", "infer"):
         raise ParameterError(f"unknown mode {mode!r}")
     data = np.asarray(x, dtype=np.float64)
-    single = data.ndim == 2
-    if single:
-        data = data[None, :, :]
     if data.ndim != 3:
-        raise ShapeError(f"expected (T, d) or (B, T, d) input, got shape {data.shape}")
+        raise ShapeError(f"expected (B, T, d) input, got shape {data.shape}")
     if data.shape[1] == 0:
         raise EmptyInputError("empty sequence")
     if data.shape[2] != p.input_dim:
@@ -425,8 +422,6 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
         "lin2": lin2, "bn2_cache": bn2_cache, "mask2": mask2, "drop2": drop2,
         "preds": preds,
     }
-    if single:
-        return float(preds[0]), cache
     return preds, cache
 
 

@@ -93,8 +93,8 @@ def rfe_select(
     rounds = []
     while len(surviving) > k:
         round_rng = rng.spawn()
-        forest = fit_forest(X[:, surviving], y, params, round_rng)
-        importance = feature_importance(forest)
+        depths = fit_forest(X[:, surviving], y, params, round_rng)
+        importance = feature_importance(depths)
         removable = [
             (importance[j], -surviving[j], j)
             for j in range(len(surviving))

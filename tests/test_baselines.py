@@ -113,23 +113,23 @@ class TestFitBaseline:
 
 class TestPredictLinear:
     def test_zero_weights_constant(self):
-        model = LinearModel(weights=np.zeros(3), intercept=4.5, method="lls")
+        model = LinearModel(weights=np.zeros(3), intercept=4.5)
         out = predict_linear(model, np.ones((5, 3)))
         assert np.array_equal(out, np.full(5, 4.5))
 
     def test_identity_design(self):
-        model = LinearModel(weights=np.array([1.0, 2.0]), intercept=0.5, method="lls")
+        model = LinearModel(weights=np.array([1.0, 2.0]), intercept=0.5)
         out = predict_linear(model, np.eye(2))
         assert np.array_equal(out, [1.5, 2.5])
 
     def test_hand_checked(self):
-        model = LinearModel(weights=np.array([2.0, -1.0]), intercept=1.0, method="lls")
+        model = LinearModel(weights=np.array([2.0, -1.0]), intercept=1.0)
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         # 2 - 2 + 1 = 1, 6 - 4 + 1 = 3
         assert np.array_equal(predict_linear(model, X), [1.0, 3.0])
 
     def test_shape_mismatch(self):
-        model = LinearModel(weights=np.zeros(2), intercept=0.0, method="lls")
+        model = LinearModel(weights=np.zeros(2), intercept=0.0)
         with pytest.raises(ShapeError):
             predict_linear(model, np.ones((3, 4)))
 

@@ -56,6 +56,24 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="total_UPDRS"):
             load_csv(p)
 
+    def test_repeated_required_column_names_it(self, synthetic_csv, tmp_path):
+        header, *rows = open(synthetic_csv).read().splitlines()
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join([header + ",PPE,extra,extra"] + [r + ",1.5,0,0" for r in rows]) + "\n")
+        with pytest.raises(SchemaError, match="repeated column\\(s\\) 'PPE'$"):
+            load_csv(p)
+
+    def test_row_with_an_extra_cell_reports_row_and_counts(self, synthetic_csv, tmp_path):
+        # an extra cell after test_time would shift every later column by one
+        lines = open(synthetic_csv).read().splitlines()
+        cells = lines[3].split(",")
+        cells.insert(4, "99")
+        lines[3] = ",".join(cells)
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="row 4: expected 22 cells, got 23"):
+            load_csv(p)
+
     def test_non_numeric_cell_reports_row(self, synthetic_csv, tmp_path):
         lines = open(synthetic_csv).read().splitlines()
         cells = lines[3].split(",")

@@ -291,7 +291,7 @@ class TestInferScan:
 class TestBilstm:
     def test_t1_uses_same_step_twice(self):
         p = model_with_lstm(*fuse(random_gates(RandomSource(6), 1, 4)))
-        _, cache = model_forward(np.array([[0.4]]), p)
+        _, cache = model_forward(np.array([[0.4]])[None], p)
         H = cache["H"][0]
         assert H.shape == (1, 8)
         assert np.allclose(H[0, :4], H[0, 4:])
@@ -299,7 +299,7 @@ class TestBilstm:
     def test_palindrome_symmetry(self):
         p = model_with_lstm(*fuse(random_gates(RandomSource(7), 1, 4)))
         seq = np.array([[0.3], [-1.2], [0.5], [-1.2], [0.3]])
-        _, cache = model_forward(seq, p)
+        _, cache = model_forward(seq[None], p)
         H = cache["H"][0]
         T = seq.shape[0]
         for t in range(T):
@@ -307,12 +307,12 @@ class TestBilstm:
 
     def test_zero_parameters_zero_states(self):
         p = model_with_lstm(*zero_lstm(1, 4))
-        _, cache = model_forward(np.array([[1.0], [2.0]]), p)
+        _, cache = model_forward(np.array([[1.0], [2.0]])[None], p)
         assert np.array_equal(cache["H"][0], np.zeros((2, 8)))
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptyInputError):
-            model_forward(np.zeros((0, 1)), tiny_model(33))
+            model_forward(np.zeros((0, 1))[None], tiny_model(33))
 
 
 def attend(H, w, v):
@@ -479,23 +479,23 @@ class TestModelForward:
         p = tiny_model(1)
         p.trainable[:] = 0.0
         p["out.b"][0] = 7.25
-        pred, _ = model_forward(np.ones((5, 1)), p, mode="infer")
-        assert pred == pytest.approx(7.25)
+        preds, _ = model_forward(np.ones((5, 1))[None], p, mode="infer")
+        assert preds[0] == pytest.approx(7.25)
 
     def test_infer_deterministic(self):
         p = tiny_model(2, dropout=0.3)
         x = RandomSource(3).gaussians(0, 1, 5).reshape(5, 1)
-        p1, _ = model_forward(x, p, mode="infer")
-        p2, _ = model_forward(x, p, mode="infer")
-        assert p1 == p2
+        p1, _ = model_forward(x[None], p, mode="infer")
+        p2, _ = model_forward(x[None], p, mode="infer")
+        assert p1[0] == p2[0]
 
     def test_prediction_finite(self):
         p = tiny_model(4)
         rng = RandomSource(5)
         for _ in range(10):
             x = rng.gaussians(0, 10, 5).reshape(5, 1)
-            pred, _ = model_forward(x, p, mode="infer")
-            assert math.isfinite(pred)
+            preds, _ = model_forward(x[None], p, mode="infer")
+            assert math.isfinite(preds[0])
 
     def test_batch_shape(self):
         p = tiny_model(6)
@@ -506,12 +506,14 @@ class TestModelForward:
     def test_train_mode_single_sample_rejected(self):
         p = tiny_model(8, dropout=0.0)
         with pytest.raises(ParameterError):
-            model_forward(np.ones((5, 1)), p, mode="train", rng=RandomSource(0))
+            model_forward(np.ones((5, 1))[None], p, mode="train", rng=RandomSource(0))
 
-    def test_wrong_step_width_rejected(self):
+    def test_wrong_step_width_or_missing_batch_axis_rejected(self):
         p = tiny_model(9)
-        with pytest.raises(ShapeError):
-            model_forward(np.ones((4, 2)), p, mode="infer")
+        with pytest.raises(ShapeError, match="model expects 1 values per step, got 2"):
+            model_forward(np.ones((4, 2))[None], p, mode="infer")
+        with pytest.raises(ShapeError, match=r"expected \(B, T, d\) input"):
+            model_forward(np.ones((5, 1)), p, mode="infer")
 
     def test_unknown_mode_rejected_before_any_work(self):
         p = tiny_model(9)
