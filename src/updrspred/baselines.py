@@ -3,10 +3,16 @@
 All of them model y = Xw + intercept on the standardized, un-augmented
 design matrix; they differ only in the solver:
 
-  lls          least squares by Householder QR
+  lls          least squares by QR (LAPACK's Householder QR via numpy)
   cg           conjugate gradients on the normal equations X'X w = X'y
   adam_linear  full-batch Adam descent on the squared-error objective
-  ridge        L2-penalized normal equations (intercept unpenalized)
+  ridge        the same QR least squares with penalty rows appended
+
+Ridge solves [Xi; sqrt(lambda) [I_d 0]] w = [y; 0] in the least-squares
+sense (Bjorck, *Numerical Methods for Least Squares Problems*, SIAM 1996,
+section 2.3), so it never forms ``Xi'Xi + lambda D`` and never squares the
+design's condition number; the zero last column leaves the intercept
+unpenalized.
 
 The Adam variant optimizes against a z-scored copy of the target and maps
 the weights back afterwards: with the shared 0.001 learning-rate schedule,
@@ -19,7 +25,8 @@ pass over the training rows. This is the residual form's gradient in exact
 arithmetic; it rounds differently, so Adam's iterate moves in the last
 digits (see README, "Numerics worth knowing").
 
-``fit_baseline`` refuses a ``y`` that is not one value per row with
+``fit_baseline`` refuses an unknown method or a negative ``ridge_lambda``
+with ``ConfigError``, a ``y`` that is not one value per row with
 ``ShapeError`` and a design with no rows with ``EmptyInputError``, before
 any method runs.
 """
@@ -27,11 +34,19 @@ any method runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ShapeError
-from .optimize import Adam, lr_at_step, solve_cg, solve_lls, solve_ridge
+from .errors import (
+    ConfigError,
+    DefinitenessError,
+    EmptyInputError,
+    RankError,
+    ShapeError,
+    SymmetryError,
+)
+from .optimize import Adam, lr_at_step
 
 METHOD_ORDER = ("lls", "cg", "adam_linear", "ridge")
 
@@ -54,12 +69,73 @@ class BaselineSpec:
         if self.method not in METHOD_ORDER:
             raise ConfigError(f"unknown baseline method {self.method!r}; "
                               f"expected one of {METHOD_ORDER}")
+        # sqrt of a negative (or NaN) penalty would give NaN weights silently
+        if not self.ridge_lambda >= 0.0:
+            raise ConfigError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
 
 
 @dataclass
 class LinearModel:
     weights: np.ndarray
     intercept: float
+
+
+def solve_lls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minimize ||Xw - y||^2 by QR (not normal equations).
+
+    Refuses a design whose R has a diagonal entry at or below
+    ``max(m, n) * eps * max|diag R|`` with ``RankError``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ShapeError(f"incompatible shapes X{X.shape}, y{y.shape}")
+    m, n = X.shape
+    if m < n:
+        raise ShapeError(f"need at least as many rows as columns, got {m}x{n}")
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diag(R))
+    tol = max(m, n) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
+    rank = int(np.sum(diag > tol))
+    if rank < n:
+        raise RankError(f"design matrix is rank deficient: numerical rank {rank} < {n}")
+    return np.linalg.solve(R, Q.T @ y)
+
+
+def solve_cg(A: np.ndarray, b: np.ndarray, tol: float = 1e-10,
+             max_iter: Optional[int] = None) -> np.ndarray:
+    """Conjugate gradients for symmetric positive definite A, from x0 = 0."""
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = A.shape[0]
+    if A.shape != (n, n) or b.shape != (n,):
+        raise ShapeError(f"incompatible shapes A{A.shape}, b{b.shape}")
+    scale = np.abs(A).max()
+    if scale > 0 and np.abs(A - A.T).max() > 1e-10 * scale:
+        raise SymmetryError("matrix is not symmetric within 1e-10")
+    if max_iter is None:
+        max_iter = 10 * n
+    x = np.zeros(n)
+    r = b.copy()
+    p = r.copy()
+    rr = r @ r
+    b_norm = np.sqrt(b @ b)
+    if b_norm == 0.0:
+        return x
+    for _ in range(max_iter):
+        if np.sqrt(rr) / b_norm <= tol:
+            break
+        Ap = A @ p
+        pAp = p @ Ap
+        if pAp <= 0.0:
+            raise DefinitenessError("conjugate gradient broke down: p'Ap <= 0")
+        alpha = rr / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rr_next = r @ r
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    return x
 
 
 def _fit_adam_linear(Xi: np.ndarray, y: np.ndarray, spec: BaselineSpec) -> np.ndarray:
@@ -109,7 +185,8 @@ def fit_baseline(spec: BaselineSpec, X_train: np.ndarray, y_train: np.ndarray) -
     elif spec.method == "adam_linear":
         full = _fit_adam_linear(Xi, y, spec)
     else:
-        full = solve_ridge(Xi, y, spec.ridge_lambda, unpenalized=d)
+        penalty = np.sqrt(spec.ridge_lambda) * np.eye(d, d + 1)
+        full = solve_lls(np.vstack([Xi, penalty]), np.concatenate([y, np.zeros(d)]))
 
     return LinearModel(weights=full[:d], intercept=float(full[d]))
 

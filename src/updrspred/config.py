@@ -13,7 +13,7 @@ of ``optimize.Adam``; the early-stopping ``min_delta`` in
 ``optimize.TrainSettings``; the leaf size in ``forest.ForestParams``, whose
 forest always bootstraps; the noise scale in ``augment.SIGMA_SCALE``; the
 ridge penalty in ``baselines.BaselineSpec``; and the CG tolerance and
-iteration cap in ``optimize.solve_cg``.
+iteration cap in ``baselines.solve_cg``.
 
 Unknown keys, including keys that earlier versions accepted, are rejected
 rather than ignored so a typo cannot silently fall back to a default.

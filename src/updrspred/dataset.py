@@ -193,13 +193,12 @@ def fit_standardizer(X: np.ndarray, column_names=()) -> StandardizationStats:
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise EmptyInputError("cannot standardize an empty matrix")
-    mean = X.mean(axis=0)
-    stddev = X.std(axis=0)
-    for j, s in enumerate(stddev):
-        if s <= 0.0:
-            label = column_names[j] if j < len(column_names) else f"column {j}"
-            raise DegenerateColumnError(f"{label} is constant; cannot standardize")
-    return StandardizationStats(mean=mean, stddev=stddev)
+    # compare values, not the spread: a constant column's std can round to
+    # about 3e-16, which would scale a value 0.1 off the mean to about 3e14
+    for j in np.flatnonzero(X.max(axis=0) == X.min(axis=0)):
+        label = column_names[j] if j < len(column_names) else f"column {j}"
+        raise DegenerateColumnError(f"{label} is constant; cannot standardize")
+    return StandardizationStats(mean=X.mean(axis=0), stddev=X.std(axis=0))
 
 
 def apply_standardizer(stats: StandardizationStats, X: np.ndarray) -> np.ndarray:
@@ -244,15 +243,9 @@ def _check_holdout_sides(test_fraction: float, n_trainval: int, n_test: int) -> 
 
 
 def holdout_split(n: int, test_fraction: float, rng: RandomSource):
-    """One shuffled train-and-validate / test partition of 0..n-1."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ParameterError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    n_test = int(round(n * test_fraction))
-    _check_holdout_sides(test_fraction, n - n_test, n_test)
-    perm = rng.permutation(n)
-    test = np.sort(perm[:n_test])
-    trainval = np.sort(perm[n_test:])
-    return trainval, test
+    """One shuffled train-and-validate / test partition of 0..n-1: the
+    grouped split with one group per row."""
+    return grouped_holdout_split(np.arange(n), test_fraction, rng)
 
 
 def grouped_holdout_split(groups: np.ndarray, test_fraction: float, rng: RandomSource):
@@ -264,18 +257,17 @@ def grouped_holdout_split(groups: np.ndarray, test_fraction: float, rng: RandomS
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     groups = np.asarray(groups)
-    unique = np.unique(groups)
+    unique, sizes = np.unique(groups, return_counts=True)
     order = rng.permutation(len(unique))
     target = int(round(len(groups) * test_fraction))
-    test_groups = set()
+    test_groups = []
     total = 0
     for gi in order:
         if total >= target:
             break
-        g = unique[gi]
-        test_groups.add(g)
-        total += int(np.sum(groups == g))
-    mask = np.isin(groups, sorted(test_groups))
+        test_groups.append(unique[gi])
+        total += int(sizes[gi])
+    mask = np.isin(groups, test_groups)
     test = np.nonzero(mask)[0]
     trainval = np.nonzero(~mask)[0]
     _check_holdout_sides(test_fraction, len(trainval), len(test))

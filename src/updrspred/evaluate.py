@@ -75,9 +75,11 @@ def r2(y: np.ndarray, y_hat: np.ndarray) -> float:
         raise ShapeError(f"length mismatch: {y.shape} vs {y_hat.shape}")
     if y.size < 2:
         raise EmptyInputError("r2 needs at least two observations")
-    total = float(((y - y.mean()) ** 2).sum())
-    if total == 0.0:
+    # compare values: a constant target's total variation can round to a
+    # tiny nonzero value and make r2 about -1e29
+    if y.max() == y.min():
         raise DegenerateTargetError("target is constant; r2 undefined")
+    total = float(((y - y.mean()) ** 2).sum())
     residual = float(((y - y_hat) ** 2).sum())
     return 1.0 - residual / total
 
@@ -216,12 +218,12 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
         X_tr_sel, y_tr, config.jitter_copies, rngs["augment"]
     )
 
+    if y_tr.max() == y_tr.min():  # its std can round to a tiny nonzero value
+        raise DegenerateTargetError("training target is constant in this fold")
     # the network regresses a z-scored target; the 0.001-rate schedule
     # cannot march the output bias tens of units in a realistic epoch budget
     y_mu = float(y_tr.mean())
     y_sd = float(y_tr.std())
-    if y_sd == 0.0:
-        raise DegenerateTargetError("training target is constant in this fold")
 
     params = init_model_params(
         rngs["init"],

@@ -1,10 +1,7 @@
-"""Training machinery and direct solvers.
-
-One half drives the network: Adam over a flat parameter vector, a staircase
+"""Network training: Adam over a flat parameter vector, a staircase
 exponential learning-rate schedule, early stopping on validation loss, and
-the epoch loop tying them together. The other half solves the linear
-baselines directly: least squares by Householder QR, conjugate gradients on
-the normal equations, and ridge regression.
+the epoch loop tying them together. The adam_linear baseline reuses
+``Adam`` and ``lr_at_step``; the direct solvers live in ``baselines``.
 """
 
 from __future__ import annotations
@@ -14,14 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DefinitenessError,
-    NumericError,
-    ParameterError,
-    RankError,
-    ShapeError,
-    SymmetryError,
-)
+from .errors import NumericError, ParameterError, ShapeError
 from .linalg import RandomSource
 from .nn import ModelParams, commit_batchnorm, model_backward, model_forward
 
@@ -118,123 +108,6 @@ class EarlyStopper:
         if self.best_vector is not None:
             params.vector[:] = self.best_vector
         return params
-
-
-# ---------------------------------------------------------------------------
-# direct solvers
-
-
-def _householder_qr(A: np.ndarray):
-    """Thin QR via Householder reflections; returns (Q^T b applicator, R).
-
-    Returns the reflectors so Q^T can be applied to a vector without
-    forming Q.
-    """
-    m, n = A.shape
-    R = A.copy()
-    reflectors = []
-    for j in range(n):
-        x = R[j:, j]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            reflectors.append(None)
-            continue
-        v = x.copy()
-        v[0] += np.copysign(norm_x, x[0])
-        v /= np.linalg.norm(v)
-        R[j:, j:] -= 2.0 * np.outer(v, v @ R[j:, j:])
-        reflectors.append(v)
-    return reflectors, R
-
-
-def _apply_qt(reflectors, b: np.ndarray) -> np.ndarray:
-    out = b.astype(np.float64).copy()
-    for j, v in enumerate(reflectors):
-        if v is None:
-            continue
-        out[j:] -= 2.0 * v * (v @ out[j:])
-    return out
-
-
-def solve_lls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimize ||Xw - y||^2 by Householder QR (not normal equations)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ShapeError(f"incompatible shapes X{X.shape}, y{y.shape}")
-    m, n = X.shape
-    if m < n:
-        raise ShapeError(f"need at least as many rows as columns, got {m}x{n}")
-    reflectors, R = _householder_qr(X)
-    diag = np.abs(np.diag(R[:n, :n]))
-    tol = max(m, n) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < n:
-        raise RankError(f"design matrix is rank deficient: numerical rank {rank} < {n}")
-    qty = _apply_qt(reflectors, y)[:n]
-    w = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        w[i] = (qty[i] - R[i, i + 1:n] @ w[i + 1:]) / R[i, i]
-    return w
-
-
-def solve_cg(A: np.ndarray, b: np.ndarray, tol: float = 1e-10,
-             max_iter: Optional[int] = None) -> np.ndarray:
-    """Conjugate gradients for symmetric positive definite A, from x0 = 0."""
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
-        raise ShapeError(f"incompatible shapes A{A.shape}, b{b.shape}")
-    scale = np.abs(A).max()
-    if scale > 0 and np.abs(A - A.T).max() > 1e-10 * scale:
-        raise SymmetryError("matrix is not symmetric within 1e-10")
-    if max_iter is None:
-        max_iter = 10 * n
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rr = r @ r
-    b_norm = np.sqrt(b @ b)
-    if b_norm == 0.0:
-        return x
-    for _ in range(max_iter):
-        if np.sqrt(rr) / b_norm <= tol:
-            break
-        Ap = A @ p
-        pAp = p @ Ap
-        if pAp <= 0.0:
-            raise DefinitenessError("conjugate gradient broke down: p'Ap <= 0")
-        alpha = rr / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rr_next = r @ r
-        p = r + (rr_next / rr) * p
-        rr = rr_next
-    return x
-
-
-def solve_ridge(X: np.ndarray, y: np.ndarray, lam: float,
-                unpenalized: Optional[int] = None) -> np.ndarray:
-    """Minimize ||Xw - y||^2 + lam * ||w||^2 via the regularized normal
-    equations. ``unpenalized`` names a column (the intercept) left out of
-    the penalty."""
-    if lam < 0:
-        raise ParameterError(f"ridge penalty must be >= 0, got {lam}")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ShapeError(f"incompatible shapes X{X.shape}, y{y.shape}")
-    n = X.shape[1]
-    penalty = np.full(n, lam)
-    if unpenalized is not None:
-        penalty[unpenalized] = 0.0
-    A = X.T @ X + np.diag(penalty)
-    return np.linalg.solve(A, X.T @ y)
-
-
-# ---------------------------------------------------------------------------
-# network training loop
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from updrspred.baselines import fit_baseline, predict_linear
+from updrspred.baselines import BaselineSpec, fit_baseline, predict_linear, solve_cg, solve_lls
 from updrspred.cli import main as cli_main
 from updrspred.config import RunConfig, config_from_dict
 from updrspred.dataset import (
@@ -29,7 +29,6 @@ from updrspred.evaluate import NETWORK_NAME, mse, r2, run_experiment
 from updrspred.forest import ForestParams
 from updrspred.linalg import RandomSource
 from updrspred.nn import INVARIANT_CHECKS, reset_invariant_counters
-from updrspred.optimize import solve_cg, solve_lls, solve_ridge
 from updrspred.rfe import rfe_select
 
 from conftest import REAL_DATA_HINT, real_dataset_path
@@ -59,9 +58,12 @@ def test_criterion_2_solver_oracle_equivalence():
     for trial in range(100):
         X = rng.gaussians(0, 1, 250).reshape(50, 5)
         y = rng.gaussians(0, 1, 50)
-        w_lls = solve_lls(X, y)
-        w_cg = solve_cg(X.T @ X, X.T @ y, tol=1e-12, max_iter=200)
-        w_ridge = solve_ridge(X, y, 0.0)
+        Xi = np.column_stack([X, np.ones(50)])
+        w_lls = solve_lls(Xi, y)
+        w_cg = solve_cg(Xi.T @ Xi, Xi.T @ y, tol=1e-12, max_iter=200)
+        ridge = fit_baseline(BaselineSpec("ridge", adam_steps=0, lr_initial=0.001,
+                                          ridge_lambda=0.0), X, y)
+        w_ridge = np.append(ridge.weights, ridge.intercept)
         assert np.max(np.abs(w_cg - w_lls)) < 1e-8, f"trial {trial}"
         assert np.max(np.abs(w_ridge - w_lls)) < 1e-8, f"trial {trial}"
     elapsed = time.time() - started

@@ -12,8 +12,17 @@ from updrspred.baselines import (
     LinearModel,
     fit_baseline,
     predict_linear,
+    solve_cg,
+    solve_lls,
 )
-from updrspred.errors import ConfigError, EmptyInputError, ShapeError
+from updrspred.errors import (
+    ConfigError,
+    DefinitenessError,
+    EmptyInputError,
+    RankError,
+    ShapeError,
+    SymmetryError,
+)
 from updrspred.linalg import RandomSource
 from updrspred.optimize import Adam, lr_at_step
 
@@ -48,6 +57,30 @@ def off_center_problem(seed, n=200, d=5, noise=0.5):
     return X + np.linspace(-1.5, 1.5, d), y, w
 
 
+def well_conditioned_problem(n, d, seed):
+    """Centered orthogonal columns scaled to norms in [sqrt(n)/2, sqrt(n)]
+    next to the intercept's sqrt(n): with its intercept column the design
+    has condition number at most 2."""
+    n = max(n, d + 2)
+    rng = RandomSource(seed)
+    Z = rng.gaussians(0, 1, n * d).reshape(n, d)
+    Q, _ = np.linalg.qr(Z - Z.mean(axis=0))
+    V, _ = np.linalg.qr(rng.gaussians(0, 1, d * d).reshape(d, d))
+    scales = np.sqrt(n) * (0.5 + 0.5 * rng.uniforms(d))
+    X = (Q * scales) @ V.T
+    y = X @ rng.gaussians(0, 3, d) + 20.0 + rng.gaussians(0, 2, n)
+    return X, y
+
+
+def with_intercept(X):
+    return np.column_stack([X, np.ones(len(X))])
+
+
+def full_vector(model):
+    """A fitted model's weights followed by its intercept."""
+    return np.append(model.weights, model.intercept)
+
+
 def reference_adam_linear(X, y, steps, lr_initial):
     """The residual-form loop: two passes over the training rows per step.
 
@@ -68,6 +101,70 @@ def reference_adam_linear(X, y, steps, lr_initial):
         grad[d] = (2.0 / n) * residual.sum()
         adam.step(theta, grad, lr_at_step(lr_initial, step))
     return theta[:d] * sd, theta[d] * sd + mu
+
+
+class TestSolveLls:
+    def test_identity(self):
+        w = solve_lls(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        assert np.allclose(w, [1, 2, 3], atol=1e-12)
+
+    def test_consistent_system_interpolates(self):
+        rng = RandomSource(5)
+        X = rng.gaussians(0, 1, 40).reshape(8, 5)
+        w_true = rng.gaussians(0, 1, 5)
+        y = X @ w_true
+        w = solve_lls(X, y)
+        assert np.linalg.norm(X @ w - y) < 1e-10
+
+    def test_matches_normal_equations(self):
+        rng = RandomSource(6)
+        X = rng.gaussians(0, 1, 250).reshape(50, 5)
+        y = rng.gaussians(0, 1, 50)
+        w = solve_lls(X, y)
+        w_ref = np.linalg.solve(X.T @ X, X.T @ y)
+        assert np.allclose(w, w_ref, atol=1e-8)
+
+    def test_rank_deficient_reports_rank(self):
+        X = np.column_stack([np.ones(6), np.ones(6)])
+        with pytest.raises(RankError, match="rank 1"):
+            solve_lls(X, np.arange(6.0))
+
+    def test_underdetermined_rejected(self):
+        with pytest.raises(ShapeError):
+            solve_lls(np.ones((2, 3)), np.ones(2))
+
+
+class TestSolveCg:
+    def test_identity_converges_first_iteration(self):
+        b = np.array([3.0, -1.0, 2.0])
+        assert np.allclose(solve_cg(np.eye(3), b), b, atol=1e-12)
+
+    def test_diagonal(self):
+        x = solve_cg(np.diag([1.0, 2.0, 3.0]), np.ones(3), tol=1e-12)
+        assert np.allclose(x, [1.0, 0.5, 1.0 / 3.0], atol=1e-10)
+
+    def test_finite_termination_on_random_spd(self):
+        rng = RandomSource(7)
+        for n in (4, 8, 12):
+            M = rng.gaussians(0, 1, n * n).reshape(n, n)
+            A = M @ M.T + n * np.eye(n)
+            x_true = rng.gaussians(0, 1, n)
+            b = A @ x_true
+            x = solve_cg(A, b, tol=1e-14, max_iter=n + 2)
+            assert np.allclose(x, x_true, atol=1e-8)
+
+    def test_asymmetric_rejected(self):
+        A = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(SymmetryError):
+            solve_cg(A, np.ones(2))
+
+    def test_indefinite_breaks_down(self):
+        A = np.diag([1.0, -1.0])
+        with pytest.raises(DefinitenessError):
+            solve_cg(A, np.array([1.0, 1.0]))
+
+    def test_zero_rhs(self):
+        assert np.array_equal(solve_cg(np.eye(2), np.zeros(2)), np.zeros(2))
 
 
 class TestFitBaseline:
@@ -148,22 +245,66 @@ class TestBaselineEquivalences:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 200), d=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
     def test_solvers_agree_on_well_conditioned_designs(self, n, d, seed):
-        # centered orthogonal columns scaled to norms in [sqrt(n)/2, sqrt(n)]
-        # next to the intercept's sqrt(n): the design with its intercept
-        # column has condition number at most 2
-        n = max(n, d + 2)
-        rng = RandomSource(seed)
-        Z = rng.gaussians(0, 1, n * d).reshape(n, d)
-        Q, _ = np.linalg.qr(Z - Z.mean(axis=0))
-        V, _ = np.linalg.qr(rng.gaussians(0, 1, d * d).reshape(d, d))
-        scales = np.sqrt(n) * (0.5 + 0.5 * rng.uniforms(d))
-        X = (Q * scales) @ V.T
-        y = X @ rng.gaussians(0, 3, d) + 20.0 + rng.gaussians(0, 2, n)
+        X, y = well_conditioned_problem(n, d, seed)
         lls = fit_baseline(spec("lls"), X, y)
         for method in ("cg", "ridge"):
             other = fit_baseline(spec(method, ridge_lambda=0.0), X, y)
             assert np.allclose(other.weights, lls.weights, rtol=0, atol=1e-8)
             assert other.intercept == pytest.approx(lls.intercept, rel=0, abs=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 200), d=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
+    def test_qr_paths_match_lstsq_and_the_penalized_normal_equations(self, n, d, seed):
+        X, y = well_conditioned_problem(n, d, seed)
+        Xi = with_intercept(X)
+        oracle, *_ = np.linalg.lstsq(Xi, y, rcond=None)
+        assert np.allclose(solve_lls(Xi, y), oracle, rtol=0, atol=1e-10)
+        # (Xi'Xi + lam D)^-1 Xi'y, with D the identity minus the intercept's entry
+        D = np.diag(np.append(np.ones(d), 0.0))
+        for lam in (0.0, 0.5, 1.0, 10.0):
+            ridge = fit_baseline(spec("ridge", ridge_lambda=lam), X, y)
+            expected = np.linalg.solve(Xi.T @ Xi + lam * D, Xi.T @ y)
+            assert np.allclose(full_vector(ridge), expected, rtol=0, atol=1e-9)
+
+
+class TestRidge:
+    """Ridge through ``fit_baseline``: least squares on the penalty-augmented
+    design. Its lambda = 0 case is ``TestFitBaseline.test_ridge_zero_lambda_equals_lls``."""
+
+    def test_huge_lambda_shrinks_weights_but_not_the_intercept(self):
+        rng = RandomSource(9)
+        X = rng.gaussians(0, 1, 40).reshape(40, 1)
+        y = rng.gaussians(5, 1, 40)
+        model = fit_baseline(spec("ridge", ridge_lambda=1e12), X, y)
+        assert abs(model.weights[0]) < 1e-6
+        assert model.intercept == pytest.approx(y.mean(), abs=1e-6)
+
+    @pytest.mark.parametrize("lam, weight", [(0.0, 1.0), (1.0, 2.0 / 3.0)])
+    def test_hand_case(self, lam, weight):
+        # (w + b - 2)^2 + (-w + b)^2 + lam w^2 is least at b = 1, w = 4 / (4 + 2 lam)
+        model = fit_baseline(spec("ridge", ridge_lambda=lam), np.array([[1.0], [-1.0]]),
+                             np.array([2.0, 0.0]))
+        assert model.weights[0] == pytest.approx(weight, rel=0, abs=1e-14)
+        assert model.intercept == pytest.approx(1.0, rel=0, abs=1e-14)
+
+    def test_weight_norm_non_increasing_in_lambda(self):
+        rng = RandomSource(10)
+        X = rng.gaussians(0, 1, 200).reshape(40, 5)
+        y = rng.gaussians(0, 1, 40)
+        norms = [np.linalg.norm(fit_baseline(spec("ridge", ridge_lambda=lam), X, y).weights)
+                 for lam in (0.0, 0.5, 2.0, 10.0)]
+        assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+
+    def test_fewer_rows_than_weights_solvable_with_a_penalty(self):
+        # the penalty rows make [Xi; sqrt(lam) I] full rank; least squares alone is not
+        X, y, _ = standardized_problem(17, n=4, d=6)
+        with pytest.raises(RankError):
+            fit_baseline(spec("ridge", ridge_lambda=0.0), X, y)
+        Xi = with_intercept(X)
+        D = np.diag(np.append(np.ones(6), 0.0))
+        model = fit_baseline(spec("ridge", ridge_lambda=1.0), X, y)
+        expected = np.linalg.solve(Xi.T @ Xi + D, Xi.T @ y)
+        assert np.allclose(full_vector(model), expected, rtol=0, atol=1e-10)
 
 
 class TestAdamLinearMatchesReference:
@@ -197,6 +338,13 @@ class TestFitBaselineRefusals:
         with pytest.raises(ShapeError) as err:
             fit_baseline(spec(method), X, y[:y_shape[0]].reshape(y_shape))
         assert "(30, 3)" in str(err.value) and str(y_shape) in str(err.value)
+
+    @pytest.mark.parametrize("method", METHOD_ORDER)
+    @pytest.mark.parametrize("lam", [-0.1, float("nan")])
+    def test_negative_or_nan_ridge_lambda_refused(self, method, lam):
+        X, y, _ = standardized_problem(16, n=30, d=3)
+        with pytest.raises(ConfigError, match="ridge_lambda must be >= 0"):
+            fit_baseline(spec(method, ridge_lambda=lam), X, y)
 
     @pytest.mark.parametrize("method", METHOD_ORDER)
     def test_empty_design_refused_without_warnings(self, method):

@@ -177,6 +177,12 @@ class TestStandardizer:
         with pytest.raises(DegenerateColumnError, match="flat"):
             fit_standardizer(X, column_names=("ok", "flat"))
 
+    def test_constant_column_with_a_rounded_nonzero_std_rejected(self):
+        # 240 copies of 0.1 have a computed std of about 3e-16, not 0
+        X = np.column_stack([np.arange(240.0), np.full(240, 0.1)])
+        with pytest.raises(DegenerateColumnError, match="flat"):
+            fit_standardizer(X, column_names=("ok", "flat"))
+
     def test_round_trip(self):
         rng = RandomSource(2)
         X = rng.gaussians(-2.0, 0.5, 60).reshape(20, 3)

@@ -67,6 +67,11 @@ class TestR2:
         with pytest.raises(DegenerateTargetError):
             r2(np.full(5, 2.0), np.arange(5.0))
 
+    def test_constant_target_with_a_rounded_nonzero_spread_rejected(self):
+        # the squared deviations of 20 copies of 0.1 do not sum to exactly 0
+        with pytest.raises(DegenerateTargetError):
+            r2(np.full(20, 0.1), np.linspace(0.0, 1.0, 20))
+
     def test_worse_than_mean_is_negative(self):
         y = np.array([1.0, 2.0, 3.0])
         assert r2(y, np.array([3.0, 1.0, 2.0])) < 0
@@ -128,6 +133,19 @@ class TestRunExperiment:
             assert len(detail["selected_features"]) == config.rfe_k
             assert "motor_UPDRS" in detail["selected_features"]
             assert len(detail["elimination_order"]) == len(config.regressors) - config.rfe_k
+
+    def test_constant_training_target_rejected_before_training(self, synthetic_csv, monkeypatch):
+        # 240 training targets of 0.1 have a computed std of about 1e-17, not 0
+        monkeypatch.setattr(evaluate, "train_network",
+                            lambda *args: pytest.fail("trained on a constant target"))
+        config = smoke_config(synthetic_csv)
+        rng = RandomSource(3)
+        X_all = rng.gaussians(0, 1, 300 * len(config.regressors)).reshape(300, -1)
+        y_all = np.concatenate([np.full(240, 0.1), rng.gaussians(20, 5, 60)])
+        rows = np.arange(300)
+        args = (0, config, X_all, y_all, rows[:240], rows[240:270], rows[270:], RandomSource(4))
+        with pytest.raises(DegenerateTargetError, match="constant in this fold"):
+            evaluate._run_fold(args)
 
     def test_grouped_mode_runs(self, synthetic_csv):
         config = smoke_config(synthetic_csv, group_by_subject=True, subsample_rows=None)

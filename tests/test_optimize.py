@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from updrspred.errors import (
-    DefinitenessError,
-    NumericError,
-    ParameterError,
-    RankError,
-    ShapeError,
-    SymmetryError,
-)
+from updrspred.errors import NumericError, ShapeError
 from updrspred.linalg import RandomSource
 from updrspred.nn import init_model_params
 from updrspred.optimize import (
@@ -17,9 +10,6 @@ from updrspred.optimize import (
     TrainSettings,
     lr_at_step,
     predict_network,
-    solve_cg,
-    solve_lls,
-    solve_ridge,
     train_network,
 )
 
@@ -140,102 +130,6 @@ class TestEarlyStopper:
         p = init_model_params(RandomSource(4), units=2, attn_dim=2, dense_widths=(3, 2))
         with pytest.raises(NumericError):
             EarlyStopper(patience=15, min_delta=1e-4).update(float("nan"), p)
-
-
-class TestSolveLls:
-    def test_identity(self):
-        w = solve_lls(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(w, [1, 2, 3], atol=1e-12)
-
-    def test_consistent_system_interpolates(self):
-        rng = RandomSource(5)
-        X = rng.gaussians(0, 1, 40).reshape(8, 5)
-        w_true = rng.gaussians(0, 1, 5)
-        y = X @ w_true
-        w = solve_lls(X, y)
-        assert np.linalg.norm(X @ w - y) < 1e-10
-
-    def test_matches_normal_equations(self):
-        rng = RandomSource(6)
-        X = rng.gaussians(0, 1, 250).reshape(50, 5)
-        y = rng.gaussians(0, 1, 50)
-        w = solve_lls(X, y)
-        w_ref = np.linalg.solve(X.T @ X, X.T @ y)
-        assert np.allclose(w, w_ref, atol=1e-8)
-
-    def test_rank_deficient_reports_rank(self):
-        X = np.column_stack([np.ones(6), np.ones(6)])
-        with pytest.raises(RankError, match="rank 1"):
-            solve_lls(X, np.arange(6.0))
-
-    def test_underdetermined_rejected(self):
-        with pytest.raises(ShapeError):
-            solve_lls(np.ones((2, 3)), np.ones(2))
-
-
-class TestSolveCg:
-    def test_identity_converges_first_iteration(self):
-        b = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(solve_cg(np.eye(3), b), b, atol=1e-12)
-
-    def test_diagonal(self):
-        x = solve_cg(np.diag([1.0, 2.0, 3.0]), np.ones(3), tol=1e-12)
-        assert np.allclose(x, [1.0, 0.5, 1.0 / 3.0], atol=1e-10)
-
-    def test_finite_termination_on_random_spd(self):
-        rng = RandomSource(7)
-        for n in (4, 8, 12):
-            M = rng.gaussians(0, 1, n * n).reshape(n, n)
-            A = M @ M.T + n * np.eye(n)
-            x_true = rng.gaussians(0, 1, n)
-            b = A @ x_true
-            x = solve_cg(A, b, tol=1e-14, max_iter=n + 2)
-            assert np.allclose(x, x_true, atol=1e-8)
-
-    def test_asymmetric_rejected(self):
-        A = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(SymmetryError):
-            solve_cg(A, np.ones(2))
-
-    def test_indefinite_breaks_down(self):
-        A = np.diag([1.0, -1.0])
-        with pytest.raises(DefinitenessError):
-            solve_cg(A, np.array([1.0, 1.0]))
-
-    def test_zero_rhs(self):
-        assert np.array_equal(solve_cg(np.eye(2), np.zeros(2)), np.zeros(2))
-
-
-class TestSolveRidge:
-    def test_lambda_zero_equals_lls(self):
-        rng = RandomSource(8)
-        X = rng.gaussians(0, 1, 120).reshape(30, 4)
-        y = rng.gaussians(0, 1, 30)
-        assert np.allclose(solve_ridge(X, y, 0.0), solve_lls(X, y), atol=1e-8)
-
-    def test_huge_lambda_shrinks_weights(self):
-        rng = RandomSource(9)
-        X = np.column_stack([rng.gaussians(0, 1, 40), np.ones(40)])
-        y = rng.gaussians(5, 1, 40)
-        w = solve_ridge(X, y, 1e12, unpenalized=1)
-        assert abs(w[0]) < 1e-6
-        assert w[1] == pytest.approx(y.mean(), abs=1e-6)
-
-    def test_hand_case(self):
-        # (I + I) w = y  =>  w = y / 2
-        w = solve_ridge(np.eye(2), np.array([2.0, 4.0]), 1.0)
-        assert np.allclose(w, [1.0, 2.0], atol=1e-12)
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ParameterError):
-            solve_ridge(np.eye(2), np.ones(2), -0.1)
-
-    def test_norm_non_increasing_in_lambda(self):
-        rng = RandomSource(10)
-        X = rng.gaussians(0, 1, 200).reshape(40, 5)
-        y = rng.gaussians(0, 1, 40)
-        norms = [np.linalg.norm(solve_ridge(X, y, lam)) for lam in (0.0, 0.5, 2.0, 10.0)]
-        assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 class TestTrainNetwork:
