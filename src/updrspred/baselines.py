@@ -4,15 +4,21 @@ All of them model y = Xw + intercept on the standardized, un-augmented
 design matrix; they differ only in the solver:
 
   lls          least squares by QR (LAPACK's Householder QR via numpy)
-  cg           conjugate gradients on the normal equations X'X w = X'y
+  cg           conjugate gradients on the normal equations, run on the
+               design itself (CGLS)
   adam_linear  full-batch Adam descent on the squared-error objective
   ridge        the same QR least squares with penalty rows appended
 
-Ridge solves [Xi; sqrt(lambda) [I_d 0]] w = [y; 0] in the least-squares
-sense (Bjorck, *Numerical Methods for Least Squares Problems*, SIAM 1996,
-section 2.3), so it never forms ``Xi'Xi + lambda D`` and never squares the
-design's condition number; the zero last column leaves the intercept
-unpenalized.
+LLS, CG and ridge all work on the intercept-augmented design ``Xi`` and
+never form ``Xi'Xi``, so none of them squares the design's condition
+number. ``solve_lls`` takes R and ``Q'y`` from one QR of ``[Xi y]`` and
+never forms Q. Ridge solves [Xi; sqrt(lambda) [I_d 0]] w = [y; 0] in the
+least-squares sense (Bjorck, *Numerical Methods for Least Squares
+Problems*, SIAM 1996, section 2.3); the zero last column leaves the
+intercept unpenalized. CG is CGLS (Hestenes & Stiefel 1952; Paige &
+Saunders 1982, ACM TOMS 8:43): in exact arithmetic the conjugate-gradient
+iteration on ``Xi'Xi w = Xi'y``, but each step takes one product with
+``Xi`` and one with ``Xi'``.
 
 The Adam variant optimizes against a z-scored copy of the target and maps
 the weights back afterwards: with the shared 0.001 learning-rate schedule,
@@ -38,14 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DefinitenessError,
-    EmptyInputError,
-    RankError,
-    ShapeError,
-    SymmetryError,
-)
+from .errors import ConfigError, EmptyInputError, RankError, ShapeError
 from .optimize import Adam, lr_at_step
 
 METHOD_ORDER = ("lls", "cg", "adam_linear", "ridge")
@@ -83,7 +82,8 @@ class LinearModel:
 def solve_lls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimize ||Xw - y||^2 by QR (not normal equations).
 
-    Refuses a design whose R has a diagonal entry at or below
+    One Householder QR of ``[X y]`` gives both R and ``Q'y``, so Q is never
+    formed. Refuses a design whose R has a diagonal entry at or below
     ``max(m, n) * eps * max|diag R|`` with ``RankError``.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -93,49 +93,52 @@ def solve_lls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     m, n = X.shape
     if m < n:
         raise ShapeError(f"need at least as many rows as columns, got {m}x{n}")
-    Q, R = np.linalg.qr(X)
+    Ry = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    R, qty = Ry[:n, :n], Ry[:n, n]
     diag = np.abs(np.diag(R))
     tol = max(m, n) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
     rank = int(np.sum(diag > tol))
     if rank < n:
         raise RankError(f"design matrix is rank deficient: numerical rank {rank} < {n}")
-    return np.linalg.solve(R, Q.T @ y)
+    return np.linalg.solve(R, qty)
 
 
-def solve_cg(A: np.ndarray, b: np.ndarray, tol: float = 1e-10,
+def solve_cg(X: np.ndarray, y: np.ndarray, tol: float = 1e-10,
              max_iter: Optional[int] = None) -> np.ndarray:
-    """Conjugate gradients for symmetric positive definite A, from x0 = 0."""
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
-        raise ShapeError(f"incompatible shapes A{A.shape}, b{b.shape}")
-    scale = np.abs(A).max()
-    if scale > 0 and np.abs(A - A.T).max() > 1e-10 * scale:
-        raise SymmetryError("matrix is not symmetric within 1e-10")
+    """Conjugate gradients on X'X w = X'y, run on X itself (CGLS), from w0 = 0.
+
+    Each step takes one product with X and one with X'; X'X is never
+    formed. Stops when ``||X'(y - Xw)|| / ||X'y|| <= tol`` or after
+    ``max_iter`` steps (default 10 per unknown).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ShapeError(f"incompatible shapes X{X.shape}, y{y.shape}")
+    n = X.shape[1]
     if max_iter is None:
         max_iter = 10 * n
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rr = r @ r
-    b_norm = np.sqrt(b @ b)
-    if b_norm == 0.0:
-        return x
+    w = np.zeros(n)
+    r = y.copy()  # y - Xw
+    s = X.T @ r   # the normal equations' residual X'(y - Xw)
+    p = s.copy()
+    ss = s @ s
+    s0_norm = np.sqrt(ss)
+    if s0_norm == 0.0:
+        return w
     for _ in range(max_iter):
-        if np.sqrt(rr) / b_norm <= tol:
+        if np.sqrt(ss) / s0_norm <= tol:
             break
-        Ap = A @ p
-        pAp = p @ Ap
-        if pAp <= 0.0:
-            raise DefinitenessError("conjugate gradient broke down: p'Ap <= 0")
-        alpha = rr / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rr_next = r @ r
-        p = r + (rr_next / rr) * p
-        rr = rr_next
-    return x
+        # p lies in range(X'), so Xp != 0 until s reaches 0
+        q = X @ p
+        alpha = ss / (q @ q)
+        w += alpha * p
+        r -= alpha * q
+        s = X.T @ r
+        ss_next = s @ s
+        p = s + (ss_next / ss) * p
+        ss = ss_next
+    return w
 
 
 def _fit_adam_linear(Xi: np.ndarray, y: np.ndarray, spec: BaselineSpec) -> np.ndarray:
@@ -179,9 +182,7 @@ def fit_baseline(spec: BaselineSpec, X_train: np.ndarray, y_train: np.ndarray) -
     if spec.method == "lls":
         full = solve_lls(Xi, y)
     elif spec.method == "cg":
-        A = Xi.T @ Xi
-        b = Xi.T @ y
-        full = solve_cg(A, b)
+        full = solve_cg(Xi, y)
     elif spec.method == "adam_linear":
         full = _fit_adam_linear(Xi, y, spec)
     else:

@@ -51,14 +51,6 @@ class RankError(RuntimeFault):
     """A design matrix is numerically rank deficient."""
 
 
-class SymmetryError(UsageFault):
-    """A matrix required to be symmetric is not."""
-
-
-class DefinitenessError(RuntimeFault):
-    """An iteration broke down because the matrix is not positive definite."""
-
-
 class NumericError(RuntimeFault):
     """A non-finite value appeared where finite numbers are required."""
 

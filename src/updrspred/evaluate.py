@@ -192,6 +192,8 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
     X_tr = apply_standardizer(stats, X_tr_raw)
     X_va = apply_standardizer(stats, X_va_raw)
     X_te = apply_standardizer(stats, X_te_raw)
+    if y_tr.max() == y_tr.min():  # its std can round to a tiny nonzero value
+        raise DegenerateTargetError("training target is constant in this fold")
 
     results = {}
     baseline_X, baseline_y = X_tr, y_tr
@@ -218,8 +220,6 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
         X_tr_sel, y_tr, config.jitter_copies, rngs["augment"]
     )
 
-    if y_tr.max() == y_tr.min():  # its std can round to a tiny nonzero value
-        raise DegenerateTargetError("training target is constant in this fold")
     # the network regresses a z-scored target; the 0.001-rate schedule
     # cannot march the output bias tens of units in a realistic epoch budget
     y_mu = float(y_tr.mean())

@@ -4,9 +4,9 @@ Every stochastic choice in the pipeline flows through :class:`RandomSource`
 so that a single integer seed reproduces a whole run bit for bit, on any
 platform. The generator is counter-based SplitMix64: output ``i`` is the
 SplitMix64 finalizer applied to ``seed + i * 0x9E3779B97F4A7C15`` (mod
-2**64). Because each output is a pure function of ``(seed, i)``, blocks of
-draws vectorize in numpy while single draws use plain Python integers, and
-the two paths produce the identical stream.
+2**64). Because each output is a pure function of ``(seed, i)``, a block
+of draws is one vectorized numpy expression; a single draw is a block of
+one.
 
 Uniform doubles take the top 53 bits of each word, giving values in
 [0, 1). Gaussian draws come from the Box-Muller transform applied to
@@ -24,14 +24,6 @@ from .errors import ParameterError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer on a Python integer (exact 64-bit wrap)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 def _mix64_block(z: np.ndarray) -> np.ndarray:
@@ -58,8 +50,7 @@ class RandomSource:
         return self._seed
 
     def next_u64(self) -> int:
-        self._count += 1
-        return _mix64((self._seed + self._count * _GOLDEN) & _MASK64)
+        return int(self.u64_block(1)[0])
 
     def u64_block(self, n: int) -> np.ndarray:
         if n < 0:

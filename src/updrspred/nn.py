@@ -126,10 +126,11 @@ def _glorot(rng: RandomSource, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 def init_model_params(
     rng: RandomSource,
+    *,
     input_dim: int = 1,
-    units: int = 100,
-    attn_dim: int = 64,
-    dense_widths: tuple[int, int] = (64, 32),
+    units: int,
+    attn_dim: int,
+    dense_widths: tuple[int, int],
     dropout_rate: float = 0.3,
     l2: float = 1e-4,
     bn_momentum: float = 0.9,

@@ -60,7 +60,7 @@ def test_criterion_2_solver_oracle_equivalence():
         y = rng.gaussians(0, 1, 50)
         Xi = np.column_stack([X, np.ones(50)])
         w_lls = solve_lls(Xi, y)
-        w_cg = solve_cg(Xi.T @ Xi, Xi.T @ y, tol=1e-12, max_iter=200)
+        w_cg = solve_cg(Xi, y, tol=1e-12, max_iter=200)
         ridge = fit_baseline(BaselineSpec("ridge", adam_steps=0, lr_initial=0.001,
                                           ridge_lambda=0.0), X, y)
         w_ridge = np.append(ridge.weights, ridge.intercept)

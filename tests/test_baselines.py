@@ -15,14 +15,7 @@ from updrspred.baselines import (
     solve_cg,
     solve_lls,
 )
-from updrspred.errors import (
-    ConfigError,
-    DefinitenessError,
-    EmptyInputError,
-    RankError,
-    ShapeError,
-    SymmetryError,
-)
+from updrspred.errors import ConfigError, EmptyInputError, RankError, ShapeError
 from updrspred.linalg import RandomSource
 from updrspred.optimize import Adam, lr_at_step
 
@@ -135,36 +128,52 @@ class TestSolveLls:
 
 
 class TestSolveCg:
-    def test_identity_converges_first_iteration(self):
-        b = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(solve_cg(np.eye(3), b), b, atol=1e-12)
+    """CGLS on a design X: CG on X'X w = X'y without forming X'X."""
 
-    def test_diagonal(self):
-        x = solve_cg(np.diag([1.0, 2.0, 3.0]), np.ones(3), tol=1e-12)
-        assert np.allclose(x, [1.0, 0.5, 1.0 / 3.0], atol=1e-10)
+    def test_identity_design_converges_first_iteration(self):
+        y = np.array([3.0, -1.0, 2.0])
+        assert np.allclose(solve_cg(np.eye(3), y), y, atol=1e-12)
 
-    def test_finite_termination_on_random_spd(self):
+    def test_diagonal_design(self):
+        # X'X = diag(1, 4, 9) and X'y = (1, 2, 3)
+        w = solve_cg(np.diag([1.0, 2.0, 3.0]), np.ones(3), tol=1e-12)
+        assert np.allclose(w, [1.0, 0.5, 1.0 / 3.0], atol=1e-10)
+
+    def test_finite_termination_on_random_designs(self):
         rng = RandomSource(7)
-        for n in (4, 8, 12):
-            M = rng.gaussians(0, 1, n * n).reshape(n, n)
-            A = M @ M.T + n * np.eye(n)
-            x_true = rng.gaussians(0, 1, n)
-            b = A @ x_true
-            x = solve_cg(A, b, tol=1e-14, max_iter=n + 2)
-            assert np.allclose(x, x_true, atol=1e-8)
+        for m, n in ((10, 4), (20, 8), (30, 12)):
+            X = rng.gaussians(0, 1, m * n).reshape(m, n)
+            y = rng.gaussians(0, 1, m)
+            w = solve_cg(X, y, tol=1e-14, max_iter=n + 2)
+            oracle, *_ = np.linalg.lstsq(X, y, rcond=None)
+            assert np.allclose(w, oracle, atol=1e-8)
 
-    def test_asymmetric_rejected(self):
-        A = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(SymmetryError):
-            solve_cg(A, np.ones(2))
+    def test_stops_on_the_normal_equations_residual(self):
+        X, y, _ = near_collinear_problem(19)
+        Xi = with_intercept(X)
+        for tol in (1e-4, 1e-8):
+            w = solve_cg(Xi, y, tol=tol)
+            s = Xi.T @ (y - Xi @ w)
+            assert np.linalg.norm(s) <= tol * np.linalg.norm(Xi.T @ y)
 
-    def test_indefinite_breaks_down(self):
-        A = np.diag([1.0, -1.0])
-        with pytest.raises(DefinitenessError):
-            solve_cg(A, np.array([1.0, 1.0]))
+    def test_iteration_cap(self):
+        # one step from 0 is the steepest-descent step along X'y
+        X = np.diag([1.0, 2.0])
+        y = np.ones(2)
+        s = X.T @ y
+        alpha = (s @ s) / np.sum((X @ s) ** 2)
+        assert np.allclose(solve_cg(X, y, max_iter=1), alpha * s, rtol=0, atol=1e-15)
 
-    def test_zero_rhs(self):
+    def test_zero_normal_rhs(self):
         assert np.array_equal(solve_cg(np.eye(2), np.zeros(2)), np.zeros(2))
+        # y orthogonal to the columns: X'y = 0, so w = 0 solves the normal equations
+        X = np.array([[1.0], [0.0]])
+        assert np.array_equal(solve_cg(X, np.array([0.0, 5.0])), np.zeros(1))
+
+    @pytest.mark.parametrize("y_shape", [(4,), (3, 1)])
+    def test_misshapen_target_refused(self, y_shape):
+        with pytest.raises(ShapeError):
+            solve_cg(np.ones((3, 2)), np.ones(y_shape))
 
 
 class TestFitBaseline:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import json
 from pathlib import Path
@@ -136,8 +137,9 @@ class TestRunExperiment:
 
     def test_constant_training_target_rejected_before_training(self, synthetic_csv, monkeypatch):
         # 240 training targets of 0.1 have a computed std of about 1e-17, not 0
-        monkeypatch.setattr(evaluate, "train_network",
-                            lambda *args: pytest.fail("trained on a constant target"))
+        for stage in ("fit_baseline", "rfe_select", "train_network"):
+            monkeypatch.setattr(evaluate, stage, lambda *args, stage=stage, **kwargs:
+                                pytest.fail(f"{stage} ran on a constant target"))
         config = smoke_config(synthetic_csv)
         rng = RandomSource(3)
         X_all = rng.gaussians(0, 1, 300 * len(config.regressors)).reshape(300, -1)
@@ -453,4 +455,11 @@ class TestConfig:
         defaulted = [f.name for f in dataclasses.fields(cls) if f.name in passed
                      and (f.default is not dataclasses.MISSING
                           or f.default_factory is not dataclasses.MISSING)]
+        assert defaulted == []
+
+    def test_network_shape_parameters_have_no_default(self):
+        # RunConfig's lstm_units, attn_dim and dense_widths are their only home
+        params = inspect.signature(init_model_params).parameters
+        defaulted = [name for name in ("units", "attn_dim", "dense_widths")
+                     if params[name].default is not inspect.Parameter.empty]
         assert defaulted == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from updrspred.config import RunConfig
 from updrspred.errors import (
     EmptyInputError,
     NumericError,
@@ -153,7 +154,10 @@ def assert_relatively_close(got, want, rel=1e-12):
 
 class TestParamLayout:
     def test_paper_shape_counts(self):
-        p = init_model_params(RandomSource(0))
+        config = RunConfig()
+        p = init_model_params(RandomSource(0), units=config.lstm_units,
+                              attn_dim=config.attn_dim,
+                              dense_widths=tuple(config.dense_widths))
         assert p.n_trainable == 109_633
         # running mean and variance of both batch norms follow the trainable part
         assert p.vector.size == 109_633 + 2 * (64 + 32)
