@@ -71,9 +71,6 @@ class Dataset:
     def n_subjects(self) -> int:
         return len(np.unique(self.columns["subject#"]))
 
-    def subject_ids(self) -> np.ndarray:
-        return self.columns["subject#"]
-
     def column(self, name: str) -> np.ndarray:
         """Column by header name: float64, except int64 for subject#."""
         try:

@@ -254,7 +254,7 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
     detail = {
         "selected_features": [config.regressors[i] for i in selected],
         "elimination_order": [config.regressors[i] for i in selection.elimination_order],
-        "epochs_run": history.epochs_run,
+        "epochs_run": len(history.val_loss),
         "stopped_early": history.stopped_early,
         "final_val_loss": history.val_loss[-1] if history.val_loss else None,
     }
@@ -267,7 +267,7 @@ def run_experiment(config: RunConfig) -> CvReport:
     config.validate()
     dataset = load_csv(config.dataset)
     X_all, y_all = build_design(dataset, config.target, config.regressors)
-    groups = dataset.subject_ids()
+    groups = dataset.column("subject#")
 
     master = RandomSource(config.seed)
     if config.subsample_rows is not None and config.subsample_rows < len(y_all):

@@ -6,9 +6,10 @@ column is sorted once per tree, one vectorized pass searches every open
 node of a depth, and the sorted row ids are then regrouped stably by
 child. Each node thus sees its rows as a stable sort of that node alone
 orders them, so the minimal split depths equal those of a builder that
-sorts at every node. A tree's depths carve their search blocks from one
-grow-only workspace, so growing a tree does not allocate, free and fault
-in those blocks again at every depth.
+sorts at every node. A split is scored on the sums of ``y`` alone, and a
+node opens only when its ``y`` values differ. A tree's depths carve their
+search blocks from one grow-only workspace, so growing a tree does not
+allocate, free and fault in those blocks again at every depth.
 
 A tree's output is its minimal-depth vector: for each feature, the depth
 of the shallowest node that splits on it (Ishwaran et al., JASA 2010).
@@ -28,9 +29,6 @@ import numpy as np
 
 from .errors import EmptyInputError, ParameterError, ShapeError
 from .linalg import RandomSource
-
-_VARIANCE_FLOOR = 1e-12
-
 
 @dataclass
 class ForestParams:
@@ -64,86 +62,75 @@ def as_table(X, y):
 
 
 class _LevelWorkspace:
-    """Grow-only flat float and bool buffers that one tree's depths share.
+    """A grow-only flat float buffer that one tree's depths share.
 
     Each depth carves its (node, feature, position) blocks from the front
-    of these buffers. A buffer is replaced only when a depth needs more
-    than it holds, so a tree allocates its level blocks a few times rather
-    than once per depth, and no depth faults in pages that the previous
-    one handed back to the OS.
+    of this buffer. It is replaced only when a depth needs more than it
+    holds, so a tree allocates its level blocks a few times rather than
+    once per depth, and no depth faults in pages that the previous one
+    handed back to the OS.
     """
 
     def __init__(self):
         self.floats = np.empty(0)
-        self.flags = np.empty(0, dtype=bool)
 
-    def reserve(self, n_floats, n_flags):
-        """The two buffers, each first grown if it holds fewer items than asked."""
+    def reserve(self, n_floats):
+        """The buffer's first ``n_floats`` items, after growing it if it holds fewer."""
         if self.floats.size < n_floats:
             self.floats = None  # free the old buffer before the larger one
             self.floats = np.empty(n_floats)
-        if self.flags.size < n_flags:
-            self.flags = None
-            self.flags = np.empty(n_flags, dtype=bool)
-        return self.floats, self.flags
+        return self.floats[:n_floats]
 
 
-def _level_splits(XT, y, order, sizes, total1, total2, min_leaf, workspace):
+def _level_splits(XT, y, order, sizes, totals, min_leaf, workspace):
     """Best (feature, threshold, gain) of every node of one depth at once.
 
     ``order[j]`` holds the nodes' row ids node after node, each node's ids
-    sorted by column j. Each node's sorted ``y`` fills a zero-padded lane
-    of a (node, feature, position) block, so prefix sums and SSEs are those
-    of a search over that node alone. The blocks are views of the tree's
-    ``workspace``, filled in place. Thresholds are midpoints between
-    consecutive distinct values; gain ties go to the lowest feature, then
-    the lowest threshold.
+    sorted by column j, and ``totals`` holds each node's sum of ``y``. Each
+    node's sorted ``y`` fills a zero-padded lane of a (node, feature,
+    position) block, so prefix sums and scores are those of a search over
+    that node alone. A split scores ``-c1²/n_l - r1²/n_r`` on its sides'
+    sums of ``y``: the children's SSE less the node's sum of ``y²``, which
+    no candidate changes. The blocks are views of the tree's ``workspace``,
+    filled in place. Thresholds are midpoints between consecutive distinct
+    values; gain ties go to the lowest feature, then the lowest threshold.
     """
     K, d, N, m = len(sizes), XT.shape[0], order.shape[1], int(sizes.max())
-    cells = K * d * m
-    floats, flags = workspace.reserve(4 * cells, 2 * cells)
-    blocks = floats[:4 * cells].reshape(4, K, d, m)
-    c1, c2, sse, term = blocks
-    distinct, illegal = flags[:2 * cells].reshape(2, K, d, m)
+    c1, score, term = workspace.reserve(3 * K * d * m).reshape(3, K, d, m)
 
     cols = np.arange(d)[:, None]
     starts = np.cumsum(sizes) - sizes
     node_of = np.repeat(np.arange(K), sizes)
     dest = node_of * (d * m) + np.arange(N) - starts[node_of] + cols * m
     values = XT[cols, order]
-    # c1 and c2 hold the padded y and y² until their prefix sums overwrite them
+    # c1 holds the padded y until its prefix sums overwrite it
     c1.fill(0.0)
     c1.ravel()[dest] = y[order]
-    np.multiply(c1, c1, out=c2)
-    np.cumsum(blocks[:2], axis=3, out=blocks[:2])
-    # a node's last position and those past it keep stale or cross-node
-    # flags; a split there leaves fewer than min_leaf rows on the right
-    distinct.ravel()[dest[:, :-1]] = values[:, :-1] < values[:, 1:]
+    np.cumsum(c1, axis=2, out=c1)
     left_n = np.arange(1, m + 1, dtype=np.float64)
     right_n = sizes[:, None, None] - left_n
-    # for bools, a <= b is ~a | b: not distinct, or a side below min_leaf
-    np.less_equal(distinct, np.minimum(left_n, right_n) < min_leaf, out=illegal)
-    t1, t2 = total1[:, None, None], total2[:, None, None]
-    # c1 * (-c1) / left_n + c2 + right1 * (-right1) / right_n + (t2 - c2), in
-    # this order; rounding is sign-symmetric, so x * (-x) / n == x * x / (-n)
+    # c1 * (-c1) / left_n + right1 * (-right1) / right_n, in this order;
+    # rounding is sign-symmetric, so x * (-x) / n == x * x / (-n)
     with np.errstate(divide="ignore", invalid="ignore"):  # padding past a node's end
-        np.multiply(c1, c1, out=sse)
-        sse /= -left_n
-        sse += c2
-        np.subtract(t1, c1, out=term)  # right1
+        np.multiply(c1, c1, out=score)
+        score /= -left_n
+        np.subtract(totals[:, None, None], c1, out=term)  # right1
         np.multiply(term, term, out=term)
         term /= -right_n
-        sse += term
-        np.subtract(t2, c2, out=term)
-        sse += term
-    np.putmask(sse, illegal, np.inf)
+        score += term
+    # no split between equal values; the comparison across two nodes'
+    # boundary lands on a node's last position, which the side rule covers
+    score.ravel()[dest[:, :-1][values[:, :-1] == values[:, 1:]]] = np.inf
+    # a side below min_leaf, which includes each node's last position and
+    # the padding past it
+    np.copyto(score, np.inf, where=np.minimum(left_n, right_n) < min_leaf)
     # scan feature-major so ties fall to the lowest feature index first
-    sse = sse.reshape(K, d * m)
-    flat = np.argmin(sse, axis=1)
+    score = score.reshape(K, d * m)
+    flat = np.argmin(score, axis=1)
     feature, pos = np.divmod(flat, m)
     at = starts + pos
     threshold = (values[feature, at] + values[feature, at + 1]) / 2.0
-    gain = total2 - total1 * total1 / sizes - sse[np.arange(K), flat]
+    gain = -(totals * totals / sizes) - score[np.arange(K), flat]
     return feature, threshold, gain
 
 
@@ -165,16 +152,15 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
     children = [np.arange(n)]
     for depth in range(params.max_depth):
         # a node opens when both sides can keep min_leaf rows and its y
-        # varies; its rows ascend, as in a depth-first builder, so the sums
-        # round alike
+        # values differ; its rows ascend, as in a depth-first builder, so
+        # the sums round alike
         node_rows, totals = [], []
         for rows in children:
             if len(rows) >= 2 * min_leaf:
                 y_node = y[rows]
-                total1, total2 = y_node.sum(), (y_node * y_node).sum()
-                if total2 - total1 * total1 / len(rows) > _VARIANCE_FLOOR:
+                if y_node.max() > y_node.min():
                     node_rows.append(rows)
-                    totals.append((total1, total2))
+                    totals.append(y_node.sum())
         if not node_rows:
             break
         sizes = np.array([len(rows) for rows in node_rows])
@@ -189,8 +175,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
             keys = child[order] + (cols * slots).astype(child.dtype)
             order = order.ravel()[np.argsort(keys.ravel(), kind="stable")].reshape(d, -1)
             order = order[:, :sizes.sum()]
-        feature, threshold, gain = _level_splits(XT, y, order, sizes, *np.array(totals).T,
-                                                min_leaf, workspace)
+        feature, threshold, gain = _level_splits(XT, y, order, sizes, np.array(totals),
+                                                 min_leaf, workspace)
         split = gain > 0.0
         # breadth-first, so a feature's first recorded depth is its minimum
         used = feature[split]

@@ -23,8 +23,6 @@ train-mode batch normalization must center each feature within 1e-6.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .errors import (
@@ -341,6 +339,10 @@ def _batchnorm_backward(dout: np.ndarray, cache, gamma: np.ndarray):
     return dx, dgamma, dbeta
 
 
+def _dropout_shapes(p: ModelParams, batch: int):
+    return [(batch, p["dense1.b"].shape[0]), (batch, p["dense2.b"].shape[0])]
+
+
 def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
     """The two inverted-dropout masks of a train-mode batch of ``batch`` rows.
 
@@ -349,9 +351,8 @@ def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
     applies no mask, sees the same expected activations. A zero rate draws
     nothing and returns masks of ones.
     """
-    shapes = [(batch, p["dense1.b"].shape[0]), (batch, p["dense2.b"].shape[0])]
     masks = []
-    for shape in shapes:
+    for shape in _dropout_shapes(p, batch):
         if p.dropout_rate == 0.0:
             masks.append(np.ones(shape))
         else:
@@ -370,14 +371,13 @@ def _batchnorm(p: ModelParams, tag: str, X: np.ndarray, mode: str):
                              p.bn_momentum, p.bn_eps)
 
 
-def model_forward(x, p: ModelParams, mode: str = "infer",
-                  rng: Optional[RandomSource] = None, dropout_masks=None):
+def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
     """Forward a batch of sequences (B, T, input_dim).
 
     Returns (predictions, cache); predictions holds one value per sequence.
     Train mode needs a batch of at least 2 (batch norm uses batch
-    statistics) and applies ``dropout_masks``, drawn from ``rng`` by
-    :func:`draw_dropout_masks` when not given. Infer mode applies no
+    statistics) and applies ``dropout_masks``, the (B, d1) and (B, d2)
+    pair that :func:`draw_dropout_masks` draws. Infer mode applies no
     dropout and keeps no per-step scan buffers in the cache.
     """
     if mode not in ("train", "infer"):
@@ -392,11 +392,15 @@ def model_forward(x, p: ModelParams, mode: str = "infer",
             f"model expects {p.input_dim} values per step, got {data.shape[2]}"
         )
     train = mode == "train"
-    if train and dropout_masks is None:
-        if rng is None:
-            raise ParameterError("train mode needs a random source or dropout masks")
-        dropout_masks = draw_dropout_masks(p, data.shape[0], rng)
-    mask1, mask2 = dropout_masks if train else (None, None)
+    mask1 = mask2 = None
+    if train:
+        if dropout_masks is None:
+            raise ParameterError("train mode needs dropout masks")
+        shapes = _dropout_shapes(p, data.shape[0])
+        got = [np.shape(mask) for mask in dropout_masks]
+        if got != shapes:  # a (1, d1) mask would broadcast over the batch
+            raise ShapeError(f"dropout masks must have shapes {shapes}, got {got}")
+        mask1, mask2 = dropout_masks
 
     states_f, caches_f = _lstm_scan(data, p["fwd.w"], p["fwd.b"], mode)
     states_b_rev, caches_b = _lstm_scan(data[:, ::-1, :], p["bwd.w"], p["bwd.b"], mode)

@@ -13,7 +13,13 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 from .linalg import RandomSource
-from .nn import ModelParams, commit_batchnorm, model_backward, model_forward
+from .nn import (
+    ModelParams,
+    commit_batchnorm,
+    draw_dropout_masks,
+    model_backward,
+    model_forward,
+)
 
 
 # staircase exponential decay: the rate falls by LR_DECAY_FACTOR every
@@ -126,7 +132,6 @@ class TrainHistory:
 
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
-    epochs_run: int = 0
     stopped_early: bool = False
     best_val_preds: Optional[np.ndarray] = None
 
@@ -186,7 +191,8 @@ def train_network(
             start = stop
             xb = X_train[batch_idx]
             yb = y_train[batch_idx]
-            _, cache = model_forward(xb, params, mode="train", rng=rng)
+            masks = draw_dropout_masks(params, len(batch_idx), rng)
+            _, cache = model_forward(xb, params, mode="train", dropout_masks=masks)
             loss, grad = model_backward(cache, yb, params)
             if not np.isfinite(loss):
                 # stop before one bad step writes NaN into every parameter
@@ -203,7 +209,6 @@ def train_network(
         val_mse = float(np.mean((val_preds - y_val) ** 2))
         history.train_loss.append(epoch_loss / max(1, n_batches))
         history.val_loss.append(val_mse)
-        history.epochs_run = epoch + 1
         verdict = stopper.update(val_mse, params)
         if stopper.stale_epochs == 0:  # this epoch's parameters were kept
             history.best_val_preds = val_preds

@@ -33,7 +33,7 @@ class TestLoadCsv:
         ds = load_csv(synthetic_csv)
         assert len(ds) == 240
         assert ds.n_subjects == 8
-        assert ds.subject_ids()[0] == 1
+        assert ds.column("subject#")[0] == 1
 
     def test_order_preserved(self, synthetic_csv):
         ds = load_csv(synthetic_csv)
@@ -404,7 +404,7 @@ class TestLoadCsvProperties:
         ds = load_csv(path)
         assert ds.feature_names == tuple(order)
         assert len(ds) == len(table["subject#"])
-        assert ds.subject_ids().tolist() == table["subject#"]
+        assert ds.column("subject#").tolist() == table["subject#"]
         for name in REQUIRED_COLUMNS[1:]:
             written = np.array(table[name], dtype=np.float64)
             assert np.array_equal(ds.column(name).view(np.uint64), written.view(np.uint64)), name

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from updrspred import forest as forest_module
 from updrspred.config import RunConfig
 from updrspred.errors import EmptyInputError, ShapeError
-from updrspred.forest import (
-    _VARIANCE_FLOOR,
-    ForestParams,
-    feature_importance,
-    fit_forest,
-    fit_tree,
-)
+from updrspred.forest import ForestParams, feature_importance, fit_forest, fit_tree
 from updrspred.linalg import RandomSource
 
 
@@ -26,10 +20,13 @@ def full_growth_params(**overrides):
 
 
 class TestFitTree:
-    def test_constant_target_splits_nothing(self):
-        X = np.arange(10.0).reshape(10, 1)
-        y = np.full(10, 3.5)
-        assert np.array_equal(fit_tree(X, y, full_growth_params()), [-1])
+    @pytest.mark.parametrize("n", [10, 50])
+    @pytest.mark.parametrize("value", [3.5, 30.1234])
+    def test_constant_target_splits_nothing(self, value, n):
+        # 30.1234's rounded sums leave a spread above any small absolute floor
+        X = np.random.default_rng(0).normal(size=(n, 3))
+        y = np.full(n, value)
+        assert np.array_equal(fit_tree(X, y, full_growth_params()), [-1, -1, -1])
 
     def test_single_available_split_is_at_the_root(self):
         X = np.array([[0.0], [1.0]])
@@ -79,30 +76,28 @@ def _reference_best_split(X, y, rows, min_leaf):
     """The depth-first builder's split search: one node, one fresh argsort."""
     y_node = y[rows]
     n = len(rows)
-    total1 = y_node.sum()
-    total2 = (y_node * y_node).sum()
-    parent_sse = total2 - total1 * total1 / n
-    if parent_sse <= _VARIANCE_FLOOR:
+    if not y_node.max() > y_node.min():
         return None
+    total1 = y_node.sum()
 
     values = X[rows]
     order = np.argsort(values, axis=0, kind="stable")
     sv = np.take_along_axis(values, order, axis=0)
     sy = y_node[order]
     c1 = np.cumsum(sy, axis=0)[:-1]
-    c2 = np.cumsum(sy * sy, axis=0)[:-1]
 
     sizes = np.arange(1, n, dtype=np.float64)[:, None]
     legal = (sv[:-1] < sv[1:]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
     if not legal.any():
         return None
     right1 = total1 - c1
-    sse = c1 * (-c1) / sizes + c2 + right1 * (-right1) / (n - sizes) + (total2 - c2)
-    sse[~legal] = np.inf
+    # the children's SSE less the node's sum of y², which no candidate changes
+    score = c1 * (-c1) / sizes + right1 * (-right1) / (n - sizes)
+    score[~legal] = np.inf
 
-    flat = int(np.argmin(sse.T))
-    col, pos = divmod(flat, sse.shape[0])
-    gain = parent_sse - sse[pos, col]
+    flat = int(np.argmin(score.T))
+    col, pos = divmod(flat, score.shape[0])
+    gain = -(total1 * total1 / n) - score[pos, col]
     if not gain > 0.0:
         return None
     threshold = (sv[pos, col] + sv[pos + 1, col]) / 2.0

@@ -288,7 +288,8 @@ class TestInferScan:
         X = RandomSource(41).gaussians(0, 1, 6 * 5).reshape(6, 5, 1)
         _, cache = model_forward(X, p, mode="infer")
         assert cache["caches_f"] is None and cache["caches_b"] is None
-        _, train_cache = model_forward(X, p, mode="train", rng=RandomSource(42))
+        masks = draw_dropout_masks(p, 6, RandomSource(42))
+        _, train_cache = model_forward(X, p, mode="train", dropout_masks=masks)
         assert len(train_cache["caches_f"]) == len(train_cache["caches_b"]) == 4
 
 
@@ -461,21 +462,18 @@ class TestDropout:
         with pytest.raises(ParameterError):
             tiny_model(46, dropout=1.0)
 
-    def test_mask_reuse(self):
-        p = tiny_model(47, dropout=0.5)
-        X = RandomSource(48).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
-        drawn, cache = model_forward(X, p, mode="train", rng=RandomSource(14))
-        masks = draw_dropout_masks(p, 4, RandomSource(14))
-        given, cache2 = model_forward(X, p, mode="train", dropout_masks=masks)
-        assert np.array_equal(drawn, given)
-        assert np.array_equal(cache["mask1"], masks[0])
-        assert np.array_equal(cache["mask2"], masks[1])
-        assert np.array_equal(cache["drop2"], cache2["drop2"])
-
-    def test_train_mode_needs_masks_or_rng(self):
+    def test_train_mode_needs_masks(self):
         p = tiny_model(49, dropout=0.5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="train mode needs dropout masks"):
             model_forward(np.ones((4, 5, 1)), p, mode="train")
+
+    @pytest.mark.parametrize("rows, widths", [(1, (6, 4)), (4, (4, 6)), (5, (6, 4))])
+    def test_misshapen_masks_rejected(self, rows, widths):
+        # a (1, d1) mask would broadcast silently over a 4-row batch
+        p = tiny_model(50, dropout=0.5)
+        masks = [np.ones((rows, width)) for width in widths]
+        with pytest.raises(ShapeError, match="dropout masks must have shapes"):
+            model_forward(np.ones((4, 5, 1)), p, mode="train", dropout_masks=masks)
 
 
 class TestModelForward:
@@ -510,7 +508,8 @@ class TestModelForward:
     def test_train_mode_single_sample_rejected(self):
         p = tiny_model(8, dropout=0.0)
         with pytest.raises(ParameterError):
-            model_forward(np.ones((5, 1))[None], p, mode="train", rng=RandomSource(0))
+            model_forward(np.ones((5, 1))[None], p, mode="train",
+                          dropout_masks=draw_dropout_masks(p, 1, RandomSource(0)))
 
     def test_wrong_step_width_or_missing_batch_axis_rejected(self):
         p = tiny_model(9)
@@ -622,7 +621,8 @@ class TestInvariantCounters:
         reset_invariant_counters()
         p = tiny_model(15)
         X = RandomSource(16).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
-        model_forward(X, p, mode="train", rng=RandomSource(17))
+        masks = draw_dropout_masks(p, 4, RandomSource(17))
+        model_forward(X, p, mode="train", dropout_masks=masks)
         assert INVARIANT_CHECKS["attention_weight_sum"] == 4
         assert INVARIANT_CHECKS["batchnorm_zero_mean"] == 2
 
@@ -636,7 +636,8 @@ class TestBatchNormCommit:
     def test_commit_applies_running_updates(self):
         p = tiny_model(18)
         X = RandomSource(19).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
-        _, cache = model_forward(X, p, mode="train", rng=RandomSource(20))
+        masks = draw_dropout_masks(p, 4, RandomSource(20))
+        _, cache = model_forward(X, p, mode="train", dropout_masks=masks)
         before = p["bn1.running_mean"].copy()
         commit_batchnorm(cache, p)
         assert not np.array_equal(p["bn1.running_mean"], before)

@@ -150,7 +150,7 @@ class TestTrainNetwork:
         settings = TrainSettings(epochs=40, batch_size=16, lr_initial=0.01, patience=100)
         trained, history = train_network(params, Xt, yt, Xv, yv, settings, RandomSource(13))
         assert history.val_loss[-1] < 0.5 * history.val_loss[0]
-        assert history.epochs_run == 40
+        assert len(history.val_loss) == 40
 
     def test_early_stopping_restores_best(self):
         Xt, yt, Xv, yv = self.make_problem(seed=14)
@@ -159,7 +159,7 @@ class TestTrainNetwork:
                                  min_delta=1e-3)
         trained, history = train_network(params, Xt, yt, Xv, yv, settings, RandomSource(16))
         if history.stopped_early:
-            assert history.epochs_run < 200
+            assert len(history.val_loss) < 200
         best = min(history.val_loss)
         preds = predict_network(trained, Xv)
         final = float(np.mean((preds - yv) ** 2))
@@ -174,7 +174,7 @@ class TestTrainNetwork:
                                          RandomSource(29))
         best_epoch = int(np.argmin(history.val_loss))
         assert history.stopped_early
-        assert best_epoch < history.epochs_run - 1
+        assert best_epoch < len(history.val_loss) - 1
         preds = predict_network(trained, Xv)
         assert history.best_val_preds.tobytes() == preds.tobytes()
         assert float(np.mean((preds - yv) ** 2)) == history.val_loss[best_epoch]
