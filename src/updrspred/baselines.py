@@ -109,7 +109,9 @@ def solve_cg(X: np.ndarray, y: np.ndarray, tol: float = 1e-10,
 
     Each step takes one product with X and one with X'; X'X is never
     formed. Stops when ``||X'(y - Xw)|| / ||X'y|| <= tol`` or after
-    ``max_iter`` steps (default 10 per unknown).
+    ``max_iter`` steps (default 10 per unknown). The products and dot
+    products are numpy elementwise operations and sums, not BLAS calls, so
+    the result does not depend on which BLAS kernel the machine runs.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -119,10 +121,11 @@ def solve_cg(X: np.ndarray, y: np.ndarray, tol: float = 1e-10,
     if max_iter is None:
         max_iter = 10 * n
     w = np.zeros(n)
-    r = y.copy()  # y - Xw
-    s = X.T @ r   # the normal equations' residual X'(y - Xw)
+    XT = np.ascontiguousarray(X.T)
+    r = y.copy()              # y - Xw
+    s = (XT * r).sum(axis=1)  # the normal equations' residual X'(y - Xw)
     p = s.copy()
-    ss = s @ s
+    ss = (s * s).sum()
     s0_norm = np.sqrt(ss)
     if s0_norm == 0.0:
         return w
@@ -130,12 +133,12 @@ def solve_cg(X: np.ndarray, y: np.ndarray, tol: float = 1e-10,
         if np.sqrt(ss) / s0_norm <= tol:
             break
         # p lies in range(X'), so Xp != 0 until s reaches 0
-        q = X @ p
-        alpha = ss / (q @ q)
+        q = (X * p).sum(axis=1)
+        alpha = ss / (q * q).sum()
         w += alpha * p
         r -= alpha * q
-        s = X.T @ r
-        ss_next = s @ s
+        s = (XT * r).sum(axis=1)
+        ss_next = (s * s).sum()
         p = s + (ss_next / ss) * p
         ss = ss_next
     return w

@@ -1,15 +1,16 @@
 """CART regression trees and a bagged forest with depth-based importance.
 
 Trees split greedily on variance reduction and grow breadth-first on
-presorted columns (SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996): each
-column is sorted once per tree, one vectorized pass searches every open
-node of a depth, and the sorted row ids are then regrouped stably by
-child. Each node thus sees its rows as a stable sort of that node alone
-orders them, so the minimal split depths equal those of a builder that
-sorts at every node. A split is scored on the sums of ``y`` alone, and a
-node opens only when its ``y`` values differ. A tree's depths carve their
-search blocks from one grow-only workspace, so growing a tree does not
-allocate, free and fault in those blocks again at every depth.
+presorted columns (SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996). A tree
+reads only each column's order: the forest ranks each column once, each
+tree radix-sorts its bootstrap rows' ranks, one vectorized pass searches
+every open node of a depth, and a node sends a row left when its value
+is at most the left side's last one. The sorted row ids are then regrouped
+stably by child, so each node sees its rows as a stable sort of that node
+alone orders them, and the minimal split depths equal those of a builder
+that sorts at every node. A split is scored on the sums of ``y`` alone,
+and a node opens only when its ``y`` values differ. A tree's depths carve
+their search blocks from one grow-only workspace.
 
 A tree's output is its minimal-depth vector: for each feature, the depth
 of the shallowest node that splits on it (Ishwaran et al., JASA 2010).
@@ -49,8 +50,8 @@ class ForestParams:
 
 
 def as_table(X, y):
-    """``X`` as a float (rows, features) table and ``y`` as one float per row, or ShapeError."""
-    X = np.asarray(X, dtype=np.float64)
+    """``X`` as a (rows, features) table in its own dtype and ``y`` as floats, or ShapeError."""
+    X = np.asarray(X)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-D (rows, features), got shape {X.shape}")
@@ -83,7 +84,7 @@ class _LevelWorkspace:
 
 
 def _level_splits(XT, y, order, sizes, totals, min_leaf, workspace):
-    """Best (feature, threshold, gain) of every node of one depth at once.
+    """Best (feature, last left value, gain) of every node of one depth at once.
 
     ``order[j]`` holds the nodes' row ids node after node, each node's ids
     sorted by column j, and ``totals`` holds each node's sum of ``y``. Each
@@ -92,8 +93,9 @@ def _level_splits(XT, y, order, sizes, totals, min_leaf, workspace):
     that node alone. A split scores ``-c1²/n_l - r1²/n_r`` on its sides'
     sums of ``y``: the children's SSE less the node's sum of ``y²``, which
     no candidate changes. The blocks are views of the tree's ``workspace``,
-    filled in place. Thresholds are midpoints between consecutive distinct
-    values; gain ties go to the lowest feature, then the lowest threshold.
+    filled in place. A split lies between two distinct values and is
+    returned as the left side's last one; gain ties go to the lowest
+    feature, then the leftmost split.
     """
     K, d, N, m = len(sizes), XT.shape[0], order.shape[1], int(sizes.max())
     c1, score, term = workspace.reserve(3 * K * d * m).reshape(3, K, d, m)
@@ -128,10 +130,8 @@ def _level_splits(XT, y, order, sizes, totals, min_leaf, workspace):
     score = score.reshape(K, d * m)
     flat = np.argmin(score, axis=1)
     feature, pos = np.divmod(flat, m)
-    at = starts + pos
-    threshold = (values[feature, at] + values[feature, at + 1]) / 2.0
     gain = -(totals * totals / sizes) - score[np.arange(K), flat]
-    return feature, threshold, gain
+    return feature, values[feature, starts + pos], gain
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
@@ -139,7 +139,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
 
     Returns a (d,) int64 array: the depth of the shallowest node that splits
     on the feature, 0 for the root, or -1 where the feature never splits.
-    Every split searches all features.
+    Every split searches all features, and only each column's order counts.
     """
     X, y = as_table(X, y)
     if X.size == 0 or y.size == 0:
@@ -175,7 +175,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
             keys = child[order] + (cols * slots).astype(child.dtype)
             order = order.ravel()[np.argsort(keys.ravel(), kind="stable")].reshape(d, -1)
             order = order[:, :sizes.sum()]
-        feature, threshold, gain = _level_splits(XT, y, order, sizes, np.array(totals),
+        feature, last_left, gain = _level_splits(XT, y, order, sizes, np.array(totals),
                                                  min_leaf, workspace)
         split = gain > 0.0
         # breadth-first, so a feature's first recorded depth is its minimum
@@ -185,7 +185,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
         # keeps each side's rows ascending
         node_of = np.repeat(np.arange(len(node_rows)), sizes)
         rows = np.concatenate(node_rows)
-        side = 2 * node_of + ~(XT[feature[node_of], rows] <= threshold[node_of])
+        side = 2 * node_of + ~(XT[feature[node_of], rows] <= last_left[node_of])
         ends = [0] + np.cumsum(np.bincount(side, minlength=2 * len(node_rows))).tolist()
         rows = rows[np.argsort(side, kind="stable")]
         children = [rows[ends[s]:ends[s + 1]]
@@ -199,21 +199,22 @@ def fit_forest(
     """Minimal split depths of ``n_trees`` trees, one per bootstrap resample.
 
     Returns an (n_trees, d) int64 array whose row t is tree t's
-    :func:`fit_tree` output. Per-tree seeds are all derived from ``rng`` up
-    front, so a parallel implementation fitting trees out of order would
-    produce the identical forest.
+    :func:`fit_tree` output on its bootstrap rows of ``X``'s dense column
+    ranks, which order the rows as the values do. Per-tree seeds are all
+    derived from ``rng`` up front, so a parallel implementation fitting
+    trees out of order would produce the identical forest.
     """
     X, y = as_table(X, y)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a forest on empty data")
     params.validate()
     tree_rngs = [rng.spawn() for _ in range(params.n_trees)]
-    trees = []
-    n = X.shape[0]
-    for tree_rng in tree_rngs:
-        rows = tree_rng.integers(n, n)
-        trees.append(fit_tree(X[rows], y[rows], params))
-    return np.stack(trees)
+    n, d = X.shape
+    ranks = np.empty((n, d), dtype=np.min_scalar_type(n - 1))
+    for j in range(d):
+        ranks[:, j] = np.unique(X[:, j], return_inverse=True)[1]
+    draws = (tree_rng.integers(n, n) for tree_rng in tree_rngs)
+    return np.stack([fit_tree(ranks[rows], y[rows], params) for rows in draws])
 
 
 def feature_importance(depths: np.ndarray) -> np.ndarray:

@@ -58,6 +58,17 @@ class TestFitTree:
         with pytest.raises(EmptyInputError):
             fit_tree(np.zeros((0, 2)), np.zeros(0), full_growth_params())
 
+    def test_split_between_adjacent_doubles_is_taken(self):
+        # no double lies between two adjacent ones, so the split must fall
+        # at a value, as it does between 1.0 and 2.0
+        a = np.nextafter(1.0, 2.0)
+        params = full_growth_params(max_depth=4)
+        for low, high in [(a, np.nextafter(a, 2.0)), (1.0, 2.0)]:
+            X = np.column_stack([np.repeat([low, high], 10), np.tile(np.arange(10.0), 2)])
+            y = 10.0 * (X[:, 0] == high) + (X[:, 1] < 5)
+            assert np.array_equal(fit_tree(X, y, params), [0, 1])
+            assert np.array_equal(reference_depths(X, y, params), [0, 1])
+
 
 @dataclass
 class Node:
@@ -100,8 +111,8 @@ def _reference_best_split(X, y, rows, min_leaf):
     gain = -(total1 * total1 / n) - score[pos, col]
     if not gain > 0.0:
         return None
-    threshold = (sv[pos, col] + sv[pos + 1, col]) / 2.0
-    return gain, col, float(threshold)
+    # split at the left side's last value: adjacent doubles have nothing between them
+    return gain, col, sv[pos, col]
 
 
 def _reference_grow(X, y, rows, depth, params):
@@ -162,7 +173,7 @@ def reference_depths(X, y, params):
 
 
 class TestReferenceTree:
-    """The oracle is CART: it memorizes, keeps leaves whole, splits at midpoints."""
+    """The oracle is CART: it memorizes, keeps leaves whole, splits at a left side's last value."""
 
     def test_full_growth_memorizes_training_data(self):
         rng = RandomSource(5)
@@ -189,7 +200,7 @@ class TestReferenceTree:
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 10.0])
         tree = reference_tree(X, y, full_growth_params())
-        assert (tree.feature, tree.threshold) == (0, 0.5)
+        assert (tree.feature, tree.threshold) == (0, 0.0)
         assert (tree.left.prediction, tree.right.prediction) == (0.0, 10.0)
         assert tree.left.is_leaf and tree.right.is_leaf
 
@@ -234,6 +245,17 @@ class TestMatchesReference:
     def test_same_minimal_depths(self, problem):
         X, y, params = problem
         assert np.array_equal(fit_tree(X, y, params), reference_depths(X, y, params))
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tree_problems(), onto=st.sampled_from(["ranks", "adjacent doubles"]))
+    def test_increasing_map_of_the_columns_keeps_the_depths(self, problem, onto):
+        X, y, params = problem
+        ranks = np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
+        if onto == "ranks":
+            mapped = ranks.astype(np.min_scalar_type(ranks.max()))
+        else:
+            mapped = 1.0 + ranks * np.spacing(1.0)
+        assert np.array_equal(fit_tree(mapped, y, params), fit_tree(X, y, params))
 
     def test_same_depths_at_rfe_shape(self):
         # a bootstrap resample at the default depth and leaf size
@@ -311,6 +333,23 @@ class TestShapeRefusals:
 
 
 class TestForest:
+    def test_trees_read_unsigned_ranks(self, monkeypatch):
+        tables = []
+        fit = forest_module.fit_tree
+
+        def spy(X, y, params):
+            tables.append(X)
+            return fit(X, y, params)
+
+        monkeypatch.setattr(forest_module, "fit_tree", spy)
+        X = np.column_stack([np.linspace(-3.0, 3.0, 300), np.repeat([2.5, -1.0, 7.0], 100)])
+        fit_forest(X, X[:, 0], ForestParams(n_trees=2, max_depth=3), RandomSource(4))
+        assert len(tables) == 2
+        for table in tables:
+            # column 0 ascends through 300 values; column 1 ranks -1.0, 2.5, 7.0 as 0, 1, 2
+            assert table.dtype == np.uint16
+            assert np.array_equal(table[:, 1], np.array([1, 0, 2])[table[:, 0] // 100])
+
     def test_single_tree_equals_tree_on_its_bootstrap(self):
         rng = RandomSource(7)
         X = rng.gaussians(0, 1, 80).reshape(40, 2)
