@@ -21,6 +21,7 @@ from .errors import (
     ParameterError,
     ParseError,
     SchemaError,
+    ShapeError,
 )
 from .linalg import RandomSource
 
@@ -188,6 +189,8 @@ def build_design(dataset: Dataset, target: str, regressors) -> tuple[np.ndarray,
 def fit_standardizer(X: np.ndarray, column_names=()) -> StandardizationStats:
     """Per-column mean/stddev (population) from training rows only."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError(f"X must be 2-D (rows, columns), got shape {X.shape}")
     if X.size == 0:
         raise EmptyInputError("cannot standardize an empty matrix")
     # compare values, not the spread: a constant column's std can round to
@@ -200,6 +203,8 @@ def fit_standardizer(X: np.ndarray, column_names=()) -> StandardizationStats:
 
 def apply_standardizer(stats: StandardizationStats, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError(f"X must be 2-D (rows, columns), got shape {X.shape}")
     if X.shape[1] != stats.mean.shape[0]:
         raise ConfigError(
             f"standardizer fitted on {stats.mean.shape[0]} columns, got {X.shape[1]}"

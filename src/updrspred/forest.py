@@ -10,7 +10,8 @@ stably by child, so each node sees its rows as a stable sort of that node
 alone orders them, and the minimal split depths equal those of a builder
 that sorts at every node. A split is scored on the sums of ``y`` alone,
 and a node opens only when its ``y`` values differ. A tree's depths carve
-their search blocks from one grow-only workspace.
+their search blocks from one grow-only :class:`~updrspred.linalg.Workspace`,
+the type a network's passes carve theirs from.
 
 A tree's output is its minimal-depth vector: for each feature, the depth
 of the shallowest node that splits on it (Ishwaran et al., JASA 2010).
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, ParameterError, ShapeError
-from .linalg import RandomSource
+from .linalg import RandomSource, Workspace
 
 @dataclass
 class ForestParams:
@@ -60,27 +61,6 @@ def as_table(X, y):
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     return X, y
-
-
-class _LevelWorkspace:
-    """A grow-only flat float buffer that one tree's depths share.
-
-    Each depth carves its (node, feature, position) blocks from the front
-    of this buffer. It is replaced only when a depth needs more than it
-    holds, so a tree allocates its level blocks a few times rather than
-    once per depth, and no depth faults in pages that the previous one
-    handed back to the OS.
-    """
-
-    def __init__(self):
-        self.floats = np.empty(0)
-
-    def reserve(self, n_floats):
-        """The buffer's first ``n_floats`` items, after growing it if it holds fewer."""
-        if self.floats.size < n_floats:
-            self.floats = None  # free the old buffer before the larger one
-            self.floats = np.empty(n_floats)
-        return self.floats[:n_floats]
 
 
 def _level_splits(XT, y, order, sizes, totals, min_leaf, workspace):
@@ -148,7 +128,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
     (n, d), min_leaf = X.shape, params.min_samples_leaf
     XT, cols = np.ascontiguousarray(X.T), np.arange(d)[:, None]
     depths = np.full(d, -1, dtype=np.int64)
-    order, workspace = np.argsort(XT, axis=1, kind="stable"), _LevelWorkspace()
+    order, workspace = np.argsort(XT, axis=1, kind="stable"), Workspace()
     children = [np.arange(n)]
     for depth in range(params.max_depth):
         # a node opens when both sides can keep min_leaf rows and its y
@@ -182,10 +162,11 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
         used = feature[split]
         depths[used[depths[used] < 0]] = depth
         # side 2k / 2k + 1 holds node k's left / right rows; a stable sort
-        # keeps each side's rows ascending
+        # keeps each side's rows ascending, and keys this small radix-sort
         node_of = np.repeat(np.arange(len(node_rows)), sizes)
         rows = np.concatenate(node_rows)
-        side = 2 * node_of + ~(XT[feature[node_of], rows] <= last_left[node_of])
+        side = (2 * node_of + ~(XT[feature[node_of], rows] <= last_left[node_of])).astype(
+            np.min_scalar_type(2 * len(node_rows)))
         ends = [0] + np.cumsum(np.bincount(side, minlength=2 * len(node_rows))).tolist()
         rows = rows[np.argsort(side, kind="stable")]
         children = [rows[ends[s]:ends[s + 1]]

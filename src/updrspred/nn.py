@@ -19,9 +19,17 @@ analytic gradients can be validated against central finite differences
 Two numeric invariants are asserted on every forward pass and counted in
 ``INVARIANT_CHECKS``: attention weights must sum to 1 within 1e-9, and
 train-mode batch normalization must center each feature within 1e-6.
+
+The large per-call arrays (the scans' buffers, the states ``H``, the
+attention scores and their gradients) are views of the parameters' one
+reused :class:`~updrspred.linalg.Workspace`, so a step of a shape seen
+before allocates no large array. A train-mode cache therefore holds only
+until the next :func:`model_forward` on the same parameters.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,7 +40,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .linalg import RandomSource
+from .linalg import RandomSource, Workspace
 
 INVARIANT_CHECKS = {"attention_weight_sum": 0, "batchnorm_zero_mean": 0}
 
@@ -62,6 +70,12 @@ class ModelParams:
     [h_prev, x_t] input, shape (units + input_dim, 4 * units), and one
     4 * units bias; both are split into column blocks in ``GATES`` order.
     Dense weights are (out_dim, in_dim).
+
+    ``workspace`` is the buffer that every :func:`model_forward` on these
+    parameters, and its :func:`model_backward`, carve their large arrays
+    from (see :meth:`carve`). It is empty until the first forward. Since
+    every forward overwrites it, one thread at a time runs the network on
+    a given ``ModelParams``.
     """
 
     def __init__(self, input_dim: int, units: int, attn_dim: int,
@@ -95,6 +109,8 @@ class ModelParams:
         self.l2 = l2
         self.bn_momentum = bn_momentum
         self.bn_eps = bn_eps
+        self.workspace = Workspace()
+        self._layouts: dict = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -114,6 +130,56 @@ class ModelParams:
             out[name] = vector[offset:offset + size].reshape(shape)
             offset += size
         return out
+
+    def carve(self, batch: int, steps: int, train: bool) -> dict[str, tuple]:
+        """One forward call's arrays, grouped as in :func:`_buffer_shapes`.
+
+        Every array is a view of ``workspace``, reserved once for the whole
+        call, the backward's groups included in train mode, so the buffer
+        never grows partway through a step. The offsets of a shape are
+        worked out on its first call and kept.
+        """
+        key = (batch, steps, train)
+        if key not in self._layouts:
+            shapes = _buffer_shapes(batch, steps, self.input_dim, self.units,
+                                    self.shapes["attn.v"][0], train)
+            groups, offset = {}, 0
+            for name, group in shapes.items():
+                groups[name] = []
+                for shape in group:
+                    size = math.prod(shape)
+                    groups[name].append((offset, offset + size, shape))
+                    # whole 64-byte steps, so every block is aligned as the buffer is
+                    offset += -(-size // 8) * 8
+            self._layouts[key] = offset, groups
+        total, groups = self._layouts[key]
+        floats = self.workspace.reserve(total)
+        return {name: tuple(floats[start:stop].reshape(shape) for start, stop, shape in blocks)
+                for name, blocks in groups.items()}
+
+
+def _buffer_shapes(batch: int, steps: int, input_dim: int, units: int, attn_dim: int,
+                   train: bool) -> dict[str, tuple]:
+    """Shapes of the arrays a forward call carves, by group.
+
+    ``fwd`` and ``bwd`` are each scan direction's (hx, acts, cells,
+    tanh_cells) and ``scan_scratch`` the step scratch they share, all as
+    :func:`_lstm_scan` uses them; ``attention`` is (H, pre). Train mode adds
+    :func:`model_backward`'s groups: ``scan_backward``, the (d_gates, dh,
+    dc, tmp, dsig) that both directions' :func:`_lstm_scan_backward` share,
+    and ``attention_backward``, (dH, d_pre_lin, its scratch, and
+    d_pre_lin @ attn.w).
+    """
+    B, T, d, u = batch, steps, input_dim, units
+    kept = T if train else 1
+    scan = ((T + 1, B, u + d), (kept, B, 4 * u), (kept + 1, B, u), (kept, B, u))
+    shapes = {"fwd": scan, "bwd": scan, "scan_scratch": ((B, u), (B, 3 * u)),
+              "attention": ((B, T, 2 * u), (B * T, attn_dim))}
+    if train:
+        shapes["scan_backward"] = ((T, B, 4 * u), (B, u), (B, u), (B, u), (B, 3 * u))
+        shapes["attention_backward"] = ((B, T, 2 * u), (B * T, attn_dim),
+                                        (B * T, attn_dim), (B * T, 2 * u))
+    return shapes
 
 
 def _glorot(rng: RandomSource, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -163,12 +229,15 @@ def init_model_params(
 # layer forwards (batched) and backwards
 
 
-def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, mode: str):
+def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, mode: str, buffers, scratch):
     """Run the recurrence over (B, T, input_dim) from zero states.
 
-    ``w`` and ``b`` are one direction's fused weight and bias. Returns the
-    states (B, T, units), a view, and in train mode a cache for
-    :func:`_lstm_scan_backward`: ``(hx, acts, cells, tanh_cells)``.
+    ``w`` and ``b`` are one direction's fused weight and bias. ``buffers``
+    is the direction's ``(hx, acts, cells, tanh_cells)`` and ``scratch`` its
+    ``(ig, sig)`` step scratch, shaped as :func:`_buffer_shapes` gives them;
+    the scan overwrites them all. Returns the states (B, T, units), a view
+    of ``hx``, and in train mode ``buffers`` as the cache that
+    :func:`_lstm_scan_backward` reads.
 
     The scan runs time-major. Row t of ``hx`` (T + 1, B, units + input_dim)
     holds [h_{t-1}, x_t], so a step's gates are one product with the fused
@@ -180,19 +249,14 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, mode: str):
     pass reads. Infer mode keeps one gate row, one tanh row and two cell
     rows, reused in turn, and returns no cache. ``X`` is only read.
     """
-    B, T, d = X.shape
+    T = X.shape[1]
     u = w.shape[1] // 4
-    train = mode == "train"
-    kept = T if train else 1
-    hx = np.empty((T + 1, B, u + d))
+    hx, acts, cells, tanh_cells = buffers
+    ig, sig = scratch  # sig is contiguous, so the chain runs on flat data
+    kept = len(acts)
     hx[0, :, :u] = 0.0
     hx[:T, :, u:] = X.transpose(1, 0, 2)
-    acts = np.empty((kept, B, 4 * u))
-    cells = np.empty((kept + 1, B, u))
     cells[0] = 0.0
-    tanh_cells = np.empty((kept, B, u))
-    ig = np.empty((B, u))
-    sig = np.empty((B, 3 * u))  # contiguous, so the chain runs on flat data
     # IEEE semantics make the plain sigmoid exact on both tails: exp(-x)
     # overflows to inf -> 0, underflows to 0 -> 1
     with np.errstate(over="ignore"):
@@ -214,11 +278,11 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, mode: str):
             np.tanh(c, out=tanh_c)
             np.multiply(a[:, 2 * u:3 * u], tanh_c, out=hx[t + 1, :, :u])
     states = hx[1:, :, :u].transpose(1, 0, 2)
-    return states, (hx, acts, cells, tanh_cells) if train else None
+    return states, buffers if mode == "train" else None
 
 
 def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
-                        dw: np.ndarray, db: np.ndarray) -> None:
+                        dw: np.ndarray, db: np.ndarray, scratch) -> None:
     """Backpropagation through time for one scan direction.
 
     Accumulates into ``dw`` and ``db``, which are laid out like ``w`` and
@@ -227,18 +291,17 @@ def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
     gradients are one product and one sum over all steps after the loop
     (Appleyard et al. 2016). The gate-derivative factors are formed step
     by step in (B, u)-sized scratch: formed for all T up front they make
-    blocks that outgrow the cache, which measured slower.
+    blocks that outgrow the cache, which measured slower. ``scratch`` is
+    ``(d_gates, dh, dc, tmp, dsig)``, shaped as :func:`_buffer_shapes`
+    gives them and overwritten.
     """
     hx, acts, cells, tanh_cells = cache
     T, B, _ = acts.shape
     u = w.shape[1] // 4
     w_hidden_t = w[:u].T
     d_states = d_states.transpose(1, 0, 2)
-    d_gates = np.empty((T, B, 4 * u))
-    dh = np.empty((B, u))
-    dc = np.zeros((B, u))
-    tmp = np.empty((B, u))
-    dsig = np.empty((B, 3 * u))
+    d_gates, dh, dc, tmp, dsig = scratch
+    dc.fill(0.0)
     for t in range(T - 1, -1, -1):
         a = acts[t]
         i = a[:, u:2 * u]
@@ -279,10 +342,14 @@ def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
     db += flat.sum(axis=0)
 
 
-def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray):
-    """H (B, T, D) -> (context (B, D), weights (B, T), tanh pre-scores)."""
+def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray, pre: np.ndarray):
+    """H (B, T, D) -> (context (B, D), weights (B, T), tanh pre-scores).
+
+    The pre-scores are written into ``pre``, (B * T, attn_dim), and
+    returned as a (B, T, attn_dim) view of it.
+    """
     B, T, D = H.shape
-    pre = H.reshape(B * T, D) @ w.T
+    np.matmul(H.reshape(B * T, D), w.T, out=pre)
     np.tanh(pre, out=pre)
     pre = pre.reshape(B, T, -1)  # (B, T, A)
     scores = pre @ v  # (B, T)
@@ -379,6 +446,13 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
     statistics) and applies ``dropout_masks``, the (B, d1) and (B, d2)
     pair that :func:`draw_dropout_masks` draws. Infer mode applies no
     dropout and keeps no per-step scan buffers in the cache.
+
+    The scan buffers, ``H`` and the attention scores, and in train mode the
+    buffers :func:`model_backward` needs, are carved from ``p.workspace``,
+    reserved once for the call. The cache holds views of them, so it is
+    valid only until the next forward on ``p`` overwrites them; the cache
+    records the workspace's reserve count, which :func:`model_backward`
+    checks. The predictions are an array of their own.
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -402,11 +476,17 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
             raise ShapeError(f"dropout masks must have shapes {shapes}, got {got}")
         mask1, mask2 = dropout_masks
 
-    states_f, caches_f = _lstm_scan(data, p["fwd.w"], p["fwd.b"], mode)
-    states_b_rev, caches_b = _lstm_scan(data[:, ::-1, :], p["bwd.w"], p["bwd.b"], mode)
-    H = np.concatenate([states_f, states_b_rev[:, ::-1, :]], axis=2)
+    buffers = p.carve(data.shape[0], data.shape[1], train)
+    scratch = buffers["scan_scratch"]
+    states_f, caches_f = _lstm_scan(data, p["fwd.w"], p["fwd.b"], mode, buffers["fwd"], scratch)
+    states_b_rev, caches_b = _lstm_scan(data[:, ::-1, :], p["bwd.w"], p["bwd.b"], mode,
+                                        buffers["bwd"], scratch)
+    H, pre = buffers["attention"]
+    u = p.units
+    H[:, :, :u] = states_f
+    H[:, :, u:] = states_b_rev[:, ::-1, :]
 
-    context, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"])
+    context, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
 
     lin1 = context @ p["dense1.w"].T + p["dense1.b"]
     a1 = np.maximum(lin1, 0.0)
@@ -425,7 +505,9 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
         "H": H, "weights": weights, "pre": pre, "context": context,
         "lin1": lin1, "bn1_cache": bn1_cache, "mask1": mask1, "drop1": drop1,
         "lin2": lin2, "bn2_cache": bn2_cache, "mask2": mask2, "drop2": drop2,
-        "preds": preds,
+        "preds": preds, "reserve": p.workspace.reserves,
+        "scan_backward": buffers.get("scan_backward"),
+        "attention_backward": buffers.get("attention_backward"),
     }
     return preds, cache
 
@@ -439,12 +521,18 @@ def model_backward(cache, target, p: ModelParams):
 
     Loss is the batch mean of squared errors plus the L2 penalty on the two
     hidden dense weight matrices. The gradient is one vector laid out like
-    ``p.trainable``.
+    ``p.trainable``; the large intermediates reuse the workspace region
+    that the forward reserved for them. A cache from before the latest
+    :func:`model_forward` on ``p`` raises StateError, since that forward
+    overwrote the buffers it holds.
     """
     if not isinstance(cache, dict) or "preds" not in cache:
         raise StateError("model_backward needs the cache from model_forward")
     if cache["mode"] != "train":
         raise StateError("model_backward needs a train-mode forward cache")
+    if cache["reserve"] != p.workspace.reserves:
+        raise StateError("stale cache: a later model_forward on these parameters "
+                         "overwrote its buffers")
     y = np.atleast_1d(np.asarray(target, dtype=np.float64))
     preds = cache["preds"]
     if y.shape != preds.shape:
@@ -483,19 +571,28 @@ def model_backward(cache, target, p: ModelParams):
     weights = cache["weights"]
     pre = cache["pre"]
     B, T, D = H.shape
-    dH = weights[:, :, None] * d_context[:, None, :]
+    dH, d_pre_lin, d_pre_tmp, d_pre_h = cache["attention_backward"]
+    np.multiply(weights[:, :, None], d_context[:, None, :], out=dH)
     d_weights = np.matmul(H, d_context[:, :, None])[:, :, 0]
     wsum = (weights * d_weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - wsum)
     pre_rows = pre.reshape(B * T, -1)
     g["attn.v"][:] = d_scores.reshape(B * T) @ pre_rows
-    d_pre_lin = d_scores.reshape(B * T, 1) * p["attn.v"] * (1.0 - pre_rows * pre_rows)
+    # d_pre_lin = d_scores * v * (1 - pre^2), in this order
+    np.multiply(d_scores.reshape(B * T, 1), p["attn.v"], out=d_pre_lin)
+    np.multiply(pre_rows, pre_rows, out=d_pre_tmp)
+    np.subtract(1.0, d_pre_tmp, out=d_pre_tmp)
+    d_pre_lin *= d_pre_tmp
     g["attn.w"][:] = d_pre_lin.T @ H.reshape(B * T, D)
-    dH += (d_pre_lin @ p["attn.w"]).reshape(B, T, D)
+    np.matmul(d_pre_lin, p["attn.w"], out=d_pre_h)
+    dH += d_pre_h.reshape(B, T, D)
 
     u = p.units
-    _lstm_scan_backward(cache["caches_f"], dH[:, :, :u], p["fwd.w"], g["fwd.w"], g["fwd.b"])
-    _lstm_scan_backward(cache["caches_b"], dH[:, ::-1, u:], p["bwd.w"], g["bwd.w"], g["bwd.b"])
+    scratch = cache["scan_backward"]
+    _lstm_scan_backward(cache["caches_f"], dH[:, :, :u], p["fwd.w"], g["fwd.w"], g["fwd.b"],
+                        scratch)
+    _lstm_scan_backward(cache["caches_b"], dH[:, ::-1, u:], p["bwd.w"], g["bwd.w"], g["bwd.b"],
+                        scratch)
     return loss, grad
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import EmptyInputError, NumericError, ParameterError, ShapeError
 from .linalg import RandomSource
 from .nn import (
     ModelParams,
@@ -164,14 +164,25 @@ def train_network(
     Training updates ``params`` in place and returns it holding the best
     snapshot; ``history.best_val_preds`` holds that snapshot's validation
     predictions, so callers need not predict the validation set again.
+    Each target must hold one value per row of its inputs (ShapeError), and
+    the validation set must not be empty (EmptyInputError).
+
+    A step's cache is dropped once its batch-norm statistics are committed,
+    so no view of ``params.workspace`` is alive when the epoch's validation
+    predict grows the workspace, and the smaller buffer is freed.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     X_val = np.asarray(X_val, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
     y_val = np.asarray(y_val, dtype=np.float64)
+    for name, X, y in (("train", X_train, y_train), ("val", X_val, y_val)):
+        if y.shape != X.shape[:1]:
+            raise ShapeError(f"y_{name} has shape {y.shape}, X_{name} has shape {X.shape}")
     n = X_train.shape[0]
     if n < 2:
         raise ParameterError("training needs at least 2 samples")
+    if len(X_val) == 0:
+        raise EmptyInputError("early stopping needs a non-empty validation set")
 
     optimizer = Adam()
     stopper = EarlyStopper(patience=settings.patience, min_delta=settings.min_delta)
@@ -200,6 +211,7 @@ def train_network(
                     f"epoch {epoch + 1}, step {n_batches + 1}: minibatch loss is not finite ({loss})"
                 )
             commit_batchnorm(cache, params)
+            del cache  # its workspace views; see the docstring
             optimizer.step(params.trainable, grad, lr_at_step(settings.lr_initial, step))
             step += 1
             epoch_loss += loss

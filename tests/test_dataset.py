@@ -24,6 +24,7 @@ from updrspred.errors import (
     ParameterError,
     ParseError,
     SchemaError,
+    ShapeError,
 )
 from updrspred.linalg import RandomSource
 
@@ -182,6 +183,16 @@ class TestStandardizer:
         X = np.column_stack([np.arange(240.0), np.full(240, 0.1)])
         with pytest.raises(DegenerateColumnError, match="flat"):
             fit_standardizer(X, column_names=("ok", "flat"))
+
+    def test_fit_refuses_non_2d_input(self):
+        # a 1-D array would give scalar statistics
+        with pytest.raises(ShapeError, match="2-D"):
+            fit_standardizer(np.array([1.0, 2.0, 4.0]))
+
+    def test_apply_refuses_non_2d_input(self):
+        stats = fit_standardizer(np.array([[1.0], [2.0], [4.0]]))
+        with pytest.raises(ShapeError, match="2-D"):
+            apply_standardizer(stats, np.array([1.0, 2.0, 4.0]))
 
     def test_round_trip(self):
         rng = RandomSource(2)

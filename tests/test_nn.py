@@ -18,6 +18,7 @@ from updrspred.nn import (
     GATES,
     INVARIANT_CHECKS,
     _attention_batch,
+    _buffer_shapes,
     _lstm_scan,
     _lstm_scan_backward,
     batchnorm_forward,
@@ -38,6 +39,29 @@ def fuse(gates):
     w = np.concatenate([gates[f"w_{gate}"] for gate in GATES], axis=1)
     b = np.concatenate([gates[f"b_{gate}"] for gate in GATES])
     return w, b
+
+
+def nan_buffers(batch, steps, input_dim, units, train):
+    """Every group of _buffer_shapes, filled with NaN so a read before a write shows."""
+    shapes = _buffer_shapes(batch, steps, input_dim, units, 1, train)
+    return {name: tuple(np.full(shape, np.nan) for shape in group)
+            for name, group in shapes.items()}
+
+
+def scan(X, w, b, mode):
+    """_lstm_scan on buffers of the shapes model_forward carves."""
+    B, T, d = X.shape
+    buffers = nan_buffers(B, T, d, w.shape[1] // 4, mode == "train")
+    return _lstm_scan(X, w, b, mode, buffers["fwd"], buffers["scan_scratch"])
+
+
+def scan_backward(cache, d_states, w, dw, db):
+    """_lstm_scan_backward on scratch of the shapes model_forward carves."""
+    hx, acts = cache[:2]
+    T, B = acts.shape[:2]
+    u = w.shape[1] // 4
+    scratch = nan_buffers(B, T, hx.shape[2] - u, u, True)["scan_backward"]
+    _lstm_scan_backward(cache, d_states, w, dw, db, scratch)
 
 
 def zero_lstm(input_dim, units):
@@ -191,7 +215,7 @@ class TestLstmCell:
     def test_zero_parameters(self):
         u = 3
         X = np.array([[[5.0, -1.0], [0.3, 2.0]]])
-        states, (_, acts, cells, _) = _lstm_scan(X, *zero_lstm(2, u), "train")
+        states, (_, acts, cells, _) = scan(X, *zero_lstm(2, u), "train")
         c_prevs = cells[:-1]
         assert np.all(acts[:, :, :3 * u] == 0.5)  # forget, input, output
         assert np.all(acts[:, :, 3 * u:] == 0.0)  # candidate
@@ -204,7 +228,7 @@ class TestLstmCell:
         b[:2 * u] = 100.0  # forget and input gates saturated open
         w[u:, 3 * u:] = 1.0  # candidate = tanh(x_t)
         X = np.array([[[0.7], [0.0], [0.0], [0.0]]])
-        _, (_, _, cells, _) = _lstm_scan(X, w, b, "train")
+        _, (_, _, cells, _) = scan(X, w, b, "train")
         c_prevs = cells[:-1]
         # the first step writes tanh(0.7); zero inputs afterwards add nothing
         assert np.allclose(c_prevs[1:, 0, :], math.tanh(0.7), atol=1e-12)
@@ -213,7 +237,7 @@ class TestLstmCell:
         rng = RandomSource(414)
         gates = random_gates(rng, 2, 3)
         X = rng.gaussians(0, 1, 2 * 6 * 2).reshape(2, 6, 2)
-        states, _ = _lstm_scan(X, *fuse(gates), "train")
+        states, _ = scan(X, *fuse(gates), "train")
         for row in range(2):
             assert np.allclose(states[row], scalar_scan_oracle(X[row], gates), atol=1e-12)
 
@@ -224,7 +248,7 @@ class TestLstmCell:
         u = 4
         w, b = fuse(random_gates(rng, 1, u, scale=0.8))
         X = rng.gaussians(0, 1, 12).reshape(2, 6, 1)
-        _, (_, acts, _, _) = _lstm_scan(X, w, b, "train")
+        _, (_, acts, _, _) = scan(X, w, b, "train")
         assert np.all((acts[:, :, :3 * u] > 0) & (acts[:, :, :3 * u] < 1))
         assert np.all((acts[:, :, 3 * u:] > -1) & (acts[:, :, 3 * u:] < 1))
 
@@ -247,12 +271,12 @@ class TestScanMatchesReference:
         else:
             seq, d_states = X, dH[:, :, :units]
 
-        states, cache = _lstm_scan(seq, w, b, "train")
+        states, cache = scan(seq, w, b, "train")
         want_states, want_cache = reference_scan(seq, w, b)
         assert_relatively_close(states, want_states)
 
         dw, db = np.zeros_like(w), np.zeros_like(b)
-        _lstm_scan_backward(cache, d_states, w, dw, db)
+        scan_backward(cache, d_states, w, dw, db)
         want_dw, want_db = np.zeros_like(w), np.zeros_like(b)
         reference_scan_backward(want_cache, d_states, w, want_dw, want_db)
         assert_relatively_close(dw, want_dw)
@@ -278,8 +302,8 @@ class TestInferScan:
         X = X.reshape(batch, steps, input_dim)
         X.setflags(write=False)
         seq = X[:, ::-1, :] if reverse else X  # the backward direction's view
-        want, _ = _lstm_scan(seq, w, b, "train")
-        got, cache = _lstm_scan(seq, w, b, "infer")
+        want, _ = scan(seq, w, b, "train")
+        got, cache = scan(seq, w, b, "infer")
         assert cache is None
         assert np.array_equal(got, want)
 
@@ -321,7 +345,7 @@ class TestBilstm:
 
 
 def attend(H, w, v):
-    context, weights, _ = _attention_batch(H[None], w, v)
+    context, weights, _ = _attention_batch(H[None], w, v, np.empty((len(H), len(v))))
     return context[0], weights[0]
 
 
@@ -629,7 +653,39 @@ class TestInvariantCounters:
     def test_violation_raises(self):
         H = np.full((2, 2, 3), np.nan)
         with pytest.raises(NumericError):
-            _attention_batch(H, np.zeros((2, 3)), np.zeros(2))
+            _attention_batch(H, np.zeros((2, 3)), np.zeros(2), np.empty((4, 2)))
+
+
+class TestWorkspaceCarving:
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_a_later_forward_makes_the_cache_stale(self, mode):
+        p = tiny_model(50, dropout=0.3)
+        X = RandomSource(51).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
+        masks = draw_dropout_masks(p, 4, RandomSource(52))
+        preds, cache = model_forward(X, p, mode="train", dropout_masks=masks)
+        model_forward(X, p, mode=mode, dropout_masks=masks if mode == "train" else None)
+        with pytest.raises(StateError, match="stale"):
+            model_backward(cache, preds, p)
+
+    def test_results_do_not_depend_on_what_the_workspace_held(self):
+        # every carved array is written before it is read: a buffer full of
+        # NaN, left by a larger call, gives the same bits as a fresh one
+        X = RandomSource(53).gaussians(0, 1, 6 * 5).reshape(6, 5, 1)
+        y = RandomSource(54).gaussians(0, 1, 6)
+        masks = draw_dropout_masks(tiny_model(55, dropout=0.3), 6, RandomSource(56))
+        results = []
+        for warm in (False, True):
+            p = tiny_model(55, dropout=0.3)
+            if warm:
+                model_forward(np.ones((9, 7, 1)), p, mode="train",
+                              dropout_masks=draw_dropout_masks(p, 9, RandomSource(57)))
+                p.workspace.floats.fill(np.nan)
+            preds, cache = model_forward(X, p, mode="train", dropout_masks=masks)
+            results.append((preds, *model_backward(cache, y, p),
+                            model_forward(X, p, mode="infer")[0]))
+        (p0, l0, g0, i0), (p1, l1, g1, i1) = results
+        assert p0.tobytes() == p1.tobytes() and l0 == l1
+        assert g0.tobytes() == g1.tobytes() and i0.tobytes() == i1.tobytes()
 
 
 class TestBatchNormCommit:

@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from updrspred.errors import NumericError, ShapeError
+from updrspred.errors import EmptyInputError, NumericError, ShapeError
 from updrspred.linalg import RandomSource
-from updrspred.nn import init_model_params
+from updrspred.nn import (
+    commit_batchnorm,
+    draw_dropout_masks,
+    init_model_params,
+    model_backward,
+    model_forward,
+)
 from updrspred.optimize import (
     Adam,
     EarlyStopper,
@@ -199,6 +207,28 @@ class TestTrainNetwork:
         settings = TrainSettings(epochs=2, batch_size=16, lr_initial=0.001, patience=15)
         train_network(params, X, y, X[:4], y[:4], settings, RandomSource(22))
 
+    @pytest.mark.parametrize("n_train, n_val", [
+        (25, 12),  # more targets than rows would train on the first 20
+        (15, 12),  # fewer targets than rows would fail on a batch index
+        (20, 1),  # one validation target would broadcast over 12 predictions
+    ])
+    def test_misaligned_targets_refused(self, n_train, n_val):
+        rng = RandomSource(30)
+        X = rng.gaussians(0, 1, 32 * 4).reshape(32, 4, 1)
+        y = rng.gaussians(0, 1, 32)
+        settings = TrainSettings(epochs=1, batch_size=8, lr_initial=0.001, patience=15)
+        with pytest.raises(ShapeError):
+            train_network(self.small_params(31), X[:20], y[:n_train], X[20:], y[20:20 + n_val],
+                          settings, RandomSource(32))
+
+    def test_empty_validation_set_refused(self):
+        # it used to warn "Mean of empty slice" and fail on a nan loss
+        Xt, yt, Xv, yv = self.make_problem(seed=33)
+        settings = TrainSettings(epochs=1, batch_size=8, lr_initial=0.001, patience=15)
+        with pytest.raises(EmptyInputError):
+            train_network(self.small_params(34), Xt, yt, Xv[:0], yv[:0], settings,
+                          RandomSource(35))
+
     def test_non_finite_minibatch_loss_raises_before_any_update(self):
         # an output weight of 1e300 overflows the squared error; Adam must
         # not get to write the resulting NaN gradient into the parameters
@@ -211,3 +241,39 @@ class TestTrainNetwork:
                 pytest.raises(NumericError, match="epoch 1, step 1: minibatch loss is not finite"):
             train_network(params, Xt, yt, Xv, yv, settings, RandomSource(25))
         assert np.array_equal(params.vector, before)
+
+
+class TestWorkspaceReuse:
+    def test_steps_and_predictions_allocate_no_large_array(self):
+        # after one step and one predict have sized the workspace, more of
+        # them reuse its buffer and allocate nothing near one gate array;
+        # numpy's broadcasting ufuncs take iteration buffers of at most
+        # 8192 items per operand, so the gate array here is several times that
+        B, T, units = 32, 20, 32
+        rng = RandomSource(40)
+        X = rng.gaussians(0, 1, 40 * T).reshape(40, T, 1)
+        y = rng.gaussians(0, 1, 40)
+        params = init_model_params(RandomSource(41), units=units, attn_dim=4,
+                                   dense_widths=(8, 4))
+
+        def step():
+            masks = draw_dropout_masks(params, B, rng)
+            _, cache = model_forward(X[:B], params, mode="train", dropout_masks=masks)
+            model_backward(cache, y[:B], params)
+            commit_batchnorm(cache, params)
+
+        step()
+        predict_network(params, X)
+        buffer = params.workspace.floats
+        gate_bytes = T * B * 4 * units * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                step()
+                predict_network(params, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.workspace.floats is buffer
+        assert peak - before < gate_bytes
