@@ -2,16 +2,22 @@
 
 Trees split greedily on variance reduction and grow breadth-first on
 presorted columns (SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996). A tree
-reads only each column's order: the forest ranks each column once, each
-tree radix-sorts its bootstrap rows' ranks, one vectorized pass searches
-every open node of a depth, and a node sends a row left when its value
-is at most the left side's last one. The sorted row ids are then regrouped
-stably by child, so each node sees its rows as a stable sort of that node
-alone orders them, and the minimal split depths equal those of a builder
-that sorts at every node. A split is scored on the sums of ``y`` alone,
-and a node opens only when its ``y`` values differ. A tree's depths carve
-their search blocks from one grow-only :class:`~updrspred.linalg.Workspace`,
-the type a network's passes carve theirs from.
+reads only each column's order: the forest ranks each column once, and
+each tree radix-sorts its bootstrap rows' ranks. One vectorized pass over
+a (feature, row) table then searches every open node of a depth, with no
+padding and no Python loop over the nodes. A node sends a row left when
+its value is at most the left side's last one. The sorted row ids are
+regrouped stably by child, so each node sees its rows as a stable sort of
+that node alone orders them, and the minimal split depths equal those of
+a builder that sorts at every node.
+
+A split is scored on the sums of the target alone, and those sums are
+exact: each tree turns its ``y`` into 64-bit fixed point once
+(:func:`fixed_point`), and no sum of those integers rounds. So the sums
+do not depend on the order they are taken in, equal sums give bit-equal
+scores, gain ties go to the lowest feature and then the leftmost split,
+and scaling ``y`` by a power of two changes no split. A node opens only
+when its fixed-point targets differ.
 
 A tree's output is its minimal-depth vector: for each feature, the depth
 of the shallowest node that splits on it (Ishwaran et al., JASA 2010).
@@ -29,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterError, ShapeError
+from .errors import EmptyInputError, NumericError, ParameterError, ShapeError
 from .linalg import RandomSource, Workspace
+
 
 @dataclass
 class ForestParams:
@@ -51,7 +58,11 @@ class ForestParams:
 
 
 def as_table(X, y):
-    """``X`` as a (rows, features) table in its own dtype and ``y`` as floats, or ShapeError."""
+    """``X`` as a (rows, features) table in its own dtype and ``y`` as floats.
+
+    Raises ShapeError for misshapen operands and NumericError for a
+    non-finite ``y``, before anything is fitted.
+    """
     X = np.asarray(X)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -60,58 +71,97 @@ def as_table(X, y):
         raise ShapeError(f"y must be 1-D, got shape {y.shape}")
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+    if not np.isfinite(y).all():
+        bad = np.count_nonzero(~np.isfinite(y))
+        raise NumericError(f"y must be finite, but {bad} of its {y.size} values are not")
     return X, y
 
 
-def _level_splits(XT, y, order, sizes, totals, min_leaf, workspace):
-    """Best (feature, last left value, gain) of every node of one depth at once.
+def dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Each column of ``X`` as its dense ranks, in the smallest unsigned dtype that holds them.
 
-    ``order[j]`` holds the nodes' row ids node after node, each node's ids
-    sorted by column j, and ``totals`` holds each node's sum of ``y``. Each
-    node's sorted ``y`` fills a zero-padded lane of a (node, feature,
-    position) block, so prefix sums and scores are those of a search over
-    that node alone. A split scores ``-c1²/n_l - r1²/n_r`` on its sides'
-    sums of ``y``: the children's SSE less the node's sum of ``y²``, which
-    no candidate changes. The blocks are views of the tree's ``workspace``,
-    filled in place. A split lies between two distinct values and is
-    returned as the left side's last one; gain ties go to the lowest
-    feature, then the leftmost split.
+    The ranks order the rows as the values do, so a tree fitted on them
+    splits as one fitted on ``X``.
     """
-    K, d, N, m = len(sizes), XT.shape[0], order.shape[1], int(sizes.max())
-    c1, score, term = workspace.reserve(3 * K * d * m).reshape(3, K, d, m)
+    n, d = X.shape
+    ranks = np.empty((n, d), dtype=np.min_scalar_type(n - 1))
+    for j in range(d):
+        ranks[:, j] = np.unique(X[:, j], return_inverse=True)[1]
+    return ranks
 
-    cols = np.arange(d)[:, None]
+
+def fixed_point(y: np.ndarray) -> np.ndarray:
+    """``y`` as int64 multiples of one power of two, so that its sums are exact.
+
+    The scale puts ``max|y|`` at most ``2**61 / 2**b``, where ``2**b`` is
+    at least ``len(y)``, so a sum over any of the rows, and the difference
+    of two such sums, is an exact int64. The scale follows ``max|y|``'s
+    binary exponent, so ``y * 2**s`` gives the same integers as ``y``
+    whenever that product is exact, as it is short of the subnormal range.
+    """
+    _, exponent = np.frexp(np.abs(y).max())
+    scale = 61 - int(exponent) - (len(y) - 1).bit_length()
+    return np.rint(np.ldexp(y, scale)).astype(np.int64)
+
+
+def _level_splits(q, order, values, sizes, min_leaf, workspace):
+    """Each node's best split at one depth: (feature, position, taken).
+
+    Row j of ``order`` and of ``values`` holds the row ids and the column-j
+    values of the depth's nodes, node after node, each node's rows sorted
+    by column j; ``sizes`` holds the nodes' row counts and ``q`` the
+    tree's fixed-point targets. A split scores ``-c1²/n_l - r1²/n_r`` on
+    its sides' exact sums ``c1`` and ``r1``: the children's SSE less the
+    node's sum of ``y²``, which no candidate changes. It lies between two
+    distinct values, leaves each side ``min_leaf`` rows or more, and gain
+    ties go to the lowest feature, then the leftmost split. ``position`` is
+    the column index of the left side's last row; ``taken`` marks the nodes
+    whose targets differ and whose best split gains. The float blocks are
+    views of the tree's ``workspace``, filled in place.
+    """
+    (d, N), K = order.shape, len(sizes)
     starts = np.cumsum(sizes) - sizes
     node_of = np.repeat(np.arange(K), sizes)
-    dest = node_of * (d * m) + np.arange(N) - starts[node_of] + cols * m
-    values = XT[cols, order]
-    # c1 holds the padded y until its prefix sums overwrite it
-    c1.fill(0.0)
-    c1.ravel()[dest] = y[order]
-    np.cumsum(c1, axis=2, out=c1)
-    left_n = np.arange(1, m + 1, dtype=np.float64)
-    right_n = sizes[:, None, None] - left_n
-    # c1 * (-c1) / left_n + right1 * (-right1) / right_n, in this order;
-    # rounding is sign-symmetric, so x * (-x) / n == x * x / (-n)
-    with np.errstate(divide="ignore", invalid="ignore"):  # padding past a node's end
-        np.multiply(c1, c1, out=score)
-        score /= -left_n
-        np.subtract(totals[:, None, None], c1, out=term)  # right1
-        np.multiply(term, term, out=term)
-        term /= -right_n
-        score += term
-    # no split between equal values; the comparison across two nodes'
-    # boundary lands on a node's last position, which the side rule covers
-    score.ravel()[dest[:, :-1][values[:, :-1] == values[:, 1:]]] = np.inf
-    # a side below min_leaf, which includes each node's last position and
-    # the padding past it
-    np.copyto(score, np.inf, where=np.minimum(left_n, right_n) < min_leaf)
-    # scan feature-major so ties fall to the lowest feature index first
-    score = score.reshape(K, d * m)
-    flat = np.argmin(score, axis=1)
-    feature, pos = np.divmod(flat, m)
-    gain = -(totals * totals / sizes) - score[np.arange(K), flat]
-    return feature, values[feature, starts + pos], gain
+    c1 = q[order]
+    first = c1[0]
+    differ = np.maximum.reduceat(first, starts) > np.minimum.reduceat(first, starts)
+    totals = np.add.reduceat(first, starts)
+    # one cumsum gives every node's own prefix sums once each node's first
+    # row carries minus the previous node's total
+    c1[:, starts[1:]] -= totals[:-1]
+    np.cumsum(c1, axis=1, out=c1)
+    left_n = np.arange(1.0, N + 1.0) - starts[node_of]
+    right_n = sizes[node_of] - left_n
+    # c1 * (-c1) / left_n + r1 * (-r1) / right_n in floats from the exact
+    # sums; rounding is sign-symmetric, so x * (-x) / n == x * x / (-n).
+    # r1 is 0 at a node's last row, where the side rule below rules it out
+    score, term = workspace.reserve(2 * d * N).reshape(2, d, N)
+    score[...] = c1
+    score *= score
+    score /= -left_n
+    np.subtract(totals[node_of], c1, out=c1)
+    term[...] = c1
+    term *= term
+    term /= -np.maximum(right_n, 1.0)
+    score += term
+    # an illegal split scores 0, and a split gains only where it scores
+    # below -(node total)²/n <= 0. None lies between equal values; the
+    # comparison across two nodes' boundary lands on a node's last row,
+    # which the side rule covers
+    legal = np.empty((d, N), dtype=bool)
+    np.not_equal(values[:, :-1], values[:, 1:], out=legal[:, :-1])
+    legal[:, -1] = False
+    legal &= np.minimum(left_n, right_n) >= min_leaf
+    score *= legal
+    # the lowest feature that reaches the node's minimum, then its first row
+    lowest = np.minimum.reduceat(score, starts, axis=1)
+    best = lowest.min(axis=0)
+    feature = np.argmax(lowest == best, axis=0)
+    hits = np.flatnonzero(score[feature[node_of], np.arange(N)] == best[node_of])
+    position = hits[np.searchsorted(hits, starts)]
+    totals = totals.astype(np.float64)
+    gain = -(totals * totals / sizes) - best
+    return feature, position, differ & (gain > 0.0)
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
@@ -126,51 +176,42 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
         raise EmptyInputError("cannot fit a tree on empty data")
     params.validate()
     (n, d), min_leaf = X.shape, params.min_samples_leaf
-    XT, cols = np.ascontiguousarray(X.T), np.arange(d)[:, None]
     depths = np.full(d, -1, dtype=np.int64)
+    if n < 2 * min_leaf:
+        return depths
+    q, XT, cols = fixed_point(y), np.ascontiguousarray(X.T), np.arange(d)[:, None]
     order, workspace = np.argsort(XT, axis=1, kind="stable"), Workspace()
-    children = [np.arange(n)]
+    values, sizes = XT[cols, order], np.array([n])
     for depth in range(params.max_depth):
-        # a node opens when both sides can keep min_leaf rows and its y
-        # values differ; its rows ascend, as in a depth-first builder, so
-        # the sums round alike
-        node_rows, totals = [], []
-        for rows in children:
-            if len(rows) >= 2 * min_leaf:
-                y_node = y[rows]
-                if y_node.max() > y_node.min():
-                    node_rows.append(rows)
-                    totals.append(y_node.sum())
-        if not node_rows:
-            break
-        sizes = np.array([len(rows) for rows in node_rows])
-        if depth > 0:
-            # regroup each column's sorted ids by open node with one stable
-            # sort of small-int (column, node) keys; rows of closed nodes
-            # sort after the open ones in every column and are cut off
-            slots = len(node_rows) + 1
-            child = np.full(n, slots - 1, dtype=np.min_scalar_type(d * slots))
-            for i, rows in enumerate(node_rows):
-                child[rows] = i
-            keys = child[order] + (cols * slots).astype(child.dtype)
-            order = order.ravel()[np.argsort(keys.ravel(), kind="stable")].reshape(d, -1)
-            order = order[:, :sizes.sum()]
-        feature, last_left, gain = _level_splits(XT, y, order, sizes, np.array(totals),
-                                                 min_leaf, workspace)
-        split = gain > 0.0
+        feature, position, split = _level_splits(q, order, values, sizes, min_leaf, workspace)
         # breadth-first, so a feature's first recorded depth is its minimum
         used = feature[split]
         depths[used[depths[used] < 0]] = depth
-        # side 2k / 2k + 1 holds node k's left / right rows; a stable sort
-        # keeps each side's rows ascending, and keys this small radix-sort
-        node_of = np.repeat(np.arange(len(node_rows)), sizes)
-        rows = np.concatenate(node_rows)
-        side = (2 * node_of + ~(XT[feature[node_of], rows] <= last_left[node_of])).astype(
-            np.min_scalar_type(2 * len(node_rows)))
-        ends = [0] + np.cumsum(np.bincount(side, minlength=2 * len(node_rows))).tolist()
-        rows = rows[np.argsort(side, kind="stable")]
-        children = [rows[ends[s]:ends[s + 1]]
-                    for k in np.flatnonzero(split) for s in (2 * k, 2 * k + 1)]
+        if depth + 1 == params.max_depth or not split.any():
+            break
+        # child 2k / 2k + 1 holds node k's left / right rows; a child opens
+        # when its node split and it can keep min_leaf rows on both sides
+        K, rows = len(sizes), order[0]
+        node_of = np.repeat(np.arange(K), sizes)
+        last_left = values[feature, position]
+        child = 2 * node_of + (XT[feature[node_of], rows] > last_left[node_of])
+        child_sizes = np.bincount(child, minlength=2 * K)
+        opens = np.repeat(split, 2) & (child_sizes >= 2 * min_leaf)
+        if not opens.any():
+            break
+        # regroup each column's sorted ids by open child with one stable
+        # sort of small-int (column, child) keys; rows of closed children
+        # take the last slot, sort after the open ones in every column and
+        # are cut off
+        slots = int(opens.sum()) + 1
+        slot = np.where(opens, np.cumsum(opens) - 1, slots - 1).astype(
+            np.min_scalar_type(d * slots))
+        label = np.empty(n, dtype=slot.dtype)
+        label[rows] = slot[child]
+        keys = label[order] + (cols * slots).astype(slot.dtype)
+        sizes = child_sizes[opens]
+        regroup = np.argsort(keys.ravel(), kind="stable").reshape(d, -1)[:, :sizes.sum()]
+        order, values = order.ravel()[regroup], values.ravel()[regroup]
     return depths
 
 
@@ -181,19 +222,19 @@ def fit_forest(
 
     Returns an (n_trees, d) int64 array whose row t is tree t's
     :func:`fit_tree` output on its bootstrap rows of ``X``'s dense column
-    ranks, which order the rows as the values do. Per-tree seeds are all
-    derived from ``rng`` up front, so a parallel implementation fitting
-    trees out of order would produce the identical forest.
+    ranks (:func:`dense_ranks`), which order the rows as the values do. A
+    table of unsigned integers is taken as ranks already and not ranked
+    again. Per-tree seeds are all derived from ``rng`` up front, so a
+    parallel implementation fitting trees out of order would produce the
+    identical forest.
     """
     X, y = as_table(X, y)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a forest on empty data")
     params.validate()
     tree_rngs = [rng.spawn() for _ in range(params.n_trees)]
-    n, d = X.shape
-    ranks = np.empty((n, d), dtype=np.min_scalar_type(n - 1))
-    for j in range(d):
-        ranks[:, j] = np.unique(X[:, j], return_inverse=True)[1]
+    ranks = X if X.dtype.kind == "u" else dense_ranks(X)
+    n = X.shape[0]
     draws = (tree_rng.integers(n, n) for tree_rng in tree_rngs)
     return np.stack([fit_tree(ranks[rows], y[rows], params) for rows in draws])
 

@@ -2,8 +2,10 @@
 
 Each round refits the forest on the surviving columns, ranks them, and
 drops exactly the single least-important feature until ``k`` survive.
-Columns can be protected (they are ranked but never dropped), which the
-pipeline uses to pin must-keep regressors.
+The table is turned into dense column ranks once, and each round's forest
+reads the surviving columns of those. Columns can be protected (they are
+ranked but never dropped), which the pipeline uses to pin must-keep
+regressors.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .forest import ForestParams, as_table, feature_importance, fit_forest
+from .forest import ForestParams, as_table, dense_ranks, feature_importance, fit_forest
 from .linalg import RandomSource
 
 
@@ -88,6 +90,8 @@ def rfe_select(
     if len(protected) > k:
         raise ParameterError(f"{len(protected)} protected features cannot fit in k={k}")
 
+    if d > k:
+        X = dense_ranks(X)  # a forest reads only each column's order
     surviving = list(range(d))
     eliminated = []
     rounds = []

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from updrspred import forest as forest_module
 from updrspred.config import RunConfig
-from updrspred.errors import EmptyInputError, ShapeError
-from updrspred.forest import ForestParams, feature_importance, fit_forest, fit_tree
+from updrspred.errors import EmptyInputError, NumericError, ShapeError
+from updrspred.forest import (ForestParams, dense_ranks, feature_importance, fit_forest,
+                              fit_tree)
 from updrspred.linalg import RandomSource
 
 
@@ -69,6 +70,35 @@ class TestFitTree:
             assert np.array_equal(fit_tree(X, y, params), [0, 1])
             assert np.array_equal(reference_depths(X, y, params), [0, 1])
 
+    def test_tied_gain_goes_to_the_lowest_feature(self):
+        # both columns offer the same left set {0, 1, 2}; its float sums
+        # round apart ((0.8 + 0.92) + 0.27 != (0.27 + 0.92) + 0.8), its
+        # fixed-point sums do not
+        X = np.column_stack([np.arange(6.0), [2.0, 1.0, 0.0, 5.0, 4.0, 3.0]])
+        y = np.array([0.8, 0.92, 0.27, 5.54, 5.44, 5.93])
+        params = full_growth_params(max_depth=1)
+        assert np.array_equal(fit_tree(X, y, params), [0, -1])
+        assert np.array_equal(reference_depths(X, y, params), [0, -1])
+
+    @pytest.mark.parametrize("power", [-1070, -20, 20, 1015])
+    def test_power_of_two_scale_keeps_the_depths(self, power):
+        # targets of four bits stay exact down to the subnormal 2**-1070;
+        # squared float sums would underflow there and overflow at 2**1015
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(80, 3))
+        y = rng.integers(0, 16, size=80).astype(np.float64)
+        params = ForestParams(n_trees=1, max_depth=6, min_samples_leaf=2)
+        depths = fit_tree(X, y, params)
+        assert (depths >= 0).all()
+        assert np.array_equal(fit_tree(X, np.ldexp(y, power), params), depths)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_refused(self, bad):
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.array([0.0, 1.0, bad, 3.0, 4.0, 5.0])
+        with pytest.raises(NumericError, match="1 of its 6 values are not"):
+            fit_tree(X, y, full_growth_params())
+
 
 @dataclass
 class Node:
@@ -83,31 +113,42 @@ class Node:
         return self.left is None
 
 
-def _reference_best_split(X, y, rows, min_leaf):
-    """The depth-first builder's split search: one node, one fresh argsort."""
-    y_node = y[rows]
+def fixed_point_targets(y):
+    """The tree's exact integer targets: ``y`` times the power of two that
+    brings ``max|y|`` to at most ``2**61 / 2**b``, where ``2**b >= len(y)``,
+    rounded to integers. No sum of them rounds."""
+    _, exponent = np.frexp(np.abs(y).max())
+    scale = 61 - int(exponent) - (len(y) - 1).bit_length()
+    return np.rint(np.ldexp(y, scale)).astype(np.int64)
+
+
+def _reference_best_split(X, q, rows, min_leaf):
+    """The depth-first builder's split search: one node, one fresh argsort, integer sums."""
+    q_node = q[rows]
     n = len(rows)
-    if not y_node.max() > y_node.min():
+    if not q_node.max() > q_node.min():
         return None
-    total1 = y_node.sum()
+    total1 = q_node.sum()
 
     values = X[rows]
     order = np.argsort(values, axis=0, kind="stable")
     sv = np.take_along_axis(values, order, axis=0)
-    sy = y_node[order]
-    c1 = np.cumsum(sy, axis=0)[:-1]
+    c1 = np.cumsum(q_node[order], axis=0)[:-1]
 
     sizes = np.arange(1, n, dtype=np.float64)[:, None]
     legal = (sv[:-1] < sv[1:]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
     if not legal.any():
         return None
-    right1 = total1 - c1
+    # the sums are exact integers; the score is taken in floats from them
+    right1 = (total1 - c1).astype(np.float64)
+    c1 = c1.astype(np.float64)
     # the children's SSE less the node's sum of y², which no candidate changes
     score = c1 * (-c1) / sizes + right1 * (-right1) / (n - sizes)
     score[~legal] = np.inf
 
     flat = int(np.argmin(score.T))
     col, pos = divmod(flat, score.shape[0])
+    total1 = float(total1)
     gain = -(total1 * total1 / n) - score[pos, col]
     if not gain > 0.0:
         return None
@@ -115,24 +156,28 @@ def _reference_best_split(X, y, rows, min_leaf):
     return gain, col, sv[pos, col]
 
 
-def _reference_grow(X, y, rows, depth, params):
+def _reference_grow(X, y, q, rows, depth, params):
     node = Node(prediction=float(y[rows].mean()))
     n = len(rows)
     if depth >= params.max_depth or n < 2 * params.min_samples_leaf:
         return node
-    best = _reference_best_split(X, y, rows, params.min_samples_leaf)
+    best = _reference_best_split(X, q, rows, params.min_samples_leaf)
     if best is None:
         return node
     _, node.feature, node.threshold = best
     mask = X[rows, node.feature] <= node.threshold
-    node.left = _reference_grow(X, y, rows[mask], depth + 1, params)
-    node.right = _reference_grow(X, y, rows[~mask], depth + 1, params)
+    node.left = _reference_grow(X, y, q, rows[mask], depth + 1, params)
+    node.right = _reference_grow(X, y, q, rows[~mask], depth + 1, params)
     return node
 
 
 def reference_tree(X, y, params):
-    """Recursive depth-first CART: the oracle for ``fit_tree``."""
-    return _reference_grow(X, y, np.arange(X.shape[0]), 0, params)
+    """Recursive depth-first CART: the oracle for ``fit_tree``.
+
+    Splits are searched on the fixed-point targets; leaves predict the mean
+    of the raw ``y``.
+    """
+    return _reference_grow(X, y, fixed_point_targets(y), np.arange(X.shape[0]), 0, params)
 
 
 def predict_tree(tree: Node, X: np.ndarray) -> np.ndarray:
@@ -269,24 +314,35 @@ class TestMatchesReference:
             assert np.array_equal(fit_tree(X[rows], y[rows], params),
                                   reference_depths(X[rows], y[rows], params))
 
-    def test_same_depths_while_the_level_block_grows_and_shrinks(self, monkeypatch):
-        # the depths after the widest one reuse buffers that it filled
+    def test_levels_hold_only_their_open_nodes_rows_and_reuse_the_root_buffer(
+            self, monkeypatch):
+        # no level is padded: each holds exactly its open nodes' rows, so
+        # none is wider than the root, whose workspace buffer every later
+        # level reuses
         rng = RandomSource(23)
         X = rng.gaussians(0, 1, 300 * 4).reshape(300, 4)
         X[:, 3] = np.round(X[:, 3])
         y = np.sin(2.0 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.1 * rng.gaussians(0, 1, 300)
         params = ForestParams(n_trees=1, max_depth=12, min_samples_leaf=2)
-        blocks = []
+        levels = []
         level_splits = forest_module._level_splits
 
-        def spy(XT, y, order, sizes, *rest):
-            blocks.append(len(sizes) * int(sizes.max()))  # lanes per feature
-            return level_splits(XT, y, order, sizes, *rest)
+        def spy(q, order, values, sizes, min_leaf, workspace):
+            levels.append((order.shape, values.shape, sizes.copy()))
+            result = level_splits(q, order, values, sizes, min_leaf, workspace)
+            levels[-1] += (workspace.floats,)
+            return result
 
         monkeypatch.setattr(forest_module, "_level_splits", spy)
         depths = fit_tree(X, y, params)
-        widest = blocks.index(max(blocks))
-        assert 0 < widest < len(blocks) - 1
+        assert len(levels) > 3
+        widths = [order_shape[1] for order_shape, *_ in levels]
+        assert widths[0] == 300 and widths[-1] < 300
+        assert widths == sorted(widths, reverse=True)
+        for order_shape, values_shape, sizes, buffer in levels:
+            assert order_shape == values_shape == (4, sizes.sum())
+            assert sizes.min() >= 2 * params.min_samples_leaf
+            assert buffer is levels[0][3]
         assert np.array_equal(depths, reference_depths(X, y, params))
 
     def test_every_forest_tree_matches_on_its_bootstrap(self):
@@ -332,6 +388,17 @@ class TestShapeRefusals:
         assert rng.next_u64() == RandomSource(5).next_u64()
 
 
+def test_fit_forest_refuses_a_non_finite_target_before_any_tree(monkeypatch):
+    fitted = []
+    monkeypatch.setattr(forest_module, "fit_tree", lambda *args: fitted.append(args))
+    rng = RandomSource(5)
+    with pytest.raises(NumericError):
+        fit_forest(np.arange(12.0).reshape(6, 2), np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0]),
+                   ForestParams(n_trees=3, max_depth=4, min_samples_leaf=1), rng)
+    assert fitted == []
+    assert rng.next_u64() == RandomSource(5).next_u64()
+
+
 class TestForest:
     def test_trees_read_unsigned_ranks(self, monkeypatch):
         tables = []
@@ -349,6 +416,20 @@ class TestForest:
             # column 0 ascends through 300 values; column 1 ranks -1.0, 2.5, 7.0 as 0, 1, 2
             assert table.dtype == np.uint16
             assert np.array_equal(table[:, 1], np.array([1, 0, 2])[table[:, 0] // 100])
+
+    def test_an_unsigned_table_is_taken_as_ranks(self, monkeypatch):
+        rng = RandomSource(17)
+        X = rng.gaussians(0, 1, 90 * 4).reshape(90, 4)
+        X[:, 2] = np.round(X[:, 2])
+        y = X[:, 0] - X[:, 2] + 0.3 * rng.gaussians(0, 1, 90)
+        params = ForestParams(n_trees=4, max_depth=5, min_samples_leaf=2)
+        ranks = dense_ranks(X)
+        assert ranks.dtype == np.uint8
+        expected = fit_forest(X, y, params, RandomSource(2))
+        ranked = []
+        monkeypatch.setattr(forest_module, "dense_ranks", lambda table: ranked.append(table))
+        assert np.array_equal(fit_forest(ranks, y, params, RandomSource(2)), expected)
+        assert ranked == []
 
     def test_single_tree_equals_tree_on_its_bootstrap(self):
         rng = RandomSource(7)

@@ -95,6 +95,40 @@ class TestRfeSelect:
             assert record.removed in record.surviving
 
 
+def test_each_fold_is_ranked_once_and_selects_as_before(monkeypatch):
+    X, y, _ = make_signal_problem(12, noise_features=4)
+    X[:, 2] = np.round(X[:, 2])
+    ranked, tables = [], []
+    dense_ranks, fit_forest = rfe_module.dense_ranks, rfe_module.fit_forest
+
+    def rank_spy(table):
+        ranked.append(table)
+        return dense_ranks(table)
+
+    def forest_spy(table, *rest):
+        tables.append(table)
+        return fit_forest(table, *rest)
+
+    monkeypatch.setattr(rfe_module, "dense_ranks", rank_spy)
+    monkeypatch.setattr(rfe_module, "fit_forest", forest_spy)
+    result = rfe_select(X, y, 2, FAST_FOREST, RandomSource(3))
+    assert len(ranked) == 1
+    # each round's forest reads the surviving columns of the one rank table
+    ranks = dense_ranks(X)
+    assert len(tables) == len(result.rounds) == 3
+    for table, record in zip(tables, result.rounds):
+        assert table.dtype == ranks.dtype
+        assert np.array_equal(table, ranks[:, list(record.surviving)])
+    # handing every round its float columns, which fit_forest ranks afresh,
+    # selects the same
+    monkeypatch.setattr(rfe_module, "dense_ranks", lambda table: table)
+    monkeypatch.setattr(rfe_module, "fit_forest", fit_forest)
+    per_round = rfe_select(X, y, 2, FAST_FOREST, RandomSource(3))
+    assert per_round.elimination_order == result.elimination_order
+    assert [r.importance.tolist() for r in per_round.rounds] == \
+        [r.importance.tolist() for r in result.rounds]
+
+
 @pytest.mark.parametrize("x_shape, y_shape, message", [
     pytest.param((50, 3), (80,), "X has 50 rows but y has 80", id="y longer than X"),
     pytest.param((50, 3), (30,), "X has 50 rows but y has 30", id="y shorter than X"),
