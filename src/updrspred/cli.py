@@ -16,6 +16,7 @@ default dataset path. Exit codes: 0 success, 1 runtime or numeric failure,
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
@@ -48,14 +49,20 @@ def _fail(message: str, code: int):
 
 
 def _guarded(fn):
-    try:
-        fn()
-    except UsageFault as exc:
-        _fail(str(exc), 2)
-    except RuntimeFault as exc:
-        _fail(str(exc), 1)
-    except OSError as exc:
-        _fail(str(exc), 2)
+    """Turn a command's faults into an error line and exit code 1 or 2."""
+
+    @functools.wraps(fn)
+    def command(*args, **kwargs):
+        try:
+            fn(*args, **kwargs)
+        except UsageFault as exc:
+            _fail(str(exc), 2)
+        except RuntimeFault as exc:
+            _fail(str(exc), 1)
+        except OSError as exc:
+            _fail(str(exc), 2)
+
+    return command
 
 
 @click.group()
@@ -115,101 +122,89 @@ def _make_run_dir(config: RunConfig) -> Path:
 
 @main.command()
 @click.argument("dataset", type=click.Path())
+@_guarded
 def inspect(dataset):
     """Print row and subject counts plus per-column statistics."""
-
-    def body():
-        ds = load_csv(dataset)
-        click.echo(f"{len(ds)} records, {ds.n_subjects} subjects")
-        header = f"{'column':<14} {'mean':>12} {'stddev':>12} {'min':>12} {'max':>12}"
-        click.echo(header)
-        for name in REQUIRED_COLUMNS[1:]:
-            col = ds.column(name)
-            click.echo(
-                f"{name:<14} {col.mean():>12.5f} {col.std():>12.5f} "
-                f"{col.min():>12.5f} {col.max():>12.5f}"
-            )
-
-    _guarded(body)
+    ds = load_csv(dataset)
+    click.echo(f"{len(ds)} records, {ds.n_subjects} subjects")
+    header = f"{'column':<14} {'mean':>12} {'stddev':>12} {'min':>12} {'max':>12}"
+    click.echo(header)
+    for name in REQUIRED_COLUMNS[1:]:
+        col = ds.column(name)
+        click.echo(
+            f"{name:<14} {col.mean():>12.5f} {col.std():>12.5f} "
+            f"{col.min():>12.5f} {col.max():>12.5f}"
+        )
 
 
 @main.command()
 @click.pass_context
+@_guarded
 def select(ctx):
     """Run recursive feature elimination and write its report."""
-
-    def body():
-        config = _build_config(ctx)
-        ds = load_csv(config.dataset)
-        X, y = build_design(ds, config.target, config.regressors)
-        X = apply_standardizer(fit_standardizer(X, column_names=config.regressors), X)
-        result = rfe_select(X, y, config.rfe_k, config.forest_params(),
-                            RandomSource(config.seed), protected=config.protected_indices())
-        run_dir = _make_run_dir(config)
-        names = list(config.regressors)
-        (run_dir / "rfe_report.txt").write_text(result.to_report(names))
-        (run_dir / "rfe_report.json").write_text(result.to_json(names) + "\n")
-        click.echo(f"run directory: {run_dir}")
-        click.echo(result.to_report(names), nl=False)
-
-    _guarded(body)
+    config = _build_config(ctx)
+    ds = load_csv(config.dataset)
+    X, y = build_design(ds, config.target, config.regressors)
+    X = apply_standardizer(fit_standardizer(X, column_names=config.regressors), X)
+    result = rfe_select(X, y, config.rfe_k, config.forest_params(),
+                        RandomSource(config.seed), protected=config.protected_indices())
+    run_dir = _make_run_dir(config)
+    names = list(config.regressors)
+    (run_dir / "rfe_report.txt").write_text(result.to_report(names))
+    (run_dir / "rfe_report.json").write_text(result.to_json(names) + "\n")
+    click.echo(f"run directory: {run_dir}")
+    click.echo(result.to_report(names), nl=False)
 
 
 @main.command("train-eval")
 @click.pass_context
+@_guarded
 def train_eval(ctx):
     """Run the cross-validated experiment and write all report files."""
-
-    def body():
-        config = _build_config(ctx)
-        report = run_experiment(config)
-        run_dir = _make_run_dir(config)
-        (run_dir / "report.json").write_text(report.to_structured() + "\n")
-        (run_dir / "report.csv").write_text(render_csv(report))
-        mse_table = render_mse_table(report)
-        r2_table = render_r2_table(report)
-        (run_dir / "mse_table.txt").write_text(mse_table)
-        (run_dir / "r2_table.txt").write_text(r2_table)
-        click.echo(f"run directory: {run_dir}")
-        click.echo(mse_table, nl=False)
-        click.echo("")
-        click.echo(r2_table, nl=False)
-
-    _guarded(body)
+    config = _build_config(ctx)
+    report = run_experiment(config)
+    run_dir = _make_run_dir(config)
+    (run_dir / "report.json").write_text(report.to_structured() + "\n")
+    (run_dir / "report.csv").write_text(render_csv(report))
+    mse_table = render_mse_table(report)
+    r2_table = render_r2_table(report)
+    (run_dir / "mse_table.txt").write_text(mse_table)
+    (run_dir / "r2_table.txt").write_text(r2_table)
+    click.echo(f"run directory: {run_dir}")
+    click.echo(mse_table, nl=False)
+    click.echo("")
+    click.echo(r2_table, nl=False)
 
 
 @main.command()
+@_guarded
 def gradcheck():
     """Check analytic gradients against central finite differences."""
-
-    def body():
-        worst_overall = 0.0
-        block_worst: dict[str, float] = {}
-        failures = []
-        for seed in range(GRADCHECK_MODELS):
-            params, X, y = random_gradcheck_model(seed)
-            worst, per_block = grad_check(params, X, y, eps=1e-4)
-            worst_overall = max(worst_overall, worst)
-            for name, err in per_block.items():
-                block_worst[name] = max(block_worst.get(name, 0.0), err)
-            status = "ok" if worst < GRADCHECK_TOLERANCE else "FAIL"
-            click.echo(f"model {seed:2d}: max relative error {worst:.3e} {status}")
-            if worst >= GRADCHECK_TOLERANCE:
-                offenders = [n for n, e in per_block.items() if e >= GRADCHECK_TOLERANCE]
-                failures.append((seed, offenders))
-        click.echo("worst error per parameter block:")
-        for name in sorted(block_worst, key=block_worst.get, reverse=True):
-            click.echo(f"  {name:<16} {block_worst[name]:.3e}")
-        click.echo(f"max relative error over {GRADCHECK_MODELS} models: "
-                   f"{worst_overall:.3e}")
-        if failures:
-            for seed, offenders in failures:
-                click.echo(f"model {seed} failed in blocks: {', '.join(offenders)}",
-                           err=True)
-            sys.exit(1)
-        assert np.isfinite(worst_overall)
-
-    _guarded(body)
+    worst_overall = 0.0
+    block_worst: dict[str, float] = {}
+    failures = []
+    for seed in range(GRADCHECK_MODELS):
+        params, X, y = random_gradcheck_model(seed)
+        worst, per_block = grad_check(params, X, y, eps=1e-4)
+        worst_overall = max(worst_overall, worst)
+        for name, err in per_block.items():
+            block_worst[name] = max(block_worst.get(name, 0.0), err)
+        status = "ok" if worst < GRADCHECK_TOLERANCE else "FAIL"
+        click.echo(f"model {seed:2d}: max relative error {worst:.3e} {status}")
+        if worst >= GRADCHECK_TOLERANCE:
+            offenders = [n for n, e in per_block.items() if e >= GRADCHECK_TOLERANCE]
+            failures.append((seed, offenders))
+    click.echo("worst error per parameter block:")
+    for name in sorted(block_worst, key=block_worst.get, reverse=True):
+        click.echo(f"  {name:<16} {block_worst[name]:.3e}")
+    click.echo(f"max relative error over {GRADCHECK_MODELS} models: "
+               f"{worst_overall:.3e}")
+    if failures:
+        for seed, offenders in failures:
+            click.echo(f"model {seed} failed in blocks: {', '.join(offenders)}",
+                       err=True)
+        sys.exit(1)
+    assert np.isfinite(worst_overall)
 
 
 if __name__ == "__main__":

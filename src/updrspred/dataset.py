@@ -134,10 +134,11 @@ def load_csv(path) -> Dataset:
             if sex_value not in (0.0, 1.0):
                 raise ParseError(f"row {row_number}: column 'sex' must be 0 or 1, got {sex_value}")
             subject = cells["subject#"][-1]
-            if not (subject.is_integer() and abs(subject) < 2**63):
+            # from 2**53 on, distinct ids can parse to one double
+            if not (subject.is_integer() and abs(subject) < 2**53):
                 raise ParseError(
                     f"row {row_number}: column 'subject#' must be a whole number "
-                    f"below 2**63 in magnitude, got {subject}"
+                    f"below 2**53 in magnitude, got {subject}"
                 )
             cells["subject#"][-1] = int(subject)
 

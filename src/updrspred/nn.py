@@ -23,8 +23,10 @@ train-mode batch normalization must center each feature within 1e-6.
 The large per-call arrays (the scans' buffers, the states ``H``, the
 attention scores and their gradients) are views of the parameters' one
 reused :class:`~updrspred.linalg.Workspace`, so a step of a shape seen
-before allocates no large array. A train-mode cache therefore holds only
-until the next :func:`model_forward` on the same parameters.
+before allocates no large array. A forward's cache holds ``mode``,
+``buffers`` (those views), ``weights``, ``pre``, ``head``, ``head_out``,
+``preds`` and ``reserve``, as :func:`model_forward` describes, and holds
+only until the next forward on the same parameters.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ def reset_invariant_counters() -> None:
 # Column blocks of each fused LSTM weight and bias, in order. The three
 # sigmoid gates come first so the scan activates them as one block.
 GATES = ("forget", "input", "output", "cell")
+
+# Each scan direction's parameter prefix and time order, in H's column order
+DIRECTIONS = (("fwd", slice(None)), ("bwd", slice(None, None, -1)))
 
 
 class ModelParams:
@@ -110,7 +115,6 @@ class ModelParams:
         self.bn_momentum = bn_momentum
         self.bn_eps = bn_eps
         self.workspace = Workspace()
-        self._layouts: dict = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -136,24 +140,19 @@ class ModelParams:
 
         Every array is a view of ``workspace``, reserved once for the whole
         call, the backward's groups included in train mode, so the buffer
-        never grows partway through a step. The offsets of a shape are
-        worked out on its first call and kept.
+        never grows partway through a step.
         """
-        key = (batch, steps, train)
-        if key not in self._layouts:
-            shapes = _buffer_shapes(batch, steps, self.input_dim, self.units,
-                                    self.shapes["attn.v"][0], train)
-            groups, offset = {}, 0
-            for name, group in shapes.items():
-                groups[name] = []
-                for shape in group:
-                    size = math.prod(shape)
-                    groups[name].append((offset, offset + size, shape))
-                    # whole 64-byte steps, so every block is aligned as the buffer is
-                    offset += -(-size // 8) * 8
-            self._layouts[key] = offset, groups
-        total, groups = self._layouts[key]
-        floats = self.workspace.reserve(total)
+        shapes = _buffer_shapes(batch, steps, self.input_dim, self.units,
+                                self.shapes["attn.v"][0], train)
+        groups, offset = {}, 0
+        for name, group in shapes.items():
+            groups[name] = []
+            for shape in group:
+                size = math.prod(shape)
+                groups[name].append((offset, offset + size, shape))
+                # whole 64-byte steps, so every block is aligned as the buffer is
+                offset += -(-size // 8) * 8
+        floats = self.workspace.reserve(offset)
         return {name: tuple(floats[start:stop].reshape(shape) for start, stop, shape in blocks)
                 for name, blocks in groups.items()}
 
@@ -204,21 +203,19 @@ def init_model_params(
         raise ParameterError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
     p = ModelParams(input_dim, units, attn_dim, dense_widths, dropout_rate, l2,
                     bn_momentum, bn_eps)
-    hidden = 2 * units
-    d1, d2 = dense_widths
     rows = units + input_dim
-    for tag in ("fwd", "bwd"):
+    for tag, _ in DIRECTIONS:
         w = p[f"{tag}.w"]
         for gate in ("forget", "input", "cell", "output"):  # the draw order
             k = GATES.index(gate)
             w[:, k * units:(k + 1) * units] = _glorot(rng, rows, units, (rows, units))
         # forget bias starts at 1 so early training does not flush the cell
         p[f"{tag}.b"][:units] = 1.0
-    p["attn.w"][:] = _glorot(rng, hidden, attn_dim, (attn_dim, hidden))
-    p["attn.v"][:] = _glorot(rng, attn_dim, 1, (attn_dim,))
-    p["dense1.w"][:] = _glorot(rng, hidden, d1, (d1, hidden))
-    p["dense2.w"][:] = _glorot(rng, d1, d2, (d2, d1))
-    p["out.w"][:] = _glorot(rng, d2, 1, (d2,))
+    for name in ("attn.w", "attn.v", "dense1.w", "dense2.w", "out.w"):  # the draw order
+        w = p[name]
+        # a matrix is (fan_out, fan_in); a vector feeds one output
+        fan_out, fan_in = w.shape if w.ndim == 2 else (1, len(w))
+        w[:] = _glorot(rng, fan_in, fan_out, w.shape)
     for tag in ("bn1", "bn2"):
         p[f"{tag}.gamma"][:] = 1.0
         p[f"{tag}.running_var"][:] = 1.0
@@ -229,14 +226,14 @@ def init_model_params(
 # layer forwards (batched) and backwards
 
 
-def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, mode: str, buffers, scratch):
+def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, buffers, scratch):
     """Run the recurrence over (B, T, input_dim) from zero states.
 
     ``w`` and ``b`` are one direction's fused weight and bias. ``buffers``
     is the direction's ``(hx, acts, cells, tanh_cells)`` and ``scratch`` its
     ``(ig, sig)`` step scratch, shaped as :func:`_buffer_shapes` gives them;
     the scan overwrites them all. Returns the states (B, T, units), a view
-    of ``hx``, and in train mode ``buffers`` as the cache that
+    of ``hx``. Train-mode ``buffers`` are then the cache that
     :func:`_lstm_scan_backward` reads.
 
     The scan runs time-major. Row t of ``hx`` (T + 1, B, units + input_dim)
@@ -244,10 +241,10 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, mode: str, buffers, 
     weight, written into its gate row and activated there: f, i and o
     sigmoided, the candidate tanhed. The step writes c_t into the cell row
     after c_{t-1} (the first is the zero start) and h_t into the hidden part
-    of ``hx[t + 1]``; the last row's input part is unused. Train mode keeps
-    a gate, cell and tanh(c) row for every step, which only the backward
-    pass reads. Infer mode keeps one gate row, one tanh row and two cell
-    rows, reused in turn, and returns no cache. ``X`` is only read.
+    of ``hx[t + 1]``; the last row's input part is unused. Train-mode
+    buffers keep a gate, cell and tanh(c) row for every step, which only
+    the backward pass reads. Infer-mode buffers keep one gate row, one tanh
+    row and two cell rows, reused in turn. ``X`` is only read.
     """
     T = X.shape[1]
     u = w.shape[1] // 4
@@ -277,8 +274,7 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, mode: str, buffers, 
             tanh_c = tanh_cells[t % kept]
             np.tanh(c, out=tanh_c)
             np.multiply(a[:, 2 * u:3 * u], tanh_c, out=hx[t + 1, :, :u])
-    states = hx[1:, :, :u].transpose(1, 0, 2)
-    return states, buffers if mode == "train" else None
+    return hx[1:, :, :u].transpose(1, 0, 2)
 
 
 def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
@@ -407,7 +403,7 @@ def _batchnorm_backward(dout: np.ndarray, cache, gamma: np.ndarray):
 
 
 def _dropout_shapes(p: ModelParams, batch: int):
-    return [(batch, p["dense1.b"].shape[0]), (batch, p["dense2.b"].shape[0])]
+    return [(batch, len(p[f"dense{k}.b"])) for k in (1, 2)]
 
 
 def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
@@ -432,12 +428,6 @@ def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
 # whole-model forward / backward
 
 
-def _batchnorm(p: ModelParams, tag: str, X: np.ndarray, mode: str):
-    return batchnorm_forward(X, p[f"{tag}.gamma"], p[f"{tag}.beta"],
-                             p[f"{tag}.running_mean"], p[f"{tag}.running_var"], mode,
-                             p.bn_momentum, p.bn_eps)
-
-
 def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
     """Forward a batch of sequences (B, T, input_dim).
 
@@ -445,14 +435,25 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
     Train mode needs a batch of at least 2 (batch norm uses batch
     statistics) and applies ``dropout_masks``, the (B, d1) and (B, d2)
     pair that :func:`draw_dropout_masks` draws. Infer mode applies no
-    dropout and keeps no per-step scan buffers in the cache.
+    dropout, and its scan buffers keep one step's rows.
 
     The scan buffers, ``H`` and the attention scores, and in train mode the
     buffers :func:`model_backward` needs, are carved from ``p.workspace``,
-    reserved once for the call. The cache holds views of them, so it is
-    valid only until the next forward on ``p`` overwrites them; the cache
-    records the workspace's reserve count, which :func:`model_backward`
-    checks. The predictions are an array of their own.
+    reserved once for the call. The cache holds only what the backward,
+    :func:`commit_batchnorm` and the grad-check conditioner read:
+
+        mode, preds   the mode, and the predictions (an array of their own)
+        buffers       the carved views by group (:func:`_buffer_shapes`); a
+                      direction's group is its scan backward's cache, and
+                      ``buffers["attention"][0]`` is ``H``
+        weights, pre  the attention weights and tanh pre-scores
+        head          each dense layer's (input, pre-activation, batch-norm
+                      cache, dropout mask), front to back; masks are None
+                      in infer mode
+        head_out      the last dense layer's output
+        reserve       the workspace's reserve count: the views hold only
+                      until the next forward on ``p``, and
+                      :func:`model_backward` refuses a stale cache
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -465,55 +466,41 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
         raise ShapeError(
             f"model expects {p.input_dim} values per step, got {data.shape[2]}"
         )
-    train = mode == "train"
-    mask1 = mask2 = None
-    if train:
+    masks = (None, None)
+    if mode == "train":
         if dropout_masks is None:
             raise ParameterError("train mode needs dropout masks")
         shapes = _dropout_shapes(p, data.shape[0])
         got = [np.shape(mask) for mask in dropout_masks]
         if got != shapes:  # a (1, d1) mask would broadcast over the batch
             raise ShapeError(f"dropout masks must have shapes {shapes}, got {got}")
-        mask1, mask2 = dropout_masks
+        masks = dropout_masks
 
-    buffers = p.carve(data.shape[0], data.shape[1], train)
-    scratch = buffers["scan_scratch"]
-    states_f, caches_f = _lstm_scan(data, p["fwd.w"], p["fwd.b"], mode, buffers["fwd"], scratch)
-    states_b_rev, caches_b = _lstm_scan(data[:, ::-1, :], p["bwd.w"], p["bwd.b"], mode,
-                                        buffers["bwd"], scratch)
+    buffers = p.carve(data.shape[0], data.shape[1], mode == "train")
     H, pre = buffers["attention"]
     u = p.units
-    H[:, :, :u] = states_f
-    H[:, :, u:] = states_b_rev[:, ::-1, :]
+    for k, (tag, order) in enumerate(DIRECTIONS):
+        H[:, order, k * u:(k + 1) * u] = _lstm_scan(
+            data[:, order], p[f"{tag}.w"], p[f"{tag}.b"], buffers[tag], buffers["scan_scratch"])
 
-    context, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
+    out, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
+    head = []
+    for k, mask in enumerate(masks, start=1):
+        lin = out @ p[f"dense{k}.w"].T + p[f"dense{k}.b"]
+        normed, bn_cache = batchnorm_forward(
+            np.maximum(lin, 0.0), p[f"bn{k}.gamma"], p[f"bn{k}.beta"],
+            p[f"bn{k}.running_mean"], p[f"bn{k}.running_var"], mode, p.bn_momentum, p.bn_eps)
+        head.append((out, lin, bn_cache, mask))
+        out = normed if mask is None else normed * mask
+    preds = out @ p["out.w"] + p["out.b"][0]
 
-    lin1 = context @ p["dense1.w"].T + p["dense1.b"]
-    a1 = np.maximum(lin1, 0.0)
-    bn1_out, bn1_cache = _batchnorm(p, "bn1", a1, mode)
-    drop1 = bn1_out * mask1 if train else bn1_out
-
-    lin2 = drop1 @ p["dense2.w"].T + p["dense2.b"]
-    a2 = np.maximum(lin2, 0.0)
-    bn2_out, bn2_cache = _batchnorm(p, "bn2", a2, mode)
-    drop2 = bn2_out * mask2 if train else bn2_out
-
-    preds = drop2 @ p["out.w"] + p["out.b"][0]
-
-    cache = {
-        "mode": mode, "data": data, "caches_f": caches_f, "caches_b": caches_b,
-        "H": H, "weights": weights, "pre": pre, "context": context,
-        "lin1": lin1, "bn1_cache": bn1_cache, "mask1": mask1, "drop1": drop1,
-        "lin2": lin2, "bn2_cache": bn2_cache, "mask2": mask2, "drop2": drop2,
-        "preds": preds, "reserve": p.workspace.reserves,
-        "scan_backward": buffers.get("scan_backward"),
-        "attention_backward": buffers.get("attention_backward"),
-    }
+    cache = {"mode": mode, "buffers": buffers, "weights": weights, "pre": pre, "head": head,
+             "head_out": out, "preds": preds, "reserve": p.workspace.reserves}
     return preds, cache
 
 
 def _l2_penalty(p: ModelParams) -> float:
-    return p.l2 * (float((p["dense1.w"] ** 2).sum()) + float((p["dense2.w"] ** 2).sum()))
+    return p.l2 * sum(float((p[f"dense{k}.w"] ** 2).sum()) for k in (1, 2))
 
 
 def model_backward(cache, target, p: ModelParams):
@@ -539,39 +526,33 @@ def model_backward(cache, target, p: ModelParams):
         raise ShapeError(f"target shape {y.shape} does not match predictions {preds.shape}")
     B = len(y)
     residual = preds - y
-    data_loss = float((residual * residual).mean())
-    loss = data_loss + _l2_penalty(p)
+    loss = float((residual * residual).mean()) + _l2_penalty(p)
 
     grad = np.zeros(p.n_trainable)
     g = p.views(grad)
     dpreds = 2.0 * residual / B
 
-    g["out.w"][:] = cache["drop2"].T @ dpreds
+    g["out.w"][:] = cache["head_out"].T @ dpreds
     g["out.b"][0] = dpreds.sum()
-    d_drop2 = np.outer(dpreds, p["out.w"])
-
-    d_bn2_out = d_drop2 * cache["mask2"]
-    d_a2, g["bn2.gamma"][:], g["bn2.beta"][:] = _batchnorm_backward(
-        d_bn2_out, cache["bn2_cache"], p["bn2.gamma"])
-    d_lin2 = d_a2 * (cache["lin2"] > 0)
-    g["dense2.w"][:] = d_lin2.T @ cache["drop1"] + 2.0 * p.l2 * p["dense2.w"]
-    g["dense2.b"][:] = d_lin2.sum(axis=0)
-    d_drop1 = d_lin2 @ p["dense2.w"]
-
-    d_bn1_out = d_drop1 * cache["mask1"]
-    d_a1, g["bn1.gamma"][:], g["bn1.beta"][:] = _batchnorm_backward(
-        d_bn1_out, cache["bn1_cache"], p["bn1.gamma"])
-    d_lin1 = d_a1 * (cache["lin1"] > 0)
-    g["dense1.w"][:] = d_lin1.T @ cache["context"] + 2.0 * p.l2 * p["dense1.w"]
-    g["dense1.b"][:] = d_lin1.sum(axis=0)
-    d_context = d_lin1 @ p["dense1.w"]
+    d_out = np.outer(dpreds, p["out.w"])
+    for k in (2, 1):
+        out, lin, bn_cache, mask = cache["head"][k - 1]
+        d_act, g[f"bn{k}.gamma"][:], g[f"bn{k}.beta"][:] = _batchnorm_backward(
+            d_out * mask, bn_cache, p[f"bn{k}.gamma"])
+        d_lin = d_act * (lin > 0)
+        w = p[f"dense{k}.w"]
+        g[f"dense{k}.w"][:] = d_lin.T @ out + 2.0 * p.l2 * w
+        g[f"dense{k}.b"][:] = d_lin.sum(axis=0)
+        d_out = d_lin @ w  # the gradient of the layer's input
+    d_context = d_out
 
     # attention: context = sum_t weights_t h_t with weights = softmax(scores)
-    H = cache["H"]
+    buffers = cache["buffers"]
+    H = buffers["attention"][0]
     weights = cache["weights"]
     pre = cache["pre"]
     B, T, D = H.shape
-    dH, d_pre_lin, d_pre_tmp, d_pre_h = cache["attention_backward"]
+    dH, d_pre_lin, d_pre_tmp, d_pre_h = buffers["attention_backward"]
     np.multiply(weights[:, :, None], d_context[:, None, :], out=dH)
     d_weights = np.matmul(H, d_context[:, :, None])[:, :, 0]
     wsum = (weights * d_weights).sum(axis=1, keepdims=True)
@@ -588,21 +569,19 @@ def model_backward(cache, target, p: ModelParams):
     dH += d_pre_h.reshape(B, T, D)
 
     u = p.units
-    scratch = cache["scan_backward"]
-    _lstm_scan_backward(cache["caches_f"], dH[:, :, :u], p["fwd.w"], g["fwd.w"], g["fwd.b"],
-                        scratch)
-    _lstm_scan_backward(cache["caches_b"], dH[:, ::-1, u:], p["bwd.w"], g["bwd.w"], g["bwd.b"],
-                        scratch)
+    for k, (tag, order) in enumerate(DIRECTIONS):
+        _lstm_scan_backward(buffers[tag], dH[:, order, k * u:(k + 1) * u], p[f"{tag}.w"],
+                            g[f"{tag}.w"], g[f"{tag}.b"], buffers["scan_backward"])
     return loss, grad
 
 
 def commit_batchnorm(cache, p: ModelParams) -> None:
     """Apply the running-stat updates recorded by a train-mode forward."""
-    for tag in ("bn1", "bn2"):
-        new = cache[f"{tag}_cache"]["new_running"]
+    for k, (_, _, bn_cache, _) in enumerate(cache["head"], start=1):
+        new = bn_cache["new_running"]
         if new is not None:
-            p[f"{tag}.running_mean"][:] = new[0]
-            p[f"{tag}.running_var"][:] = new[1]
+            p[f"bn{k}.running_mean"][:] = new[0]
+            p[f"bn{k}.running_var"][:] = new[1]
 
 
 def param_blocks(p: ModelParams) -> dict[str, np.ndarray]:
@@ -696,13 +675,8 @@ def random_gradcheck_model(seed: int, eps: float = 1e-4):
         masks = draw_dropout_masks(p, batch, RandomSource(0x5EED))
         preds, cache = model_forward(X, p, mode="train", dropout_masks=masks)
         y = preds + data_rng.gaussians(0.0, 0.15, batch)
-        smooth = True
-        for lin in (cache["lin1"], cache["lin2"]):
-            dead = np.all(lin <= -margin, axis=0)
-            near_kink = (np.abs(lin) < margin) & ~dead[None, :]
-            if np.any(near_kink):
-                smooth = False
-                break
-        if smooth:
+        near_kink = ((np.abs(lin) < margin) & ~np.all(lin <= -margin, axis=0)
+                     for _, lin, _, _ in cache["head"])
+        if not any(np.any(kinks) for kinks in near_kink):
             return p, X, y
     raise NumericError(f"could not condition a grad-check model from seed {seed}")

@@ -85,10 +85,11 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 4"):
             load_csv(p)
 
-    @pytest.mark.parametrize("raw", ["1.5", "1e300"])
+    @pytest.mark.parametrize("raw", ["1.5", "1e300", "9007199254740993", "-9007199254740992"])
     def test_bad_subject_id_reports_row(self, synthetic_csv, tmp_path, raw):
         # 1.5 must not be truncated into subject 1: a merged subject would
-        # straddle the grouped splits; 1e300 does not fit the int64 ids
+        # straddle the grouped splits; 1e300 does not fit the int64 ids;
+        # from 2**53 on a double no longer tells every whole number apart
         lines = open(synthetic_csv).read().splitlines()
         cells = lines[3].split(",")
         cells[0] = raw
@@ -392,7 +393,7 @@ def telemonitoring_tables(draw):
     def column(values):
         return draw(st.lists(values, min_size=n, max_size=n))
 
-    table = {"subject#": column(st.integers(min_value=0, max_value=10**6)),
+    table = {"subject#": column(st.integers(min_value=-(2**53 - 1), max_value=2**53 - 1)),
              "sex": column(st.sampled_from([0.0, 1.0]))}
     finite = st.floats(allow_nan=False, allow_infinity=False)
     table.update({name: column(finite) for name in REQUIRED_COLUMNS if name not in table})

@@ -49,10 +49,11 @@ def nan_buffers(batch, steps, input_dim, units, train):
 
 
 def scan(X, w, b, mode):
-    """_lstm_scan on buffers of the shapes model_forward carves."""
+    """_lstm_scan on buffers of the shapes model_forward carves; returns the
+    states and the buffers, which in train mode are the backward's cache."""
     B, T, d = X.shape
     buffers = nan_buffers(B, T, d, w.shape[1] // 4, mode == "train")
-    return _lstm_scan(X, w, b, mode, buffers["fwd"], buffers["scan_scratch"])
+    return _lstm_scan(X, w, b, buffers["fwd"], buffers["scan_scratch"]), buffers["fwd"]
 
 
 def scan_backward(cache, d_states, w, dw, db):
@@ -303,25 +304,26 @@ class TestInferScan:
         X.setflags(write=False)
         seq = X[:, ::-1, :] if reverse else X  # the backward direction's view
         want, _ = scan(seq, w, b, "train")
-        got, cache = scan(seq, w, b, "infer")
-        assert cache is None
+        got, (_, acts, cells, tanh_cells) = scan(seq, w, b, "infer")
+        assert (len(acts), len(cells), len(tanh_cells)) == (1, 2, 1)
         assert np.array_equal(got, want)
 
-    def test_infer_cache_holds_no_scan_buffers(self):
+    def test_infer_cache_keeps_one_gate_row_per_scan(self):
         p = tiny_model(40)
         X = RandomSource(41).gaussians(0, 1, 6 * 5).reshape(6, 5, 1)
         _, cache = model_forward(X, p, mode="infer")
-        assert cache["caches_f"] is None and cache["caches_b"] is None
+        assert [len(cache["buffers"][tag][1]) for tag in ("fwd", "bwd")] == [1, 1]
+        assert "scan_backward" not in cache["buffers"]
         masks = draw_dropout_masks(p, 6, RandomSource(42))
         _, train_cache = model_forward(X, p, mode="train", dropout_masks=masks)
-        assert len(train_cache["caches_f"]) == len(train_cache["caches_b"]) == 4
+        assert [len(train_cache["buffers"][tag][1]) for tag in ("fwd", "bwd")] == [5, 5]
 
 
 class TestBilstm:
     def test_t1_uses_same_step_twice(self):
         p = model_with_lstm(*fuse(random_gates(RandomSource(6), 1, 4)))
         _, cache = model_forward(np.array([[0.4]])[None], p)
-        H = cache["H"][0]
+        H = cache["buffers"]["attention"][0][0]
         assert H.shape == (1, 8)
         assert np.allclose(H[0, :4], H[0, 4:])
 
@@ -329,7 +331,7 @@ class TestBilstm:
         p = model_with_lstm(*fuse(random_gates(RandomSource(7), 1, 4)))
         seq = np.array([[0.3], [-1.2], [0.5], [-1.2], [0.3]])
         _, cache = model_forward(seq[None], p)
-        H = cache["H"][0]
+        H = cache["buffers"]["attention"][0][0]
         T = seq.shape[0]
         for t in range(T):
             assert np.allclose(H[t, :4], H[T - 1 - t, 4:], atol=1e-12)
@@ -337,7 +339,7 @@ class TestBilstm:
     def test_zero_parameters_zero_states(self):
         p = model_with_lstm(*zero_lstm(1, 4))
         _, cache = model_forward(np.array([[1.0], [2.0]])[None], p)
-        assert np.array_equal(cache["H"][0], np.zeros((2, 8)))
+        assert np.array_equal(cache["buffers"]["attention"][0][0], np.zeros((2, 8)))
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptyInputError):
