@@ -17,13 +17,13 @@ default dataset path. Exit codes: 0 success, 1 runtime or numeric failure,
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import sys
 import time
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .config import ENV_DATASET, RunConfig, config_from_dict, load_config, parse_override
 from .dataset import (
@@ -111,13 +111,14 @@ def _make_run_dir(config: RunConfig) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = Path(config.out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    candidate = base / f"run-{stamp}-seed{config.seed}"
-    suffix = 1
-    while candidate.exists():
-        candidate = base / f"run-{stamp}-seed{config.seed}-{suffix}"
-        suffix += 1
-    candidate.mkdir()
-    return candidate
+    name = f"run-{stamp}-seed{config.seed}"
+    for suffix in itertools.count():
+        candidate = base / (f"{name}-{suffix}" if suffix else name)
+        try:
+            candidate.mkdir()
+        except FileExistsError:  # taken, perhaps by a concurrent run
+            continue
+        return candidate
 
 
 @main.command()
@@ -191,8 +192,8 @@ def gradcheck():
             block_worst[name] = max(block_worst.get(name, 0.0), err)
         status = "ok" if worst < GRADCHECK_TOLERANCE else "FAIL"
         click.echo(f"model {seed:2d}: max relative error {worst:.3e} {status}")
-        if worst >= GRADCHECK_TOLERANCE:
-            offenders = [n for n, e in per_block.items() if e >= GRADCHECK_TOLERANCE]
+        if status == "FAIL":  # a NaN is not below the tolerance either
+            offenders = [n for n, e in per_block.items() if not e < GRADCHECK_TOLERANCE]
             failures.append((seed, offenders))
     click.echo("worst error per parameter block:")
     for name in sorted(block_worst, key=block_worst.get, reverse=True):
@@ -204,7 +205,6 @@ def gradcheck():
             click.echo(f"model {seed} failed in blocks: {', '.join(offenders)}",
                        err=True)
         sys.exit(1)
-    assert np.isfinite(worst_overall)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -134,8 +135,15 @@ def load_csv(path) -> Dataset:
             if sex_value not in (0.0, 1.0):
                 raise ParseError(f"row {row_number}: column 'sex' must be 0 or 1, got {sex_value}")
             subject = cells["subject#"][-1]
+            # the cell's exact value: a non-whole number can round to a whole
+            # double (4503599627370497.5 to 4503599627370498.0). Decimal, unlike
+            # Fraction, keeps an exponent such as 0e-999999999 symbolic.
+            try:
+                exact = Decimal(row[positions["subject#"]].strip())
+            except InvalidOperation:  # an exponent beyond Decimal's range
+                exact = None
             # from 2**53 on, distinct ids can parse to one double
-            if not (subject.is_integer() and abs(subject) < 2**53):
+            if not (subject.is_integer() and abs(subject) < 2**53 and exact == int(subject)):
                 raise ParseError(
                     f"row {row_number}: column 'subject#' must be a whole number "
                     f"below 2**53 in magnitude, got {subject}"
@@ -213,6 +221,12 @@ def apply_standardizer(stats: StandardizationStats, X: np.ndarray) -> np.ndarray
     return (X - stats.mean) / stats.stddev
 
 
+def _sides(labels: np.ndarray, key):
+    """(rows labelled otherwise, rows labelled ``key``) as ascending indices."""
+    hit = labels == key
+    return np.flatnonzero(~hit), np.flatnonzero(hit)
+
+
 def kfold_split(n: int, k: int, rng: RandomSource):
     """Shuffled k-fold split of 0..n-1.
 
@@ -221,28 +235,10 @@ def kfold_split(n: int, k: int, rng: RandomSource):
     """
     if k < 2 or k > n:
         raise ParameterError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
-    perm = rng.permutation(n)
-    base = n // k
-    extra = n % k
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        val = np.sort(perm[start : start + size])
-        train = np.sort(np.concatenate([perm[:start], perm[start + size :]]))
-        folds.append((train, val))
-        start += size
-    return folds
-
-
-def _check_holdout_sides(test_fraction: float, n_trainval: int, n_test: int) -> None:
-    # r2 on the test side needs two rows; the folds need a training side
-    if n_test < 2 or n_trainval < 1:
-        raise ParameterError(
-            f"test_fraction={test_fraction} puts {n_test} row(s) on the test side and "
-            f"{n_trainval} on the train/validation side; the test side needs at least 2 "
-            f"and the train/validation side at least 1"
-        )
+    place = np.argsort(rng.permutation(n))  # each row's place in the shuffle
+    # fold i takes the next n // k places, plus one for the first n % k folds
+    fold = np.repeat(np.arange(k), n // k + (np.arange(k) < n % k))[place]
+    return [_sides(fold, i) for i in range(k)]
 
 
 def holdout_split(n: int, test_fraction: float, rng: RandomSource):
@@ -259,47 +255,38 @@ def grouped_holdout_split(groups: np.ndarray, test_fraction: float, rng: RandomS
     """
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    groups = np.asarray(groups)
-    unique, sizes = np.unique(groups, return_counts=True)
-    order = rng.permutation(len(unique))
-    target = int(round(len(groups) * test_fraction))
-    test_groups = []
-    total = 0
-    for gi in order:
-        if total >= target:
-            break
-        test_groups.append(unique[gi])
-        total += int(sizes[gi])
-    mask = np.isin(groups, test_groups)
-    test = np.nonzero(mask)[0]
-    trainval = np.nonzero(~mask)[0]
-    _check_holdout_sides(test_fraction, len(trainval), len(test))
+    _, group_of_row, sizes = np.unique(groups, return_inverse=True, return_counts=True)
+    order = rng.permutation(len(sizes))
+    target = int(round(len(group_of_row) * test_fraction))
+    # a shuffled group joins the test side while the rows before it fall short
+    shuffled_sizes = sizes[order]
+    in_test = np.cumsum(shuffled_sizes) - shuffled_sizes < target
+    trainval, test = _sides(in_test[np.argsort(order)][group_of_row], True)
+    # r2 on the test side needs two rows; the folds need a training side
+    if len(test) < 2 or len(trainval) < 1:
+        raise ParameterError(
+            f"test_fraction={test_fraction} puts {len(test)} row(s) on the test side and "
+            f"{len(trainval)} on the train/validation side; the test side needs at least 2 "
+            f"and the train/validation side at least 1"
+        )
     return trainval, test
 
 
 def grouped_kfold_split(groups: np.ndarray, k: int, rng: RandomSource):
-    """K folds whose validation sets never split a group across folds."""
-    groups = np.asarray(groups)
-    n = len(groups)
-    unique = np.unique(groups)
-    if k < 2 or k > len(unique):
+    """K folds whose validation sets never split a group across folds: each
+    shuffled group joins the fold with the fewest rows, the first on a tie."""
+    _, group_of_row, sizes = np.unique(groups, return_inverse=True, return_counts=True)
+    if k < 2 or k > len(sizes):
         raise ParameterError(f"k must satisfy 2 <= k <= number of groups, got k={k}")
-    order = rng.permutation(len(unique))
-    fold_rows = [[] for _ in range(k)]
+    order = rng.permutation(len(sizes))
+    fold_of_group = np.empty(len(sizes), dtype=np.int64)
     fold_sizes = [0] * k
     for gi in order:
-        g = unique[gi]
-        rows = np.nonzero(groups == g)[0]
-        smallest = min(range(k), key=lambda i: (fold_sizes[i], i))
-        fold_rows[smallest].append(rows)
-        fold_sizes[smallest] += len(rows)
-    folds = []
-    everything = np.arange(n)
-    for i in range(k):
-        val = np.sort(np.concatenate(fold_rows[i])) if fold_rows[i] else np.array([], dtype=int)
-        train = np.setdiff1d(everything, val)
-        folds.append((train, val))
-    return folds
+        smallest = fold_sizes.index(min(fold_sizes))
+        fold_of_group[gi] = smallest
+        fold_sizes[smallest] += sizes[gi]
+    fold = fold_of_group[group_of_row]
+    return [_sides(fold, i) for i in range(k)]
 
 
 def to_sequences(X: np.ndarray) -> np.ndarray:

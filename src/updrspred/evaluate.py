@@ -20,6 +20,7 @@ test figure is the mean over the fold models.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ from .optimize import predict_network, train_network
 from .rfe import rfe_select
 
 NETWORK_NAME = "LSTM-Attention"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def mse(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -323,7 +324,8 @@ def run_experiment(config: RunConfig) -> CvReport:
         methods=methods,
         folds=folds,
         aggregate=_aggregate(methods, folds),
-        config=config.to_dict(),
+        # the file name alone, so that checkouts at two paths write one report
+        config={**config.to_dict(), "dataset": os.path.basename(config.dataset)},
         seed=config.seed,
         details=details,
     )

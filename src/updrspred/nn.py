@@ -608,7 +608,8 @@ def grad_check(p: ModelParams, x, y, eps: float = 1e-4):
     The dropout masks are drawn once and reused for every perturbed
     forward, and forwards never mutate parameters, so the loss is a
     deterministic function of the parameter vector. Returns
-    (max relative error, worst error per block of :func:`param_blocks`).
+    (max relative error, worst error per block of :func:`param_blocks`);
+    an entry whose analytic or numeric value is not finite errs by inf.
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
@@ -638,7 +639,10 @@ def grad_check(p: ModelParams, x, y, eps: float = 1e-4):
             theta[idx] = keep
             numeric = (up - down) / (2.0 * eps)
             a = analytic[idx]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            if math.isfinite(a) and math.isfinite(numeric):
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            else:
+                rel = math.inf  # max() would drop a NaN
             block_worst = max(block_worst, rel)
         per_block[name] = block_worst
         worst = max(worst, block_worst)

@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 from click.testing import CliRunner
 
+import updrspred.cli as cli_module
 from updrspred.cli import main
+from updrspred.config import RunConfig
 
 
 def run_cli(args, env=None):
@@ -179,3 +182,40 @@ class TestGradcheck:
         result = run_cli(["gradcheck"])
         assert result.exit_code == 1
         assert "bwd.w_output" in result.output
+
+    def test_nan_gradient_exits_1(self, monkeypatch):
+        import updrspred.nn as nn_module
+
+        original = nn_module.model_backward
+
+        def poisoned(cache, target, p):
+            loss, grad = original(cache, target, p)
+            grad[5] = np.nan
+            return loss, grad
+
+        monkeypatch.setattr(nn_module, "model_backward", poisoned)
+        monkeypatch.setattr(cli_module, "GRADCHECK_MODELS", 1)
+        result = run_cli(["gradcheck"])
+        assert result.exit_code == 1
+        assert "model  0: max relative error inf FAIL" in result.output
+
+    def test_nan_worst_exits_1(self, monkeypatch):
+        # a NaN is neither below nor at or above the tolerance
+        monkeypatch.setattr(cli_module, "grad_check",
+                            lambda *args, **kwargs: (float("nan"), {"fwd.w_forget": float("nan")}))
+        monkeypatch.setattr(cli_module, "GRADCHECK_MODELS", 1)
+        result = run_cli(["gradcheck"])
+        assert result.exit_code == 1
+        assert "model 0 failed in blocks: fwd.w_forget" in result.output
+
+
+class TestRunDirectory:
+    def test_taken_name_moves_to_the_next_suffix(self, tmp_path, monkeypatch):
+        # a concurrent run can take the name between a check and mkdir;
+        # Path.exists answering False stands in for that run
+        monkeypatch.setattr(cli_module.time, "strftime", lambda fmt: "20260101-000000")
+        monkeypatch.setattr(Path, "exists", lambda self: False)
+        (tmp_path / "run-20260101-000000-seed3").mkdir()
+        made = cli_module._make_run_dir(RunConfig(dataset="x.csv", out_dir=str(tmp_path), seed=3))
+        assert made == tmp_path / "run-20260101-000000-seed3-1"
+        assert made.is_dir()

@@ -85,11 +85,15 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 4"):
             load_csv(p)
 
-    @pytest.mark.parametrize("raw", ["1.5", "1e300", "9007199254740993", "-9007199254740992"])
+    @pytest.mark.parametrize("raw", ["1.5", "1e300", "9007199254740993", "-9007199254740992",
+                                     "4503599627370497.5", "2251799813685248.25",
+                                     "7.0000000000000001", "1e-400", "1e-9999999999999999999"])
     def test_bad_subject_id_reports_row(self, synthetic_csv, tmp_path, raw):
         # 1.5 must not be truncated into subject 1: a merged subject would
         # straddle the grouped splits; 1e300 does not fit the int64 ids;
-        # from 2**53 on a double no longer tells every whole number apart
+        # from 2**53 on a double no longer tells every whole number apart;
+        # the next four are not whole, though each parses to a whole double;
+        # the last parses to 0.0 but has an exponent Decimal cannot hold
         lines = open(synthetic_csv).read().splitlines()
         cells = lines[3].split(",")
         cells[0] = raw
@@ -98,6 +102,18 @@ class TestLoadCsv:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=r"row 4: column 'subject#' must be a whole number"):
             load_csv(p)
+
+    @pytest.mark.parametrize("raw, subject", [("7", 7), ("7.0", 7), ("7e0", 7), (" 7 ", 7),
+                                              ("-0", 0), ("1_000", 1000), ("0e-999999999", 0)])
+    def test_whole_subject_id_forms_accepted(self, synthetic_csv, tmp_path, raw, subject):
+        # 0e-999999999 is exactly 0; reading it must not build 10**999999999
+        lines = open(synthetic_csv).read().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = raw
+        lines[3] = ",".join(cells)
+        p = tmp_path / "whole.csv"
+        p.write_text("\n".join(lines) + "\n")
+        assert load_csv(p).column("subject#")[2] == subject
 
     def test_unknown_column_rejected(self, synthetic_csv):
         with pytest.raises(ConfigError, match="mystery"):
@@ -321,6 +337,72 @@ class TestGroupedSplits:
             grouped_holdout_split(np.arange(20), 0.05, RandomSource(0))
 
 
+# 40 rows of 7 subjects (11, 9, 7, 5, 4, 3 and 1 rows), interleaved
+LOCKED_GROUPS = np.array([4, 7, 31, 18, 18, 9, 31, 18, 31, 7, 18, 52, 52, 4, 18, 7, 31, 9, 26,
+                          7, 4, 7, 18, 4, 4, 31, 52, 31, 52, 7, 18, 31, 7, 7, 31, 31, 7, 31,
+                          31, 9])
+
+# split -> seed -> (validation or test rows, the source's next draw after the split)
+LOCKED_SPLITS = {
+    "kfold": {
+        3: ([[0, 1, 5, 6, 8, 10, 11, 14, 24, 25, 31, 33, 34, 37],
+             [3, 9, 12, 16, 17, 18, 19, 21, 26, 28, 30, 35, 36],
+             [2, 4, 7, 13, 15, 20, 22, 23, 27, 29, 32, 38, 39]], 6819561501470575824),
+        11: ([[0, 1, 2, 8, 9, 11, 22, 23, 27, 30, 34, 35, 36, 39],
+              [6, 13, 14, 15, 16, 17, 20, 21, 26, 28, 31, 33, 37],
+              [3, 4, 5, 7, 10, 12, 18, 19, 24, 25, 29, 32, 38]], 1711989244291754052),
+    },
+    "grouped_kfold": {
+        3: ([[3, 4, 5, 7, 10, 11, 12, 14, 17, 22, 26, 28, 30, 39],
+             [0, 1, 9, 13, 15, 18, 19, 20, 21, 23, 24, 29, 32, 33, 36],
+             [2, 6, 8, 16, 25, 27, 31, 34, 35, 37, 38]], 2493001065868230072),
+        11: ([[3, 4, 7, 10, 11, 12, 14, 18, 22, 26, 28, 30],
+              [2, 5, 6, 8, 16, 17, 25, 27, 31, 34, 35, 37, 38, 39],
+              [0, 1, 9, 13, 15, 19, 20, 21, 23, 24, 29, 32, 33, 36]], 1854164870865395556),
+    },
+    # subjects 7 and 9 (12 rows) and 26 and 31 (12 rows) reach the 10-row target
+    "grouped_holdout": {
+        3: ([[1, 5, 9, 15, 17, 19, 21, 29, 32, 33, 36, 39]], 2493001065868230072),
+        11: ([[2, 6, 8, 16, 18, 25, 27, 31, 34, 35, 37, 38]], 1854164870865395556),
+    },
+}
+
+
+class TestSplitAssignmentsLocked:
+    """Which rows each split assigns, at two seeds: a change to these rows
+    changes every report, so it must be deliberate."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("split", sorted(LOCKED_SPLITS))
+    def test_rows_and_draws(self, split, seed):
+        rng = RandomSource(seed)
+        if split == "kfold":
+            pairs = kfold_split(len(LOCKED_GROUPS), 3, rng)
+        elif split == "grouped_kfold":
+            pairs = grouped_kfold_split(LOCKED_GROUPS, 3, rng)
+        else:
+            pairs = [grouped_holdout_split(LOCKED_GROUPS, 0.25, rng)]
+        expected_rows, next_draw = LOCKED_SPLITS[split][seed]
+        assert [held.tolist() for _, held in pairs] == expected_rows
+        for kept, held in pairs:
+            assert kept.dtype == held.dtype == np.int64
+            assert np.array_equal(kept, np.setdiff1d(np.arange(len(LOCKED_GROUPS)), held))
+        assert rng.next_u64() == next_draw
+
+    @pytest.mark.parametrize("split, message", [
+        (lambda rng: kfold_split(40, 41, rng), "k must satisfy 2 <= k <= n, got k=41, n=40"),
+        (lambda rng: grouped_kfold_split(LOCKED_GROUPS, 8, rng),
+         "k must satisfy 2 <= k <= number of groups, got k=8"),
+        (lambda rng: grouped_holdout_split(LOCKED_GROUPS, 0.9, rng),
+         "test_fraction=0.9 puts 40 row(s) on the test side and 0 on the train/validation "
+         "side; the test side needs at least 2 and the train/validation side at least 1"),
+    ], ids=["kfold", "grouped_kfold", "grouped_holdout"])
+    def test_errors(self, split, message):
+        with pytest.raises(ParameterError) as caught:
+            split(RandomSource(3))
+        assert str(caught.value) == message
+
+
 class TestSplitProperties:
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 200), k_draw=st.integers(2, 30), seed=st.integers(0, 2**31 - 1))
@@ -334,6 +416,10 @@ class TestSplitProperties:
         assert max(sizes) - min(sizes) <= 1
         for train, val in folds:
             assert np.array_equal(train, np.setdiff1d(np.arange(n), val))
+        # fold i holds the next n // k (+1 for the first n % k) shuffled rows
+        bounds = np.cumsum([n // k + (i < n % k) for i in range(k)])[:-1]
+        chunks = np.split(RandomSource(seed).permutation(n), bounds)
+        assert [val.tolist() for val in vals] == [sorted(c.tolist()) for c in chunks]
 
     @settings(max_examples=200, deadline=None)
     @given(groups=st.lists(st.integers(0, 12), min_size=2, max_size=150),
@@ -356,6 +442,35 @@ class TestSplitProperties:
             seen |= val_groups
             assert val_groups.isdisjoint(groups[train].tolist())
             assert np.array_equal(train, np.setdiff1d(np.arange(len(groups)), val))
+        # each shuffled group joins the fold with the fewest rows, the first on a tie
+        ids = np.unique(groups)
+        members = [[] for _ in range(k)]
+        for g in ids[RandomSource(seed).permutation(len(ids))]:
+            fold = min(range(k), key=lambda i: (len(members[i]), i))
+            members[fold].extend(np.flatnonzero(groups == g).tolist())
+        assert [val.tolist() for val in vals] == [sorted(m) for m in members]
+
+    @settings(max_examples=200, deadline=None)
+    @given(groups=st.lists(st.integers(-3, 9), min_size=1, max_size=80),
+           fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**31 - 1))
+    def test_grouped_holdout_takes_shuffled_groups_until_the_target(self, groups, fraction,
+                                                                    seed):
+        groups = np.array(groups)
+        ids = np.unique(groups)
+        test_ids, rows = [], 0
+        for g in ids[RandomSource(seed).permutation(len(ids))]:
+            if rows >= round(len(groups) * fraction):
+                break
+            test_ids.append(g)
+            rows += np.count_nonzero(groups == g)
+        expected = np.flatnonzero(np.isin(groups, test_ids))
+        if len(expected) < 2 or len(expected) == len(groups):
+            with pytest.raises(ParameterError, match=f"puts {len(expected)} row"):
+                grouped_holdout_split(groups, fraction, RandomSource(seed))
+            return
+        trainval, test = grouped_holdout_split(groups, fraction, RandomSource(seed))
+        assert test.tolist() == expected.tolist()
+        assert trainval.tolist() == np.setdiff1d(np.arange(len(groups)), expected).tolist()
 
 
 class TestToSequences:

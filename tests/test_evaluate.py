@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,16 @@ class TestRunExperiment:
         for detail in report.details["folds"]:
             assert len(detail["selected_features"]) == 10
 
+    def test_report_does_not_depend_on_the_dataset_path(self, synthetic_csv, tmp_path):
+        reports = []
+        for where in ("a", "b/c"):
+            path = tmp_path / where / synthetic_csv.name
+            path.parent.mkdir(parents=True)
+            shutil.copyfile(synthetic_csv, path)
+            reports.append(run_experiment(smoke_config(path)).to_structured())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["dataset"] == synthetic_csv.name
+
     def test_seed_changes_results(self, synthetic_csv):
         a = run_experiment(smoke_config(synthetic_csv, seed=1))
         b = run_experiment(smoke_config(synthetic_csv, seed=2))
@@ -333,7 +344,7 @@ class TestRendering:
 
     def test_structured_is_versioned_json(self):
         doc = json.loads(toy_report().to_structured())
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["methods"][0] == "LLS"
 
 

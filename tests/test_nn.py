@@ -624,6 +624,23 @@ class TestGradCheck:
         assert worst > 1e-2
         assert per_block["fwd.w_forget"] > 1e-2
 
+    def test_nan_gradient_entry_fails_its_block(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a NaN must not reach the maxima as NaN
+        import updrspred.nn as nn_module
+        original = nn_module.model_backward
+
+        def poisoned(cache, target, p):
+            loss, grad = original(cache, target, p)
+            grad[5] = np.nan
+            return loss, grad
+
+        monkeypatch.setattr(nn_module, "model_backward", poisoned)
+        p, X, y = random_gradcheck_model(0)
+        worst, per_block = grad_check(p, X, y, eps=1e-4)
+        block = next(name for name, positions in param_blocks(p).items() if 5 in positions)
+        assert worst == np.inf
+        assert per_block[block] == np.inf
+
     def test_penalty_only_model_near_exact(self):
         # zero data path: only the quadratic penalty contributes, and its
         # central difference is exact up to rounding of a tiny loss
