@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,6 +99,8 @@ class RunConfig:
             raise ConfigError(f"forest_max_depth must be >= 0, got {self.forest_max_depth}")
         if self.jitter_copies < 0:
             raise ConfigError(f"jitter_copies must be >= 0, got {self.jitter_copies}")
+        if not math.isfinite(self.lr_initial):
+            raise ConfigError(f"lr_initial must be finite, got {self.lr_initial}")
         if self.lr_initial <= 0:
             raise ConfigError(f"lr_initial must be > 0, got {self.lr_initial}")
         if self.epochs < 1 or self.batch_size < 2:

@@ -99,13 +99,24 @@ def _parse_cell(raw: str, column: str, row_number: int) -> float:
     return value
 
 
+def _utf8_lines(fh, path):
+    """The lines of ``fh``; a byte that is not UTF-8 raises ParseError naming ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason}: byte 0x{exc.object[exc.start]:02x})"
+        ) from None
+
+
 def load_csv(path) -> Dataset:
     """Parse the telemonitoring CSV, validating schema and every cell.
 
-    Row numbers in errors count the header as row 1.
+    The file is UTF-8 text, with or without a byte-order mark. Row numbers
+    in errors count the header as row 1.
     """
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,43 +86,16 @@ def r2(y: np.ndarray, y_hat: np.ndarray) -> float:
 
 
 @dataclass
-class MethodMetrics:
-    train_mse: float
-    val_mse: float
-    test_mse: float
-    test_r2: float
-
-    def as_dict(self) -> dict:
-        return {
-            "train_mse": self.train_mse,
-            "val_mse": self.val_mse,
-            "test_mse": self.test_mse,
-            "test_r2": self.test_r2,
-        }
-
-
-@dataclass
 class CvReport:
     methods: list
-    folds: list  # one {method display name -> MethodMetrics} per fold
+    folds: list  # one {method display name -> {metric key -> value}} per fold
     aggregate: dict  # method -> metric -> {"mean": .., "std": ..}
     config: dict
     seed: int
     details: dict = field(default_factory=dict)
 
     def to_structured(self) -> str:
-        doc = {
-            "version": REPORT_VERSION,
-            "seed": self.seed,
-            "config": self.config,
-            "methods": self.methods,
-            "folds": [
-                {name: metrics.as_dict() for name, metrics in fold.items()}
-                for fold in self.folds
-            ],
-            "aggregate": self.aggregate,
-            "details": self.details,
-        }
+        doc = {"version": REPORT_VERSION, **asdict(self)}
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -134,92 +107,71 @@ def _aggregate(methods, folds) -> dict:
     for name in methods:
         out[name] = {}
         for key in METRIC_KEYS:
-            values = np.array([getattr(fold[name], key) for fold in folds])
+            values = np.array([fold[name][key] for fold in folds])
             out[name][key] = {"mean": float(values.mean()), "std": float(values.std())}
     return out
 
 
-def _check_finite(value: float, fold: int, method: str, metric: str) -> float:
-    if not np.isfinite(value):
-        raise NumericError(
-            f"fold {fold}: method {method!r} produced non-finite {metric} ({value})"
-        )
-    return float(value)
-
-
-def _score(fold_no: int, name: str, pred_parts, y_parts) -> MethodMetrics:
-    """Metrics of one fitted method from its train, val and test predictions."""
-    y_tr, y_va, y_te = y_parts
-    p_tr, p_va, p_te = pred_parts
-    return MethodMetrics(
-        train_mse=_check_finite(mse(y_tr, p_tr), fold_no, name, "train MSE"),
-        val_mse=_check_finite(mse(y_va, p_va), fold_no, name, "val MSE"),
-        test_mse=_check_finite(mse(y_te, p_te), fold_no, name, "test MSE"),
-        test_r2=_check_finite(r2(y_te, p_te), fold_no, name, "test R2"),
-    )
-
-
-def _fold_rngs(fold_rng: RandomSource) -> dict:
-    # one derived stream per stochastic stage, in a fixed order
-    return {
-        "rfe": fold_rng.spawn(),
-        "augment": fold_rng.spawn(),
-        "baseline_augment": fold_rng.spawn(),
-        "init": fold_rng.spawn(),
-        "train": fold_rng.spawn(),
-    }
+def _score(fold_no: int, name: str, pred_parts, y_parts) -> dict:
+    """Metrics of one fitted method, keyed by ``METRIC_KEYS``, from its
+    train, val and test predictions. Each is checked as soon as it is
+    computed, so a NaN train MSE is reported before a constant test target."""
+    metrics = {}
+    for key, label, metric, part in (
+        ("train_mse", "train MSE", mse, 0),
+        ("val_mse", "val MSE", mse, 1),
+        ("test_mse", "test MSE", mse, 2),
+        ("test_r2", "test R2", r2, 2),
+    ):
+        value = metric(y_parts[part], pred_parts[part])
+        if not np.isfinite(value):
+            raise NumericError(
+                f"fold {fold_no}: method {name!r} produced non-finite {label} ({value})"
+            )
+        metrics[key] = value
+    return metrics
 
 
 def _run_fold(args) -> tuple[dict, dict, dict]:
     """One fold: (metrics per method, detail, invariant checks made)."""
-    (fold_no, config, X_all, y_all, train_idx, val_idx, test_idx, fold_rng) = args
+    fold_no, config, X_all, y_all, *parts, fold_rng = args  # parts: train, val, test
     checks_before = dict(INVARIANT_CHECKS)
 
-    overlap = (
-        np.intersect1d(train_idx, test_idx).size
-        + np.intersect1d(val_idx, test_idx).size
-        + np.intersect1d(train_idx, val_idx).size
-    )
-    if overlap:
+    # distinct indices fall short of the summed lengths when parts overlap
+    if np.unique(np.concatenate(parts)).size != sum(len(idx) for idx in parts):
         raise StateError(f"fold {fold_no}: split indices overlap")
 
-    rngs = _fold_rngs(fold_rng)
-    X_tr_raw, y_tr = X_all[train_idx], y_all[train_idx]
-    X_va_raw, y_va = X_all[val_idx], y_all[val_idx]
-    X_te_raw, y_te = X_all[test_idx], y_all[test_idx]
-    y_parts = (y_tr, y_va, y_te)
-
-    stats = fit_standardizer(X_tr_raw, column_names=config.regressors)
-    X_tr = apply_standardizer(stats, X_tr_raw)
-    X_va = apply_standardizer(stats, X_va_raw)
-    X_te = apply_standardizer(stats, X_te_raw)
+    # one derived stream per stochastic stage, in a fixed order
+    rfe_rng, augment_rng, baseline_augment_rng, init_rng, train_rng = (
+        fold_rng.spawn() for _ in range(5)
+    )
+    y = tuple(y_all[idx] for idx in parts)
+    y_tr = y[0]
+    stats = fit_standardizer(X_all[parts[0]], column_names=config.regressors)
+    X = tuple(apply_standardizer(stats, X_all[idx]) for idx in parts)
     if y_tr.max() == y_tr.min():  # its std can round to a tiny nonzero value
         raise DegenerateTargetError("training target is constant in this fold")
 
     results = {}
-    baseline_X, baseline_y = X_tr, y_tr
+    baseline_X, baseline_y = X[0], y_tr
     if config.augment_baselines:
         baseline_X, baseline_y = augment_training_set(
-            X_tr, y_tr, config.jitter_copies, rngs["baseline_augment"]
+            X[0], y_tr, config.jitter_copies, baseline_augment_rng
         )
     for method in METHOD_ORDER:
         model = fit_baseline(config.baseline_spec(method), baseline_X, baseline_y)
         name = DISPLAY_NAMES[method]
-        preds = tuple(predict_linear(model, X) for X in (X_tr, X_va, X_te))
-        results[name] = _score(fold_no, name, preds, y_parts)
+        preds = tuple(predict_linear(model, part) for part in X)
+        results[name] = _score(fold_no, name, preds, y)
 
     selection = rfe_select(
-        X_tr, y_tr, config.rfe_k, config.forest_params(), rngs["rfe"],
+        X[0], y_tr, config.rfe_k, config.forest_params(), rfe_rng,
         protected=config.protected_indices(),
     )
     selected = list(selection.selected)
 
-    X_tr_sel = X_tr[:, selected]
-    X_va_sel = X_va[:, selected]
-    X_te_sel = X_te[:, selected]
-    X_aug, y_aug = augment_training_set(
-        X_tr_sel, y_tr, config.jitter_copies, rngs["augment"]
-    )
+    X_sel = tuple(part[:, selected] for part in X)
+    X_aug, y_aug = augment_training_set(X_sel[0], y_tr, config.jitter_copies, augment_rng)
 
     # the network regresses a z-scored target; the 0.001-rate schedule
     # cannot march the output bias tens of units in a realistic epoch budget
@@ -227,7 +179,7 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
     y_sd = float(y_tr.std())
 
     params = init_model_params(
-        rngs["init"],
+        init_rng,
         input_dim=1,
         units=config.lstm_units,
         attn_dim=config.attn_dim,
@@ -237,27 +189,27 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
         params,
         to_sequences(X_aug),
         (y_aug - y_mu) / y_sd,
-        to_sequences(X_va_sel),
-        (y_va - y_mu) / y_sd,
+        to_sequences(X_sel[1]),
+        (y[1] - y_mu) / y_sd,
         config.train_settings(),
-        rngs["train"],
+        train_rng,
     )
 
-    def net_predict(X_sel):
-        return predict_network(trained, to_sequences(X_sel)) * y_sd + y_mu
+    def net_predict(part):
+        return predict_network(trained, to_sequences(part)) * y_sd + y_mu
 
     # early stopping scored the kept parameters on the validation rows
     # already; their predictions are the ones a fresh predict would give
-    net_preds = (net_predict(X_tr_sel), history.best_val_preds * y_sd + y_mu,
-                 net_predict(X_te_sel))
-    results[NETWORK_NAME] = _score(fold_no, NETWORK_NAME, net_preds, y_parts)
+    net_preds = (net_predict(X_sel[0]), history.best_val_preds * y_sd + y_mu,
+                 net_predict(X_sel[2]))
+    results[NETWORK_NAME] = _score(fold_no, NETWORK_NAME, net_preds, y)
 
     detail = {
         "selected_features": [config.regressors[i] for i in selected],
         "elimination_order": [config.regressors[i] for i in selection.elimination_order],
         "epochs_run": len(history.val_loss),
         "stopped_early": history.stopped_early,
-        "final_val_loss": history.val_loss[-1] if history.val_loss else None,
+        "final_val_loss": history.val_loss[-1],
     }
     checks = {key: count - checks_before[key] for key, count in INVARIANT_CHECKS.items()}
     return results, detail, checks
@@ -288,22 +240,16 @@ def run_experiment(config: RunConfig) -> CvReport:
         trainval_idx, test_idx = holdout_split(n, config.test_fraction, holdout_rng)
         fold_local = kfold_split(len(trainval_idx), config.k_folds, kfold_rng)
 
-    fold_rngs = [master.spawn() for _ in range(config.k_folds)]
-    fold_args = []
-    for fold_no, (local_train, local_val) in enumerate(fold_local):
-        fold_args.append((
-            fold_no,
-            config,
-            X_all,
-            y_all,
-            trainval_idx[local_train],
-            trainval_idx[local_val],
-            test_idx,
-            fold_rngs[fold_no],
-        ))
+    # each fold's stream is drawn from master in fold order
+    fold_args = [
+        (fold_no, config, X_all, y_all, trainval_idx[local_train],
+         trainval_idx[local_val], test_idx, master.spawn())
+        for fold_no, (local_train, local_val) in enumerate(fold_local)
+    ]
 
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # a fork-started pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(fold_args))) as pool:
             outcomes = list(pool.map(_run_fold, fold_args))
         # the workers counted in their own copies of the counters
         for _, _, checks in outcomes:
@@ -335,10 +281,6 @@ def run_experiment(config: RunConfig) -> CvReport:
 # rendering
 
 
-def _fmt(value: float, places: int) -> str:
-    return f"{value:.{places}f}"
-
-
 def _protocol_notes(report: CvReport) -> list:
     """Closing lines of the text tables: the split protocol, and the
     motor_UPDRS caveat when that subscale is a regressor."""
@@ -353,38 +295,33 @@ def _protocol_notes(report: CvReport) -> list:
     return notes
 
 
-def render_mse_table(report: CvReport) -> str:
+def _table(report: CvReport, columns) -> str:
+    """Aggregate means, one row per method, for ``columns`` of (header,
+    metric key, decimal places); values align right under their headers."""
     width = max(len(m) for m in report.methods)
-    lines = [f"{'Method'.ljust(width)} | Train MSE |  Val. MSE |  Test MSE"]
+    cell = max(len(header) for header, _, _ in columns)
+    lines = [" | ".join(["Method".ljust(width)] + [h.rjust(cell) for h, _, _ in columns])]
     lines.append("-" * len(lines[0]))
     for name in report.methods:
         agg = report.aggregate[name]
-        lines.append(
-            f"{name.ljust(width)} | "
-            f"{_fmt(agg['train_mse']['mean'], 4).rjust(9)} | "
-            f"{_fmt(agg['val_mse']['mean'], 4).rjust(9)} | "
-            f"{_fmt(agg['test_mse']['mean'], 4).rjust(9)}"
-        )
+        lines.append(" | ".join([name.ljust(width)] + [
+            f"{agg[key]['mean']:.{places}f}".rjust(cell) for _, key, places in columns
+        ]))
     return "\n".join(lines + _protocol_notes(report)) + "\n"
+
+
+def render_mse_table(report: CvReport) -> str:
+    return _table(report, [("Train MSE", "train_mse", 4), ("Val. MSE", "val_mse", 4),
+                           ("Test MSE", "test_mse", 4)])
 
 
 def render_r2_table(report: CvReport) -> str:
-    width = max(len(m) for m in report.methods)
-    lines = [f"{'Method'.ljust(width)} | R2"]
-    lines.append("-" * len(lines[0]))
-    for name in report.methods:
-        lines.append(
-            f"{name.ljust(width)} | {_fmt(report.aggregate[name]['test_r2']['mean'], 6)}"
-        )
-    return "\n".join(lines + _protocol_notes(report)) + "\n"
+    return _table(report, [("R2", "test_r2", 6)])
 
 
 def render_csv(report: CvReport) -> str:
-    lines = ["method,train_mse,val_mse,test_mse,test_r2"]
+    lines = [",".join(("method",) + METRIC_KEYS)]
     for name in report.methods:
         agg = report.aggregate[name]
-        lines.append(
-            f"{name},{agg['train_mse']['mean']!r},{agg['val_mse']['mean']!r},"
-            f"{agg['test_mse']['mean']!r},{agg['test_r2']['mean']!r}"
-        )
+        lines.append(",".join([name] + [repr(agg[key]["mean"]) for key in METRIC_KEYS]))
     return "\n".join(lines) + "\n"

@@ -2,9 +2,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 import updrspred.cli as cli_module
+from updrspred import evaluate
 from updrspred.cli import main
 from updrspred.config import RunConfig
 
@@ -67,6 +69,13 @@ class TestInspect:
         assert result.exit_code == 2
         assert "row 6" in result.output
 
+
+    def test_undecodable_file_exits_2(self, synthetic_csv, tmp_path):
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(synthetic_csv.read_bytes().replace(b"\n", b"\xff\n", 2))
+        result = run_cli(["inspect", str(bad)])
+        assert result.exit_code == 2
+        assert "latin.csv: not UTF-8 text" in result.output
 
 class TestSelect:
     def test_writes_reports(self, synthetic_csv, tmp_path):
@@ -138,6 +147,17 @@ class TestTrainEval:
         result = run_cli(["--config", str(path), "train-eval"])
         assert result.exit_code == 2
         assert "unknown config key" in result.output
+
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity"])
+    def test_non_finite_lr_initial_exits_2_before_reading(self, synthetic_csv, tmp_path,
+                                                          monkeypatch, raw):
+        monkeypatch.setattr(evaluate, "load_csv", lambda path: pytest.fail("data was read"))
+        config = smoke_config_file(tmp_path, synthetic_csv)
+        result = run_cli(["--config", str(config), "--set", f"lr_initial={raw}",
+                          "train-eval"])
+        assert result.exit_code == 2
+        assert "lr_initial must be finite" in result.output
+        assert not (tmp_path / "runs").exists()
 
     def test_env_var_supplies_dataset(self, synthetic_csv, tmp_path):
         result = run_cli(

@@ -135,6 +135,21 @@ class TestLoadCsv:
         reordered = load_csv(p)
         assert np.array_equal(original.column("age"), reordered.column("age"))
 
+    def test_byte_order_mark_accepted(self, synthetic_csv, tmp_path):
+        # spreadsheet programs save UTF-8 with a byte-order mark before the header
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + synthetic_csv.read_bytes())
+        original, marked = load_csv(synthetic_csv), load_csv(p)
+        for name in REQUIRED_COLUMNS:
+            assert np.array_equal(original.column(name), marked.column(name)), name
+
+    def test_undecodable_byte_is_a_parse_error_naming_the_file(self, synthetic_csv, tmp_path):
+        header, first, *rest = synthetic_csv.read_bytes().split(b"\n")
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"\n".join([header, first.replace(b",", b"\xff,", 1), *rest]))
+        with pytest.raises(ParseError, match=r"latin\.csv: not UTF-8 text \(.*byte 0xff\)"):
+            load_csv(p)
+
     def test_canonical_file(self, real_data):
         ds = load_csv(real_data)
         assert len(ds) == 5875

@@ -8,22 +8,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from updrspred import config as config_module
 from updrspred import evaluate
 from updrspred.config import RunConfig, config_from_dict
+from updrspred.dataset import DEFAULT_REGRESSORS
 from updrspred.errors import (
     ConfigError,
     DegenerateTargetError,
     EmptyInputError,
+    NumericError,
     ParameterError,
+    RuntimeFault,
     ShapeError,
     UsageFault,
 )
 from updrspred.evaluate import (
+    METRIC_KEYS,
     NETWORK_NAME,
     CvReport,
-    MethodMetrics,
     mse,
     r2,
     render_csv,
@@ -120,7 +125,8 @@ class TestRunExperiment:
         for fold in report.folds:
             assert set(fold) == set(report.methods)
             for metrics in fold.values():
-                for value in metrics.as_dict().values():
+                assert tuple(metrics) == METRIC_KEYS
+                for value in metrics.values():
                     assert np.isfinite(value)
 
     def test_deterministic_reports(self, synthetic_csv):
@@ -174,6 +180,45 @@ class TestRunExperiment:
             counts[jobs] = dict(INVARIANT_CHECKS)
         assert counts[2] == counts[1]
         assert all(count > 0 for count in counts[1].values())
+
+    def test_worker_processes_capped_at_the_fold_count(self, synthetic_csv, monkeypatch):
+        # a fork-started pool forks every worker it may use at the first submit
+        recorded = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InProcessPool)
+        report = run_experiment(smoke_config(synthetic_csv, jobs=64, k_folds=2))
+        assert recorded == [2]
+        assert len(report.folds) == 2
+
+    def test_non_finite_prediction_names_fold_method_and_metric(self, synthetic_csv,
+                                                                 monkeypatch):
+        monkeypatch.setattr(evaluate, "predict_linear",
+                            lambda model, X: np.full(len(X), np.nan))
+        with pytest.raises(NumericError) as caught:
+            run_experiment(smoke_config(synthetic_csv))
+        assert str(caught.value) == "fold 0: method 'LLS' produced non-finite train MSE (nan)"
+
+    def test_each_metric_checked_as_soon_as_computed(self):
+        # a NaN train MSE is named before a constant test target fails r2
+        y = (np.arange(4.0), np.arange(3.0), np.full(3, 2.0))
+        preds = (np.full(4, np.nan), np.zeros(3), np.zeros(3))
+        with pytest.raises(NumericError, match="non-finite train MSE"):
+            evaluate._score(1, "LLS", preds, y)
+        with pytest.raises(DegenerateTargetError):
+            evaluate._score(1, "LLS", (np.zeros(4), *preds[1:]), y)
 
     def test_each_partition_predicted_once_per_method(self, synthetic_csv, monkeypatch):
         # train_network's own validation predictions go through optimize,
@@ -242,6 +287,50 @@ class TestRunExperiment:
         assert a.to_structured() != b.to_structured()
 
 
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    return write_synthetic_csv(tmp_path_factory.mktemp("small") / "small_updrs.csv",
+                               n_rows=150, n_subjects=6)
+
+
+# small enough that a run takes well under a second, with every protocol
+# choice that validate() accepts left open
+ACCEPTED_OVERRIDES = st.fixed_dictionaries({
+    "k_folds": st.integers(2, 8),
+    "group_by_subject": st.booleans(),
+    "test_fraction": st.floats(0.05, 0.6),
+    "subsample_rows": st.none() | st.integers(10, 200),
+    "rfe_k": st.integers(1, len(DEFAULT_REGRESSORS)),
+    "forest_n_trees": st.integers(1, 3),
+    "forest_max_depth": st.integers(0, 6),
+    "jitter_copies": st.integers(0, 3),
+    "augment_baselines": st.booleans(),
+    "lstm_units": st.integers(1, 4),
+    "attn_dim": st.integers(1, 4),
+    "dense_widths": st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    "epochs": st.integers(1, 2),
+    "batch_size": st.integers(2, 64),
+    "patience": st.integers(0, 2),
+    "adam_linear_steps": st.integers(0, 50),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+class TestAcceptedConfigs:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(overrides=ACCEPTED_OVERRIDES)
+    def test_finite_metrics_or_a_typed_fault(self, small_csv, overrides):
+        config = smoke_config(small_csv, **overrides)
+        try:
+            report = run_experiment(config)
+        except (UsageFault, RuntimeFault):
+            return
+        assert len(report.folds) == config.k_folds
+        values = [value for fold in report.folds for metrics in fold.values()
+                  for value in metrics.values()]
+        assert np.isfinite(values).all()
+
+
 GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / "smoke_report.json"
 
 
@@ -281,16 +370,13 @@ class TestGoldenReport:
 
 def toy_report(**config_overrides):
     metrics = {
-        "LLS": MethodMetrics(10.4735, 10.0138, 10.9074, 0.904409),
-        NETWORK_NAME: MethodMetrics(6.3572, 6.6108, 7.0491, 0.9591),
+        "LLS": dict(zip(METRIC_KEYS, (10.4735, 10.0138, 10.9074, 0.904409))),
+        NETWORK_NAME: dict(zip(METRIC_KEYS, (6.3572, 6.6108, 7.0491, 0.9591))),
     }
     methods = ["LLS", NETWORK_NAME]
     folds = [metrics, metrics]
     aggregate = {
-        name: {
-            key: {"mean": getattr(m, key), "std": 0.0}
-            for key in ("train_mse", "val_mse", "test_mse", "test_r2")
-        }
+        name: {key: {"mean": value, "std": 0.0} for key, value in m.items()}
         for name, m in metrics.items()
     }
     config = dataclasses.replace(RunConfig(dataset="x.csv"), **config_overrides)
@@ -400,6 +486,8 @@ class TestConfig:
         config_case({"forest_max_depth": -1}, "forest_max_depth must be >= 0, got -1"),
         config_case({"jitter_copies": -1}, "jitter_copies must be >= 0, got -1"),
         config_case({"lr_initial": 0}, "lr_initial must be > 0, got 0"),
+        config_case({"lr_initial": float("nan")}, "lr_initial must be finite, got nan"),
+        config_case({"lr_initial": float("inf")}, "lr_initial must be finite, got inf"),
         config_case({"target": "motor"}),
         config_case({"regressors": ("age", "age"), "protected_regressors": (), "rfe_k": 1}),
         config_case({"rfe_k": 1, "protected_regressors": ("motor_UPDRS", "age")},
