@@ -82,22 +82,13 @@ def main(ctx, config_path, overrides, seed, out_dir, jobs):
 
 
 def _build_config(ctx) -> RunConfig:
+    """Merge the file, the overrides, the dedicated flags and the dataset
+    default into one dict, in rising precedence, then validate it once."""
     opts = ctx.obj
-    if opts["config_path"]:
-        config = load_config(opts["config_path"])
-        doc = config.to_dict()
-    else:
-        doc = RunConfig().to_dict()
-    for text in opts["overrides"]:
-        key, value = parse_override(text)
-        doc[key] = value
-    if opts["seed"] is not None:
-        doc["seed"] = opts["seed"]
-    if opts["out_dir"] is not None:
-        doc["out_dir"] = opts["out_dir"]
-    if opts["jobs"] is not None:
-        doc["jobs"] = opts["jobs"]
-    if not doc.get("dataset"):
+    doc = load_config(opts["config_path"]) if opts["config_path"] else {}
+    doc.update(parse_override(text) for text in opts["overrides"])
+    doc.update((key, opts[key]) for key in ("seed", "out_dir", "jobs") if opts[key] is not None)
+    if doc.get("dataset", "") == "":
         doc["dataset"] = os.environ.get(ENV_DATASET, "")
     config = config_from_dict(doc)
     if not config.dataset:

@@ -194,15 +194,20 @@ def config_from_dict(doc: dict) -> RunConfig:
     return config
 
 
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
+def load_config(path) -> dict:
+    """The unvalidated JSON object in ``path``, read as UTF-8 with or without a BOM."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: not UTF-8 text ({exc.reason}: byte 0x{exc.object[exc.start]:02x})"
+            ) from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return config_from_dict(doc)
+    return doc
 
 
 def parse_override(text: str):

@@ -4,7 +4,9 @@ hand-derived backpropagation.
 Layout of the network, front to back:
 
     sequence (T steps of input_dim values)
-      -> forward LSTM scan and backward LSTM scan (u units each)
+      -> forward LSTM scan and backward LSTM scan (u units each); every
+         gate of a step is one product of [h_{t-1}, x_t, 1] with the
+         direction's fused matrix, whose last row is the bias
       -> per-step concatenated states H, shape (T, 2u)
       -> attention: weights softmax(v . tanh(W h_t)), context = sum_t w_t h_t
       -> dense(relu) -> batch norm -> dropout, twice
@@ -55,8 +57,8 @@ def reset_invariant_counters() -> None:
 # ---------------------------------------------------------------------------
 # parameters
 
-# Column blocks of each fused LSTM weight and bias, in order. The three
-# sigmoid gates come first so the scan activates them as one block.
+# Column blocks of each fused LSTM matrix, in order. The three sigmoid
+# gates come first so the scan activates them as one block.
 GATES = ("forget", "input", "output", "cell")
 
 # Each scan direction's parameter prefix and time order, in H's column order
@@ -71,10 +73,11 @@ class ModelParams:
     them. ``p[name]`` is a reshaped view into it, so writing through a view
     changes the vector and a snapshot is one ``vector.copy()``.
 
-    Each LSTM direction has one fused weight over the concatenated
-    [h_prev, x_t] input, shape (units + input_dim, 4 * units), and one
-    4 * units bias; both are split into column blocks in ``GATES`` order.
-    Dense weights are (out_dim, in_dim).
+    Each LSTM direction has one fused matrix over the concatenated
+    [h_prev, x_t, 1] input, shape (units + input_dim + 1, 4 * units): the
+    hidden rows, the input rows, then the bias as the last row. Its
+    columns are blocks in ``GATES`` order. Dense weights are (out_dim,
+    in_dim).
 
     ``workspace`` is the buffer that every :func:`model_forward` on these
     parameters, and its :func:`model_backward`, carve their large arrays
@@ -86,12 +89,11 @@ class ModelParams:
     def __init__(self, input_dim: int, units: int, attn_dim: int,
                  dense_widths: tuple[int, int], dropout_rate: float, l2: float,
                  bn_momentum: float, bn_eps: float):
-        rows = units + input_dim
+        rows = units + input_dim + 1
         hidden = 2 * units
         d1, d2 = dense_widths
         trainable = {
-            "fwd.w": (rows, 4 * units), "fwd.b": (4 * units,),
-            "bwd.w": (rows, 4 * units), "bwd.b": (4 * units,),
+            "fwd.w": (rows, 4 * units), "bwd.w": (rows, 4 * units),
             "attn.w": (attn_dim, hidden), "attn.v": (attn_dim,),
             "dense1.w": (d1, hidden), "dense1.b": (d1,),
             "bn1.gamma": (d1,), "bn1.beta": (d1,),
@@ -171,7 +173,7 @@ def _buffer_shapes(batch: int, steps: int, input_dim: int, units: int, attn_dim:
     """
     B, T, d, u = batch, steps, input_dim, units
     kept = T if train else 1
-    scan = ((T + 1, B, u + d), (kept, B, 4 * u), (kept + 1, B, u), (kept, B, u))
+    scan = ((T + 1, B, u + d + 1), (kept, B, 4 * u), (kept + 1, B, u), (kept, B, u))
     shapes = {"fwd": scan, "bwd": scan, "scan_scratch": ((B, u), (B, 3 * u)),
               "attention": ((B, T, 2 * u), (B * T, attn_dim))}
     if train:
@@ -208,9 +210,9 @@ def init_model_params(
         w = p[f"{tag}.w"]
         for gate in ("forget", "input", "cell", "output"):  # the draw order
             k = GATES.index(gate)
-            w[:, k * units:(k + 1) * units] = _glorot(rng, rows, units, (rows, units))
+            w[:rows, k * units:(k + 1) * units] = _glorot(rng, rows, units, (rows, units))
         # forget bias starts at 1 so early training does not flush the cell
-        p[f"{tag}.b"][:units] = 1.0
+        w[rows, :units] = 1.0
     for name in ("attn.w", "attn.v", "dense1.w", "dense2.w", "out.w"):  # the draw order
         w = p[name]
         # a matrix is (fan_out, fan_in); a vector feeds one output
@@ -226,25 +228,27 @@ def init_model_params(
 # layer forwards (batched) and backwards
 
 
-def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, buffers, scratch):
+def _lstm_scan(X: np.ndarray, w: np.ndarray, buffers, scratch):
     """Run the recurrence over (B, T, input_dim) from zero states.
 
-    ``w`` and ``b`` are one direction's fused weight and bias. ``buffers``
+    ``w`` is one direction's fused matrix, bias row last. ``buffers``
     is the direction's ``(hx, acts, cells, tanh_cells)`` and ``scratch`` its
     ``(ig, sig)`` step scratch, shaped as :func:`_buffer_shapes` gives them;
     the scan overwrites them all. Returns the states (B, T, units), a view
     of ``hx``. Train-mode ``buffers`` are then the cache that
     :func:`_lstm_scan_backward` reads.
 
-    The scan runs time-major. Row t of ``hx`` (T + 1, B, units + input_dim)
-    holds [h_{t-1}, x_t], so a step's gates are one product with the fused
-    weight, written into its gate row and activated there: f, i and o
-    sigmoided, the candidate tanhed. The step writes c_t into the cell row
-    after c_{t-1} (the first is the zero start) and h_t into the hidden part
-    of ``hx[t + 1]``; the last row's input part is unused. Train-mode
-    buffers keep a gate, cell and tanh(c) row for every step, which only
-    the backward pass reads. Infer-mode buffers keep one gate row, one tanh
-    row and two cell rows, reused in turn. ``X`` is only read.
+    The scan runs time-major. Row t of ``hx`` (T + 1, B, units + input_dim
+    + 1) holds [h_{t-1}, x_t, 1], so a step's biased gates are one product
+    with the fused matrix, written into its gate row and activated there:
+    f, i and o sigmoided, the candidate tanhed. The step writes c_t into
+    the cell row after c_{t-1} (the first is the zero start) and h_t into
+    the hidden part of ``hx[t + 1]``; the last row's input part is unused.
+    The ones column is written on every call, since ``hx`` is reused
+    workspace. Train-mode buffers keep a gate, cell and tanh(c) row for
+    every step, which only the backward pass reads. Infer-mode buffers keep
+    one gate row, one tanh row and two cell rows, reused in turn. ``X`` is
+    only read.
     """
     T = X.shape[1]
     u = w.shape[1] // 4
@@ -252,7 +256,8 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, buffers, scratch):
     ig, sig = scratch  # sig is contiguous, so the chain runs on flat data
     kept = len(acts)
     hx[0, :, :u] = 0.0
-    hx[:T, :, u:] = X.transpose(1, 0, 2)
+    hx[:T, :, u:-1] = X.transpose(1, 0, 2)
+    hx[:T, :, -1] = 1.0
     cells[0] = 0.0
     # IEEE semantics make the plain sigmoid exact on both tails: exp(-x)
     # overflows to inf -> 0, underflows to 0 -> 1
@@ -260,7 +265,6 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, buffers, scratch):
         for t in range(T):
             a = acts[t % kept]
             np.matmul(hx[t], w, out=a)
-            a += b
             np.negative(a[:, :3 * u], out=sig)
             np.exp(sig, out=sig)
             sig += 1.0
@@ -277,14 +281,14 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, b: np.ndarray, buffers, scratch):
     return hx[1:, :, :u].transpose(1, 0, 2)
 
 
-def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
-                        dw: np.ndarray, db: np.ndarray, scratch) -> None:
+def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray, dw: np.ndarray,
+                        scratch) -> None:
     """Backpropagation through time for one scan direction.
 
-    Accumulates into ``dw`` and ``db``, which are laid out like ``w`` and
-    the bias and start at zero. Each step writes its gate gradients into
-    one contiguous (B, 4u) row of ``d_gates``, and the weight and bias
-    gradients are one product and one sum over all steps after the loop
+    Overwrites ``dw``, laid out like the fused matrix ``w``. Each step
+    writes its gate gradients into one contiguous (B, 4u) row of
+    ``d_gates``, and the gradient of the whole matrix, bias row included,
+    is one product over all steps after the loop, written into ``dw``
     (Appleyard et al. 2016). The gate-derivative factors are formed step
     by step in (B, u)-sized scratch: formed for all T up front they make
     blocks that outgrow the cache, which measured slower. ``scratch`` is
@@ -333,9 +337,7 @@ def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray,
         np.subtract(1.0, tmp, out=tmp)
         tmp *= i
         np.multiply(dc, tmp, out=d[:, 3 * u:])
-    flat = d_gates.reshape(T * B, 4 * u)
-    dw += hx[:T].reshape(T * B, -1).T @ flat
-    db += flat.sum(axis=0)
+    np.matmul(hx[:T].reshape(T * B, -1).T, d_gates.reshape(T * B, 4 * u), out=dw)
 
 
 def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray, pre: np.ndarray):
@@ -481,7 +483,7 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
     u = p.units
     for k, (tag, order) in enumerate(DIRECTIONS):
         H[:, order, k * u:(k + 1) * u] = _lstm_scan(
-            data[:, order], p[f"{tag}.w"], p[f"{tag}.b"], buffers[tag], buffers["scan_scratch"])
+            data[:, order], p[f"{tag}.w"], buffers[tag], buffers["scan_scratch"])
 
     out, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
     head = []
@@ -571,7 +573,7 @@ def model_backward(cache, target, p: ModelParams):
     u = p.units
     for k, (tag, order) in enumerate(DIRECTIONS):
         _lstm_scan_backward(buffers[tag], dH[:, order, k * u:(k + 1) * u], p[f"{tag}.w"],
-                            g[f"{tag}.w"], g[f"{tag}.b"], buffers["scan_backward"])
+                            g[f"{tag}.w"], buffers["scan_backward"])
     return loss, grad
 
 
@@ -587,9 +589,9 @@ def commit_batchnorm(cache, p: ModelParams) -> None:
 def param_blocks(p: ModelParams) -> dict[str, np.ndarray]:
     """Positions in ``p.trainable`` of every named parameter block.
 
-    The fused LSTM weights and biases are split by gate (``fwd.w_forget``,
-    ``bwd.b_output``, ...), so a gradient error is reported against the
-    gate it sits in.
+    The fused LSTM matrices are split by gate (``fwd.w_forget``,
+    ``bwd.w_output``, ...), bias row included, so a gradient error is
+    reported against the gate it sits in.
     """
     u = p.units
     blocks = {}

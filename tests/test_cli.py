@@ -178,6 +178,38 @@ class TestTrainEval:
         assert "no dataset" in result.output
 
 
+class TestConfigFile:
+    def test_byte_order_mark_is_read(self, synthetic_csv, tmp_path):
+        config = smoke_config_file(tmp_path, synthetic_csv)
+        config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        result = run_cli(["--config", str(config), "select"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((extract_run_dir(result.output) / "rfe_report.json").read_text())
+        assert len(doc["selected"]) == 4
+
+    def test_undecodable_file_exits_2(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"dataset": "caf\xe9.csv"}')
+        result = run_cli(["--config", str(path), "select"])
+        assert result.exit_code == 2
+        assert "latin.json: not UTF-8 text" in result.output
+
+    def test_overrides_apply_before_validation(self, synthetic_csv, tmp_path):
+        # with the motor target, the default regressors hold the target's
+        # own column; the file alone is refused, and --set mends it
+        config = smoke_config_file(tmp_path, synthetic_csv, target="motor")
+        refused = run_cli(["--config", str(config), "select"])
+        assert refused.exit_code == 2
+        assert "target column 'motor_UPDRS' cannot be a regressor" in refused.output
+        regressors = [name for name in RunConfig().regressors if name != "motor_UPDRS"]
+        result = run_cli(["--config", str(config), "--set", f"regressors={json.dumps(regressors)}",
+                          "--set", "protected_regressors=[]", "select"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((extract_run_dir(result.output) / "rfe_report.json").read_text())
+        assert len(doc["selected"]) == 4
+        assert len(doc["elimination_order"]) == len(regressors) - 4
+
+
 class TestGradcheck:
     def test_passes_and_reports(self):
         result = run_cli(["gradcheck"])

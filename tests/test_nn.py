@@ -35,10 +35,11 @@ from updrspred.nn import (
 
 
 def fuse(gates):
-    """One direction's fused (w, b) from per-gate matrices and biases."""
+    """One direction's fused matrix from per-gate matrices and biases: the
+    biases are its last row."""
     w = np.concatenate([gates[f"w_{gate}"] for gate in GATES], axis=1)
     b = np.concatenate([gates[f"b_{gate}"] for gate in GATES])
-    return w, b
+    return np.vstack([w, b])
 
 
 def nan_buffers(batch, steps, input_dim, units, train):
@@ -48,25 +49,25 @@ def nan_buffers(batch, steps, input_dim, units, train):
             for name, group in shapes.items()}
 
 
-def scan(X, w, b, mode):
+def scan(X, w, mode):
     """_lstm_scan on buffers of the shapes model_forward carves; returns the
     states and the buffers, which in train mode are the backward's cache."""
     B, T, d = X.shape
     buffers = nan_buffers(B, T, d, w.shape[1] // 4, mode == "train")
-    return _lstm_scan(X, w, b, buffers["fwd"], buffers["scan_scratch"]), buffers["fwd"]
+    return _lstm_scan(X, w, buffers["fwd"], buffers["scan_scratch"]), buffers["fwd"]
 
 
-def scan_backward(cache, d_states, w, dw, db):
+def scan_backward(cache, d_states, w, dw):
     """_lstm_scan_backward on scratch of the shapes model_forward carves."""
     hx, acts = cache[:2]
     T, B = acts.shape[:2]
     u = w.shape[1] // 4
-    scratch = nan_buffers(B, T, hx.shape[2] - u, u, True)["scan_backward"]
-    _lstm_scan_backward(cache, d_states, w, dw, db, scratch)
+    scratch = nan_buffers(B, T, hx.shape[2] - u - 1, u, True)["scan_backward"]
+    _lstm_scan_backward(cache, d_states, w, dw, scratch)
 
 
 def zero_lstm(input_dim, units):
-    return np.zeros((units + input_dim, 4 * units)), np.zeros(4 * units)
+    return np.zeros((units + input_dim + 1, 4 * units))
 
 
 def random_gates(rng, input_dim, units, scale=0.6):
@@ -85,12 +86,11 @@ def tiny_model(seed, dropout=0.0, l2=0.0):
     )
 
 
-def model_with_lstm(w, b):
-    """The tiny model (4 units) with both scan directions set to (w, b)."""
+def model_with_lstm(w):
+    """The tiny model (4 units) with both scan directions' matrices set to w."""
     p = tiny_model(30)
     for tag in ("fwd", "bwd"):
         p[f"{tag}.w"][:] = w
-        p[f"{tag}.b"][:] = b
     return p
 
 
@@ -118,13 +118,14 @@ def scalar_scan_oracle(seq, gates):
     return states
 
 
-def reference_scan(X, w, b):
-    """The per-step batched scan that preceded the time-major one: the
-    oracle for ``_lstm_scan``. Returns the states (B, T, units) and the
-    cache ``(X, states, acts, c_prevs, tanh_cs)``."""
+def reference_scan(X, w):
+    """The per-step batched scan that preceded the time-major one, with the
+    bias added after the input product: the oracle for ``_lstm_scan``.
+    Returns the states (B, T, units) and the cache
+    ``(X, states, acts, c_prevs, tanh_cs)``."""
     B, T, _ = X.shape
     u = w.shape[1] // 4
-    pre_input = X.reshape(B * T, -1) @ w[u:] + b
+    pre_input = X.reshape(B * T, -1) @ w[u:-1] + w[-1]
     pre_input = np.ascontiguousarray(pre_input.reshape(B, T, 4 * u).transpose(1, 0, 2))
     acts = np.empty((T, B, 4 * u))
     c_prevs = np.empty((T, B, u))
@@ -145,9 +146,10 @@ def reference_scan(X, w, b):
     return states, (X, states, acts, c_prevs, tanh_cs)
 
 
-def reference_scan_backward(cache, d_states, w, dw, db):
-    """BPTT for :func:`reference_scan` with the weight gradient summed step
-    by step: the oracle for ``_lstm_scan_backward``."""
+def reference_scan_backward(cache, d_states, w, dw):
+    """BPTT for :func:`reference_scan` with the hidden, input and bias rows'
+    gradients summed step by step into ``dw``, which starts at zero: the
+    oracle for ``_lstm_scan_backward``."""
     X, states, acts, c_prevs, tanh_cs = cache
     B, T, u = d_states.shape
     dh_next = np.zeros((B, u))
@@ -164,8 +166,8 @@ def reference_scan_backward(cache, d_states, w, dw, db):
         d_gates[:, 3 * u:] = dc * i * (1 - g * g)
         h_prev = states[:, t - 1, :] if t > 0 else np.zeros((B, u))
         dw[:u] += h_prev.T @ d_gates
-        dw[u:] += X[:, t, :].T @ d_gates
-        db += d_gates.sum(axis=0)
+        dw[u:-1] += X[:, t, :].T @ d_gates
+        dw[-1] += d_gates.sum(axis=0)
         dh_next = d_gates @ w[:u].T
         dc_next = dc * f
 
@@ -199,24 +201,26 @@ class TestParamLayout:
 
     def test_init_fills_fused_columns_in_draw_order(self):
         # Glorot draws per direction in the order forget, input, cell,
-        # output, each landing in its gate's column block
+        # output, each landing in its gate's column block above the bias row
         p = tiny_model(32)
         rng = RandomSource(32)
         u, rows = 4, 5
         limit = math.sqrt(6.0 / (rows + u))
         for tag in ("fwd", "bwd"):
+            w = p[f"{tag}.w"]
+            assert w.shape == (rows + 1, 4 * u)
             for gate in ("forget", "input", "cell", "output"):
                 k = GATES.index(gate)
                 expected = (rng.uniforms(rows * u) * 2.0 - 1.0).reshape(rows, u) * limit
-                assert np.array_equal(p[f"{tag}.w"][:, k * u:(k + 1) * u], expected)
-            assert np.array_equal(p[f"{tag}.b"], [1.0] * u + [0.0] * 3 * u)
+                assert np.array_equal(w[:rows, k * u:(k + 1) * u], expected)
+            assert np.array_equal(w[rows], [1.0] * u + [0.0] * 3 * u)
 
 
 class TestLstmCell:
     def test_zero_parameters(self):
         u = 3
         X = np.array([[[5.0, -1.0], [0.3, 2.0]]])
-        states, (_, acts, cells, _) = scan(X, *zero_lstm(2, u), "train")
+        states, (_, acts, cells, _) = scan(X, zero_lstm(2, u), "train")
         c_prevs = cells[:-1]
         assert np.all(acts[:, :, :3 * u] == 0.5)  # forget, input, output
         assert np.all(acts[:, :, 3 * u:] == 0.0)  # candidate
@@ -225,11 +229,11 @@ class TestLstmCell:
 
     def test_saturated_forget_gate_preserves_cell(self):
         u = 2
-        w, b = zero_lstm(1, u)
-        b[:2 * u] = 100.0  # forget and input gates saturated open
-        w[u:, 3 * u:] = 1.0  # candidate = tanh(x_t)
+        w = zero_lstm(1, u)
+        w[-1, :2 * u] = 100.0  # forget and input gates saturated open
+        w[u:-1, 3 * u:] = 1.0  # candidate = tanh(x_t)
         X = np.array([[[0.7], [0.0], [0.0], [0.0]]])
-        _, (_, _, cells, _) = scan(X, w, b, "train")
+        _, (_, _, cells, _) = scan(X, w, "train")
         c_prevs = cells[:-1]
         # the first step writes tanh(0.7); zero inputs afterwards add nothing
         assert np.allclose(c_prevs[1:, 0, :], math.tanh(0.7), atol=1e-12)
@@ -238,7 +242,7 @@ class TestLstmCell:
         rng = RandomSource(414)
         gates = random_gates(rng, 2, 3)
         X = rng.gaussians(0, 1, 2 * 6 * 2).reshape(2, 6, 2)
-        states, _ = scan(X, *fuse(gates), "train")
+        states, _ = scan(X, fuse(gates), "train")
         for row in range(2):
             assert np.allclose(states[row], scalar_scan_oracle(X[row], gates), atol=1e-12)
 
@@ -247,9 +251,9 @@ class TestLstmCell:
         # but float64 rounds tanh(|x| > 19) to exactly 1
         rng = RandomSource(5)
         u = 4
-        w, b = fuse(random_gates(rng, 1, u, scale=0.8))
+        w = fuse(random_gates(rng, 1, u, scale=0.8))
         X = rng.gaussians(0, 1, 12).reshape(2, 6, 1)
-        _, (_, acts, _, _) = scan(X, w, b, "train")
+        _, (_, acts, _, _) = scan(X, w, "train")
         assert np.all((acts[:, :, :3 * u] > 0) & (acts[:, :, :3 * u] < 1))
         assert np.all((acts[:, :, 3 * u:] > -1) & (acts[:, :, 3 * u:] < 1))
 
@@ -260,7 +264,7 @@ class TestScanMatchesReference:
            units=st.integers(1, 6), reverse=st.booleans(), seed=st.integers(0, 2**31 - 1))
     def test_states_and_gradients_match(self, batch, steps, input_dim, units, reverse, seed):
         rng = RandomSource(seed)
-        w, b = fuse(random_gates(rng, input_dim, units))
+        w = fuse(random_gates(rng, input_dim, units))
         X = rng.gaussians(0, 1, batch * steps * input_dim).reshape(batch, steps, input_dim)
         dH = rng.gaussians(0, 1, batch * steps * 2 * units).reshape(batch, steps, 2 * units)
         kept = X.copy()
@@ -272,16 +276,17 @@ class TestScanMatchesReference:
         else:
             seq, d_states = X, dH[:, :, :units]
 
-        states, cache = scan(seq, w, b, "train")
-        want_states, want_cache = reference_scan(seq, w, b)
+        states, cache = scan(seq, w, "train")
+        want_states, want_cache = reference_scan(seq, w)
         assert_relatively_close(states, want_states)
 
-        dw, db = np.zeros_like(w), np.zeros_like(b)
-        scan_backward(cache, d_states, w, dw, db)
-        want_dw, want_db = np.zeros_like(w), np.zeros_like(b)
-        reference_scan_backward(want_cache, d_states, w, want_dw, want_db)
-        assert_relatively_close(dw, want_dw)
-        assert_relatively_close(db, want_db)
+        dw = np.full_like(w, np.nan)  # NaN would survive an accumulation into dw
+        scan_backward(cache, d_states, w, dw)
+        want_dw = np.zeros_like(w)
+        reference_scan_backward(want_cache, d_states, w, want_dw)
+        # the weight rows and the bias row, each against its own scale
+        assert_relatively_close(dw[:-1], want_dw[:-1])
+        assert_relatively_close(dw[-1], want_dw[-1])
         assert np.array_equal(X, kept)
 
 
@@ -295,7 +300,7 @@ class TestInferScan:
         # inputs of +-50 against weights of scale 30 drive gate pre-activations
         # past -709, where exp(-z) overflows in the sigmoid
         rng = RandomSource(seed)
-        w, b = fuse(random_gates(rng, input_dim, units, scale=scale))
+        w = fuse(random_gates(rng, input_dim, units, scale=scale))
         size = batch * steps * input_dim
         X = rng.gaussians(0, 1, size)
         wild = rng.uniforms(size) < 0.2
@@ -303,8 +308,8 @@ class TestInferScan:
         X = X.reshape(batch, steps, input_dim)
         X.setflags(write=False)
         seq = X[:, ::-1, :] if reverse else X  # the backward direction's view
-        want, _ = scan(seq, w, b, "train")
-        got, (_, acts, cells, tanh_cells) = scan(seq, w, b, "infer")
+        want, _ = scan(seq, w, "train")
+        got, (_, acts, cells, tanh_cells) = scan(seq, w, "infer")
         assert (len(acts), len(cells), len(tanh_cells)) == (1, 2, 1)
         assert np.array_equal(got, want)
 
@@ -321,14 +326,14 @@ class TestInferScan:
 
 class TestBilstm:
     def test_t1_uses_same_step_twice(self):
-        p = model_with_lstm(*fuse(random_gates(RandomSource(6), 1, 4)))
+        p = model_with_lstm(fuse(random_gates(RandomSource(6), 1, 4)))
         _, cache = model_forward(np.array([[0.4]])[None], p)
         H = cache["buffers"]["attention"][0][0]
         assert H.shape == (1, 8)
         assert np.allclose(H[0, :4], H[0, 4:])
 
     def test_palindrome_symmetry(self):
-        p = model_with_lstm(*fuse(random_gates(RandomSource(7), 1, 4)))
+        p = model_with_lstm(fuse(random_gates(RandomSource(7), 1, 4)))
         seq = np.array([[0.3], [-1.2], [0.5], [-1.2], [0.3]])
         _, cache = model_forward(seq[None], p)
         H = cache["buffers"]["attention"][0][0]
@@ -337,7 +342,7 @@ class TestBilstm:
             assert np.allclose(H[t, :4], H[T - 1 - t, 4:], atol=1e-12)
 
     def test_zero_parameters_zero_states(self):
-        p = model_with_lstm(*zero_lstm(1, 4))
+        p = model_with_lstm(zero_lstm(1, 4))
         _, cache = model_forward(np.array([[1.0], [2.0]])[None], p)
         assert np.array_equal(cache["buffers"]["attention"][0][0], np.zeros((2, 8)))
 
