@@ -99,15 +99,21 @@ class RandomSource:
         return np.minimum(vals, bound - 1)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of 0..n-1 driven by this stream."""
-        perm = np.arange(n, dtype=np.int64)
+        """Fisher-Yates shuffle of 0..n-1 driven by this stream.
+
+        Swap ``k`` exchanges item ``i = n - 1 - k`` with item
+        ``j = min(floor(u_k * (i + 1)), i)``. All ``j`` come from one block
+        of ``n - 1`` uniforms, and the swaps run on a Python list, which
+        is several times faster than swapping numpy items one at a time.
+        """
         if n < 2:
-            return perm
-        u = self.uniforms(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = min(int(u[n - 1 - i] * (i + 1)), i)
+            return np.arange(n, dtype=np.int64)
+        bound = np.arange(n, 1, -1)
+        picks = np.minimum((self.uniforms(n - 1) * bound).astype(np.int64), bound - 1)
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def spawn(self) -> "RandomSource":
         """Derive an independent child stream (consumes one draw)."""

@@ -4,19 +4,22 @@ hand-derived backpropagation.
 Layout of the network, front to back:
 
     sequence (T steps of input_dim values)
-      -> forward LSTM scan and backward LSTM scan (u units each); every
-         gate of a step is one product of [h_{t-1}, x_t, 1] with the
+      -> forward LSTM scan and backward LSTM scan (u units each), run in
+         lockstep: each step advances both directions, and every gate of a
+         direction's step is one product of [h_{t-1}, x_t, 1] with the
          direction's fused matrix, whose last row is the bias
       -> per-step concatenated states H, shape (T, 2u)
       -> attention: weights softmax(v . tanh(W h_t)), context = sum_t w_t h_t
       -> dense(relu) -> batch norm -> dropout, twice
       -> single linear output unit
 
-Everything is vectorized over a leading batch axis. The backward pass
-mirrors the forward step by step, including backpropagation through time
-over both scan directions and through the batch-norm statistics, so the
-analytic gradients can be validated against central finite differences
-(see :func:`grad_check`).
+Everything is vectorized over a leading batch axis, and the scans also
+over the two directions: their activations are stored gate-major, so each
+elementwise operation of a step covers both directions in one contiguous
+block. The backward pass mirrors the forward step by step, including
+backpropagation through time over both scan directions and through the
+batch-norm statistics, so the analytic gradients can be validated against
+central finite differences (see :func:`grad_check`).
 
 Two numeric invariants are asserted on every forward pass and counted in
 ``INVARIANT_CHECKS``: attention weights must sum to 1 within 1e-9, and
@@ -61,9 +64,6 @@ def reset_invariant_counters() -> None:
 # gates come first so the scan activates them as one block.
 GATES = ("forget", "input", "output", "cell")
 
-# Each scan direction's parameter prefix and time order, in H's column order
-DIRECTIONS = (("fwd", slice(None)), ("bwd", slice(None, None, -1)))
-
 
 class ModelParams:
     """Every parameter of the network in one contiguous float64 vector.
@@ -76,8 +76,9 @@ class ModelParams:
     Each LSTM direction has one fused matrix over the concatenated
     [h_prev, x_t, 1] input, shape (units + input_dim + 1, 4 * units): the
     hidden rows, the input rows, then the bias as the last row. Its
-    columns are blocks in ``GATES`` order. Dense weights are (out_dim,
-    in_dim).
+    columns are blocks in ``GATES`` order. ``p["lstm.w"]`` holds the pair,
+    forward direction first, as one (2, units + input_dim + 1, 4 * units)
+    block. Dense weights are (out_dim, in_dim).
 
     ``workspace`` is the buffer that every :func:`model_forward` on these
     parameters, and its :func:`model_backward`, carve their large arrays
@@ -93,7 +94,7 @@ class ModelParams:
         hidden = 2 * units
         d1, d2 = dense_widths
         trainable = {
-            "fwd.w": (rows, 4 * units), "bwd.w": (rows, 4 * units),
+            "lstm.w": (2, rows, 4 * units),
             "attn.w": (attn_dim, hidden), "attn.v": (attn_dim,),
             "dense1.w": (d1, hidden), "dense1.b": (d1,),
             "bn1.gamma": (d1,), "bn1.beta": (d1,),
@@ -163,21 +164,27 @@ def _buffer_shapes(batch: int, steps: int, input_dim: int, units: int, attn_dim:
                    train: bool) -> dict[str, tuple]:
     """Shapes of the arrays a forward call carves, by group.
 
-    ``fwd`` and ``bwd`` are each scan direction's (hx, acts, cells,
-    tanh_cells) and ``scan_scratch`` the step scratch they share, all as
-    :func:`_lstm_scan` uses them; ``attention`` is (H, pre). Train mode adds
-    :func:`model_backward`'s groups: ``scan_backward``, the (d_gates, dh,
-    dc, tmp, dsig) that both directions' :func:`_lstm_scan_backward` share,
-    and ``attention_backward``, (dH, d_pre_lin, its scratch, and
-    d_pre_lin @ attn.w).
+    ``scan`` is both directions' (hx, acts, cells, tanh_cells) and
+    ``scan_scratch`` their (z, ig) step scratch, as :func:`_lstm_scan` uses
+    them; ``attention`` is (H, pre). Train mode adds :func:`model_backward`'s
+    groups: ``scan_backward``, the (d_gates, dh, dc, tmp, dsig) of
+    :func:`_lstm_scan_backward`, and ``attention_backward``, (dH, d_pre_lin,
+    its scratch, and d_pre_lin @ attn.w).
+
+    The direction axis (forward first) comes first in ``hx``, so each
+    direction's [h, x, 1] rows are one (T * B, R) block, and in
+    ``d_gates``; ``acts`` is gate-major, (kept, 4, 2, B, u), so a gate of
+    both directions is one contiguous block.
     """
     B, T, d, u = batch, steps, input_dim, units
     kept = T if train else 1
-    scan = ((T + 1, B, u + d + 1), (kept, B, 4 * u), (kept + 1, B, u), (kept, B, u))
-    shapes = {"fwd": scan, "bwd": scan, "scan_scratch": ((B, u), (B, 3 * u)),
+    shapes = {"scan": ((2, T + 1, B, u + d + 1), (kept, 4, 2, B, u), (kept + 1, 2, B, u),
+                       (kept, 2, B, u)),
+              "scan_scratch": ((2, B, 4 * u), (2, B, u)),
               "attention": ((B, T, 2 * u), (B * T, attn_dim))}
     if train:
-        shapes["scan_backward"] = ((T, B, 4 * u), (B, u), (B, u), (B, u), (B, 3 * u))
+        shapes["scan_backward"] = ((2, T, B, 4 * u), (2, B, u), (2, B, u), (2, B, u),
+                                   (3, 2, B, u))
         shapes["attention_backward"] = ((B, T, 2 * u), (B * T, attn_dim),
                                         (B * T, attn_dim), (B * T, 2 * u))
     return shapes
@@ -206,8 +213,7 @@ def init_model_params(
     p = ModelParams(input_dim, units, attn_dim, dense_widths, dropout_rate, l2,
                     bn_momentum, bn_eps)
     rows = units + input_dim
-    for tag, _ in DIRECTIONS:
-        w = p[f"{tag}.w"]
+    for w in p["lstm.w"]:  # forward direction first
         for gate in ("forget", "input", "cell", "output"):  # the draw order
             k = GATES.index(gate)
             w[:rows, k * units:(k + 1) * units] = _glorot(rng, rows, units, (rows, units))
@@ -228,100 +234,106 @@ def init_model_params(
 # layer forwards (batched) and backwards
 
 
-def _lstm_scan(X: np.ndarray, w: np.ndarray, buffers, scratch):
-    """Run the recurrence over (B, T, input_dim) from zero states.
+def _lstm_scan(X: np.ndarray, w: np.ndarray, buffers, scratch, H: np.ndarray) -> None:
+    """Run both directions' recurrences over (B, T, input_dim) from zero states.
 
-    ``w`` is one direction's fused matrix, bias row last. ``buffers``
-    is the direction's ``(hx, acts, cells, tanh_cells)`` and ``scratch`` its
-    ``(ig, sig)`` step scratch, shaped as :func:`_buffer_shapes` gives them;
-    the scan overwrites them all. Returns the states (B, T, units), a view
-    of ``hx``. Train-mode ``buffers`` are then the cache that
-    :func:`_lstm_scan_backward` reads.
+    ``w`` is the (2, R, 4u) pair of fused matrices, R = u + input_dim + 1,
+    forward direction first, bias row last. ``buffers`` is ``(hx, acts,
+    cells, tanh_cells)`` and ``scratch`` the ``(z, ig)`` step scratch,
+    shaped as :func:`_buffer_shapes` gives them; the scan overwrites them
+    all. The forward direction's states go into ``H[:, :, :u]``, and the
+    backward direction, which reads the sequence reversed, writes its
+    states back in the sequence's order into ``H[:, :, u:]``. Train-mode
+    ``buffers`` are then the cache that :func:`_lstm_scan_backward` reads.
 
-    The scan runs time-major. Row t of ``hx`` (T + 1, B, units + input_dim
-    + 1) holds [h_{t-1}, x_t, 1], so a step's biased gates are one product
-    with the fused matrix, written into its gate row and activated there:
-    f, i and o sigmoided, the candidate tanhed. The step writes c_t into
-    the cell row after c_{t-1} (the first is the zero start) and h_t into
-    the hidden part of ``hx[t + 1]``; the last row's input part is unused.
-    The ones column is written on every call, since ``hx`` is reused
-    workspace. Train-mode buffers keep a gate, cell and tanh(c) row for
-    every step, which only the backward pass reads. Infer-mode buffers keep
-    one gate row, one tanh row and two cell rows, reused in turn. ``X`` is
-    only read.
+    The scan runs time-major, both directions in lockstep. Row t of
+    direction k's ``hx[k]`` (T + 1, B, R) holds [h_{t-1}, x_t, 1], x_t
+    taken in that direction's order, so a step's biased gates are one
+    product per direction with its fused matrix, into ``z``. The gates are
+    activated out of ``z`` into the step's gate-major row of ``acts``, (4,
+    2, B, u): f, i and o sigmoided as one contiguous block, the candidate
+    tanhed, and every cell and hidden update after that covers both
+    directions at once. The step writes c_t into the cell row after c_{t-1}
+    (the first is the zero start) and h_t into the hidden part of ``hx[:,
+    t + 1]``; the last row's input part is unused. The ones column is
+    written on every call, since ``hx`` is reused workspace. Train-mode
+    buffers keep a gate, cell and tanh(c) row for every step, which only
+    the backward pass reads. Infer-mode buffers keep one gate row, one tanh
+    row and two cell rows, reused in turn. ``X`` is only read.
     """
-    T = X.shape[1]
-    u = w.shape[1] // 4
+    B, T = X.shape[:2]
+    u = w.shape[2] // 4
     hx, acts, cells, tanh_cells = buffers
-    ig, sig = scratch  # sig is contiguous, so the chain runs on flat data
+    z, ig = scratch
+    zg = z.reshape(2, B, 4, u).transpose(2, 0, 1, 3)  # z's gate-major view
     kept = len(acts)
-    hx[0, :, :u] = 0.0
-    hx[:T, :, u:-1] = X.transpose(1, 0, 2)
-    hx[:T, :, -1] = 1.0
+    hx[:, 0, :, :u] = 0.0
+    hx[0, :T, :, u:-1] = X.transpose(1, 0, 2)
+    hx[1, :T, :, u:-1] = X[:, ::-1].transpose(1, 0, 2)
+    hx[:, :T, :, -1] = 1.0
     cells[0] = 0.0
     # IEEE semantics make the plain sigmoid exact on both tails: exp(-x)
     # overflows to inf -> 0, underflows to 0 -> 1
     with np.errstate(over="ignore"):
         for t in range(T):
             a = acts[t % kept]
-            np.matmul(hx[t], w, out=a)
-            np.negative(a[:, :3 * u], out=sig)
+            np.matmul(hx[:, t], w, out=z)  # one product per direction
+            sig = a[:3]
+            np.negative(zg[:3], out=sig)
             np.exp(sig, out=sig)
             sig += 1.0
-            np.reciprocal(sig, out=a[:, :3 * u])
-            g = a[:, 3 * u:]
-            np.tanh(g, out=g)
+            np.reciprocal(sig, out=sig)
+            np.tanh(zg[3], out=a[3])
             c = cells[(t + 1) % (kept + 1)]
-            np.multiply(a[:, :u], cells[t % (kept + 1)], out=c)
-            np.multiply(a[:, u:2 * u], g, out=ig)
+            np.multiply(a[0], cells[t % (kept + 1)], out=c)
+            np.multiply(a[1], a[3], out=ig)
             c += ig
             tanh_c = tanh_cells[t % kept]
             np.tanh(c, out=tanh_c)
-            np.multiply(a[:, 2 * u:3 * u], tanh_c, out=hx[t + 1, :, :u])
-    return hx[1:, :, :u].transpose(1, 0, 2)
+            np.multiply(a[2], tanh_c, out=hx[:, t + 1, :, :u])
+    H[:, :, :u] = hx[0, 1:, :, :u].transpose(1, 0, 2)
+    H[:, ::-1, u:] = hx[1, 1:, :, :u].transpose(1, 0, 2)
 
 
-def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray, dw: np.ndarray,
+def _lstm_scan_backward(cache, dH: np.ndarray, w: np.ndarray, dw: np.ndarray,
                         scratch) -> None:
-    """Backpropagation through time for one scan direction.
+    """Backpropagation through time for both scan directions in lockstep.
 
-    Overwrites ``dw``, laid out like the fused matrix ``w``. Each step
-    writes its gate gradients into one contiguous (B, 4u) row of
-    ``d_gates``, and the gradient of the whole matrix, bias row included,
-    is one product over all steps after the loop, written into ``dw``
-    (Appleyard et al. 2016). The gate-derivative factors are formed step
-    by step in (B, u)-sized scratch: formed for all T up front they make
-    blocks that outgrow the cache, which measured slower. ``scratch`` is
-    ``(d_gates, dh, dc, tmp, dsig)``, shaped as :func:`_buffer_shapes`
-    gives them and overwritten.
+    ``dH`` is the gradient of ``H`` (B, T, 2u), the backward direction's
+    half read in that direction's (reversed) order. Overwrites ``dw``, laid
+    out like the (2, R, 4u) pair ``w``. Each step writes each direction's
+    gate gradients into one contiguous (B, 4u) row of ``d_gates``, and the
+    gradient of each whole matrix, bias row included, is one product over
+    all steps after the loop, written into ``dw`` (Appleyard et al. 2016).
+    The gate-derivative factors are formed step by step in (2, B, u)-sized
+    scratch: formed for all T up front they make blocks that outgrow the
+    cache, which measured slower. ``scratch`` is ``(d_gates, dh, dc, tmp,
+    dsig)``, shaped as :func:`_buffer_shapes` gives them and overwritten.
     """
     hx, acts, cells, tanh_cells = cache
-    T, B, _ = acts.shape
-    u = w.shape[1] // 4
-    w_hidden_t = w[:u].T
-    d_states = d_states.transpose(1, 0, 2)
+    T, _, _, B, u = acts.shape
+    w_hidden_t = w[:, :u].transpose(0, 2, 1)
     d_gates, dh, dc, tmp, dsig = scratch
     dc.fill(0.0)
     for t in range(T - 1, -1, -1):
         a = acts[t]
-        i = a[:, u:2 * u]
-        o = a[:, 2 * u:3 * u]
-        g = a[:, 3 * u:]
-        sig = a[:, :3 * u]
+        sig, i, o, g = a[:3], a[1], a[2], a[3]
         tanh_c = tanh_cells[t]
-        d = d_gates[t]
+        d = d_gates[:, t].reshape(2, B, 4, u).transpose(2, 0, 1, 3)  # gate-major view
         if t == T - 1:
-            dh[:] = d_states[t]
+            dh[0] = dH[:, t, :u]
+            dh[1] = dH[:, T - 1 - t, u:]
         else:
-            np.matmul(d_gates[t + 1], w_hidden_t, out=dh)
-            dh += d_states[t]
-            dc *= acts[t + 1, :, :u]  # the next step's forget gate
+            np.matmul(d_gates[:, t + 1], w_hidden_t, out=dh)
+            dh[0] += dH[:, t, :u]
+            dh[1] += dH[:, T - 1 - t, u:]
+            dc *= acts[t + 1, 0]  # the next step's forget gate
         # sigmoid'(z) = s * (1 - s) for the f, i, o blocks at once
         np.subtract(1.0, sig, out=dsig)
         dsig *= sig
         # d_o = dh * tanh(c) * o'
         np.multiply(dh, tanh_c, out=tmp)
-        np.multiply(tmp, dsig[:, 2 * u:], out=d[:, 2 * u:3 * u])
+        np.multiply(tmp, dsig[2], out=d[2])
         # dc += dh * o * (1 - tanh(c)^2)
         np.multiply(tanh_c, tanh_c, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
@@ -330,14 +342,15 @@ def _lstm_scan_backward(cache, d_states: np.ndarray, w: np.ndarray, dw: np.ndarr
         dc += tmp
         # d_f = dc * c_prev * f', d_i = dc * g * i', d_g = dc * i * (1 - g^2)
         np.multiply(dc, cells[t], out=tmp)
-        np.multiply(tmp, dsig[:, :u], out=d[:, :u])
+        np.multiply(tmp, dsig[0], out=d[0])
         np.multiply(dc, g, out=tmp)
-        np.multiply(tmp, dsig[:, u:2 * u], out=d[:, u:2 * u])
+        np.multiply(tmp, dsig[1], out=d[1])
         np.multiply(g, g, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         tmp *= i
-        np.multiply(dc, tmp, out=d[:, 3 * u:])
-    np.matmul(hx[:T].reshape(T * B, -1).T, d_gates.reshape(T * B, 4 * u), out=dw)
+        np.multiply(dc, tmp, out=d[3])
+    np.matmul(hx[:, :T].reshape(2, T * B, -1).transpose(0, 2, 1),
+              d_gates.reshape(2, T * B, 4 * u), out=dw)
 
 
 def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray, pre: np.ndarray):
@@ -445,8 +458,8 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
     :func:`commit_batchnorm` and the grad-check conditioner read:
 
         mode, preds   the mode, and the predictions (an array of their own)
-        buffers       the carved views by group (:func:`_buffer_shapes`); a
-                      direction's group is its scan backward's cache, and
+        buffers       the carved views by group (:func:`_buffer_shapes`);
+                      ``buffers["scan"]`` is the scan backward's cache, and
                       ``buffers["attention"][0]`` is ``H``
         weights, pre  the attention weights and tanh pre-scores
         head          each dense layer's (input, pre-activation, batch-norm
@@ -480,10 +493,7 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
 
     buffers = p.carve(data.shape[0], data.shape[1], mode == "train")
     H, pre = buffers["attention"]
-    u = p.units
-    for k, (tag, order) in enumerate(DIRECTIONS):
-        H[:, order, k * u:(k + 1) * u] = _lstm_scan(
-            data[:, order], p[f"{tag}.w"], buffers[tag], buffers["scan_scratch"])
+    _lstm_scan(data, p["lstm.w"], buffers["scan"], buffers["scan_scratch"], H)
 
     out, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
     head = []
@@ -570,10 +580,7 @@ def model_backward(cache, target, p: ModelParams):
     np.matmul(d_pre_lin, p["attn.w"], out=d_pre_h)
     dH += d_pre_h.reshape(B, T, D)
 
-    u = p.units
-    for k, (tag, order) in enumerate(DIRECTIONS):
-        _lstm_scan_backward(buffers[tag], dH[:, order, k * u:(k + 1) * u], p[f"{tag}.w"],
-                            g[f"{tag}.w"], buffers["scan_backward"])
+    _lstm_scan_backward(buffers["scan"], dH, p["lstm.w"], g["lstm.w"], buffers["scan_backward"])
     return loss, grad
 
 
@@ -596,9 +603,10 @@ def param_blocks(p: ModelParams) -> dict[str, np.ndarray]:
     u = p.units
     blocks = {}
     for name, positions in p.views(np.arange(p.n_trainable)).items():
-        if name.startswith(("fwd.", "bwd.")):
-            for k, gate in enumerate(GATES):
-                blocks[f"{name}_{gate}"] = positions[..., k * u:(k + 1) * u].ravel()
+        if name == "lstm.w":
+            for tag, direction in zip(("fwd", "bwd"), positions):
+                for k, gate in enumerate(GATES):
+                    blocks[f"{tag}.w_{gate}"] = direction[:, k * u:(k + 1) * u].ravel()
         else:
             blocks[name] = positions.ravel()
     return blocks

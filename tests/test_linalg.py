@@ -49,7 +49,34 @@ class TestRandomSource:
         assert child.next_u64() != parent.next_u64()
 
 
+def per_swap_permutation(rng, n):
+    """The Fisher-Yates loop that swapped numpy items one at a time: the
+    oracle for ``RandomSource.permutation``."""
+    perm = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return perm
+    u = rng.uniforms(n - 1)
+    for i in range(n - 1, 0, -1):
+        j = min(int(u[n - 1 - i] * (i + 1)), i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 class TestRandomSourceProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), before=st.integers(0, 20),
+           n=st.one_of(st.integers(0, 40), st.integers(41, 8000)))
+    def test_permutation_matches_the_per_swap_loop(self, seed, before, n):
+        got_rng, want_rng = RandomSource(seed), RandomSource(seed)
+        got_rng.u64_block(before)
+        want_rng.u64_block(before)
+        got = got_rng.permutation(n)
+        want = per_swap_permutation(want_rng, n)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        # the same draws consumed, so the stream goes on alike
+        assert got_rng.next_u64() == want_rng.next_u64()
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), before=st.integers(0, 200),
            split=st.integers(0, 200), extra=st.integers(1, 50))

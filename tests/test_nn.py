@@ -50,20 +50,28 @@ def nan_buffers(batch, steps, input_dim, units, train):
 
 
 def scan(X, w, mode):
-    """_lstm_scan on buffers of the shapes model_forward carves; returns the
-    states and the buffers, which in train mode are the backward's cache."""
+    """_lstm_scan with the (2, R, 4u) pair ``w`` on buffers of the shapes
+    model_forward carves; returns the states H (B, T, 2u) and the scan
+    buffers, which in train mode are the backward's cache."""
     B, T, d = X.shape
-    buffers = nan_buffers(B, T, d, w.shape[1] // 4, mode == "train")
-    return _lstm_scan(X, w, buffers["fwd"], buffers["scan_scratch"]), buffers["fwd"]
+    buffers = nan_buffers(B, T, d, w.shape[2] // 4, mode == "train")
+    H = buffers["attention"][0]
+    _lstm_scan(X, w, buffers["scan"], buffers["scan_scratch"], H)
+    return H, buffers["scan"]
 
 
-def scan_backward(cache, d_states, w, dw):
+def scan_backward(cache, dH, w, dw):
     """_lstm_scan_backward on scratch of the shapes model_forward carves."""
     hx, acts = cache[:2]
-    T, B = acts.shape[:2]
-    u = w.shape[1] // 4
-    scratch = nan_buffers(B, T, hx.shape[2] - u - 1, u, True)["scan_backward"]
-    _lstm_scan_backward(cache, d_states, w, dw, scratch)
+    T, _, _, B, u = acts.shape
+    scratch = nan_buffers(B, T, hx.shape[3] - u - 1, u, True)["scan_backward"]
+    _lstm_scan_backward(cache, dH, w, dw, scratch)
+
+
+def pair(w_fwd, w_bwd=None):
+    """The (2, R, 4u) block of both directions' matrices, forward first;
+    one matrix serves both directions."""
+    return np.stack([w_fwd, w_fwd if w_bwd is None else w_bwd])
 
 
 def zero_lstm(input_dim, units):
@@ -86,11 +94,11 @@ def tiny_model(seed, dropout=0.0, l2=0.0):
     )
 
 
-def model_with_lstm(w):
-    """The tiny model (4 units) with both scan directions' matrices set to w."""
+def model_with_lstm(w_fwd, w_bwd=None):
+    """The tiny model (4 units) with the forward direction's matrix set to
+    w_fwd and the backward one's to w_bwd (w_fwd if not given)."""
     p = tiny_model(30)
-    for tag in ("fwd", "bwd"):
-        p[f"{tag}.w"][:] = w
+    p["lstm.w"][:] = pair(w_fwd, w_bwd)
     return p
 
 
@@ -193,7 +201,9 @@ class TestParamLayout:
     def test_views_alias_the_vector(self):
         p = tiny_model(31)
         p.vector[:] = np.arange(p.vector.size)
-        assert p["fwd.w"][0, 0] == 0.0
+        assert p["lstm.w"][0, 0, 0] == 0.0
+        # the backward direction's matrix follows the forward one's
+        assert p["lstm.w"][1, 0, 0] == p["lstm.w"][0].size
         assert p["out.b"][0] == p.n_trainable - 1
         assert p["bn1.running_mean"][0] == p.n_trainable
         p["attn.v"][:] = -1.0
@@ -206,9 +216,8 @@ class TestParamLayout:
         rng = RandomSource(32)
         u, rows = 4, 5
         limit = math.sqrt(6.0 / (rows + u))
-        for tag in ("fwd", "bwd"):
-            w = p[f"{tag}.w"]
-            assert w.shape == (rows + 1, 4 * u)
+        assert p["lstm.w"].shape == (2, rows + 1, 4 * u)
+        for w in p["lstm.w"]:  # the forward direction draws first
             for gate in ("forget", "input", "cell", "output"):
                 k = GATES.index(gate)
                 expected = (rng.uniforms(rows * u) * 2.0 - 1.0).reshape(rows, u) * limit
@@ -220,10 +229,11 @@ class TestLstmCell:
     def test_zero_parameters(self):
         u = 3
         X = np.array([[[5.0, -1.0], [0.3, 2.0]]])
-        states, (_, acts, cells, _) = scan(X, zero_lstm(2, u), "train")
+        states, (_, acts, cells, _) = scan(X, pair(zero_lstm(2, u)), "train")
         c_prevs = cells[:-1]
-        assert np.all(acts[:, :, :3 * u] == 0.5)  # forget, input, output
-        assert np.all(acts[:, :, 3 * u:] == 0.0)  # candidate
+        assert acts.shape == (2, 4, 2, 1, u)  # gate-major: step, gate, direction
+        assert np.all(acts[:, :3] == 0.5)  # forget, input, output
+        assert np.all(acts[:, 3] == 0.0)  # candidate
         assert np.all(c_prevs == 0.0)
         assert np.all(states == 0.0)
 
@@ -233,60 +243,68 @@ class TestLstmCell:
         w[-1, :2 * u] = 100.0  # forget and input gates saturated open
         w[u:-1, 3 * u:] = 1.0  # candidate = tanh(x_t)
         X = np.array([[[0.7], [0.0], [0.0], [0.0]]])
-        _, (_, _, cells, _) = scan(X, w, "train")
+        _, (_, _, cells, _) = scan(X, pair(w), "train")
         c_prevs = cells[:-1]
-        # the first step writes tanh(0.7); zero inputs afterwards add nothing
-        assert np.allclose(c_prevs[1:, 0, :], math.tanh(0.7), atol=1e-12)
+        # forward: the first step writes tanh(0.7); zero inputs afterwards add nothing
+        assert np.allclose(c_prevs[1:, 0, 0, :], math.tanh(0.7), atol=1e-12)
+        # backward: the sequence reversed reaches 0.7 only at its last step
+        assert np.all(c_prevs[:, 1] == 0.0)
+        assert np.allclose(cells[-1, 1, 0, :], math.tanh(0.7), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = RandomSource(414)
-        gates = random_gates(rng, 2, 3)
+        u = 3
+        gates_fwd, gates_bwd = random_gates(rng, 2, u), random_gates(rng, 2, u)
         X = rng.gaussians(0, 1, 2 * 6 * 2).reshape(2, 6, 2)
-        states, _ = scan(X, fuse(gates), "train")
+        states, _ = scan(X, pair(fuse(gates_fwd), fuse(gates_bwd)), "train")
         for row in range(2):
-            assert np.allclose(states[row], scalar_scan_oracle(X[row], gates), atol=1e-12)
+            assert np.allclose(states[row, :, :u], scalar_scan_oracle(X[row], gates_fwd),
+                               atol=1e-12)
+            assert np.allclose(states[row, ::-1, u:],
+                               scalar_scan_oracle(X[row, ::-1], gates_bwd), atol=1e-12)
 
     def test_gate_ranges(self):
         # moderate magnitudes: the open-interval bounds hold mathematically
         # but float64 rounds tanh(|x| > 19) to exactly 1
         rng = RandomSource(5)
         u = 4
-        w = fuse(random_gates(rng, 1, u, scale=0.8))
+        w = pair(fuse(random_gates(rng, 1, u, scale=0.8)), fuse(random_gates(rng, 1, u, scale=0.8)))
         X = rng.gaussians(0, 1, 12).reshape(2, 6, 1)
         _, (_, acts, _, _) = scan(X, w, "train")
-        assert np.all((acts[:, :, :3 * u] > 0) & (acts[:, :, :3 * u] < 1))
-        assert np.all((acts[:, :, 3 * u:] > -1) & (acts[:, :, 3 * u:] < 1))
+        assert np.all((acts[:, :3] > 0) & (acts[:, :3] < 1))
+        assert np.all((acts[:, 3] > -1) & (acts[:, 3] < 1))
 
 
 class TestScanMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(batch=st.integers(1, 9), steps=st.integers(1, 7), input_dim=st.integers(1, 3),
-           units=st.integers(1, 6), reverse=st.booleans(), seed=st.integers(0, 2**31 - 1))
-    def test_states_and_gradients_match(self, batch, steps, input_dim, units, reverse, seed):
+           units=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
+    def test_states_and_gradients_match(self, batch, steps, input_dim, units, seed):
         rng = RandomSource(seed)
-        w = fuse(random_gates(rng, input_dim, units))
+        w_fwd = fuse(random_gates(rng, input_dim, units))
+        w_bwd = fuse(random_gates(rng, input_dim, units))
         X = rng.gaussians(0, 1, batch * steps * input_dim).reshape(batch, steps, input_dim)
         dH = rng.gaussians(0, 1, batch * steps * 2 * units).reshape(batch, steps, 2 * units)
         kept = X.copy()
         X.setflags(write=False)
         dH.setflags(write=False)
-        # the views model_forward and model_backward pass for each direction
-        if reverse:
-            seq, d_states = X[:, ::-1, :], dH[:, ::-1, units:]
-        else:
-            seq, d_states = X, dH[:, :, :units]
+        w = pair(w_fwd, w_bwd)
 
-        states, cache = scan(seq, w, "train")
-        want_states, want_cache = reference_scan(seq, w)
-        assert_relatively_close(states, want_states)
-
+        states, cache = scan(X, w, "train")
         dw = np.full_like(w, np.nan)  # NaN would survive an accumulation into dw
-        scan_backward(cache, d_states, w, dw)
-        want_dw = np.zeros_like(w)
-        reference_scan_backward(want_cache, d_states, w, want_dw)
-        # the weight rows and the bias row, each against its own scale
-        assert_relatively_close(dw[:-1], want_dw[:-1])
-        assert_relatively_close(dw[-1], want_dw[-1])
+        scan_backward(cache, dH, w, dw)
+        # each direction on its own view: the backward one reads the
+        # sequence, and its states' gradient, reversed
+        for k, (seq, d_states, got) in enumerate((
+                (X, dH[:, :, :units], states[:, :, :units]),
+                (X[:, ::-1], dH[:, ::-1, units:], states[:, ::-1, units:]))):
+            want_states, want_cache = reference_scan(seq, w[k])
+            assert_relatively_close(got, want_states)
+            want_dw = np.zeros_like(w[k])
+            reference_scan_backward(want_cache, d_states, w[k], want_dw)
+            # the weight rows and the bias row, each against its own scale
+            assert_relatively_close(dw[k, :-1], want_dw[:-1])
+            assert_relatively_close(dw[k, -1], want_dw[-1])
         assert np.array_equal(X, kept)
 
 
@@ -294,22 +312,22 @@ class TestInferScan:
     @settings(max_examples=100, deadline=None)
     @given(batch=st.integers(1, 300), steps=st.integers(1, 12), input_dim=st.integers(1, 3),
            units=st.integers(1, 8), scale=st.sampled_from([0.6, 30.0]),
-           reverse=st.booleans(), seed=st.integers(0, 2**31 - 1))
+           seed=st.integers(0, 2**31 - 1))
     def test_states_equal_the_training_scan(self, batch, steps, input_dim, units, scale,
-                                            reverse, seed):
+                                            seed):
         # inputs of +-50 against weights of scale 30 drive gate pre-activations
         # past -709, where exp(-z) overflows in the sigmoid
         rng = RandomSource(seed)
-        w = fuse(random_gates(rng, input_dim, units, scale=scale))
+        w = pair(fuse(random_gates(rng, input_dim, units, scale=scale)),
+                 fuse(random_gates(rng, input_dim, units, scale=scale)))
         size = batch * steps * input_dim
         X = rng.gaussians(0, 1, size)
         wild = rng.uniforms(size) < 0.2
         X[wild] = np.where(rng.uniforms(size) < 0.5, -50.0, 50.0)[wild]
         X = X.reshape(batch, steps, input_dim)
         X.setflags(write=False)
-        seq = X[:, ::-1, :] if reverse else X  # the backward direction's view
-        want, _ = scan(seq, w, "train")
-        got, (_, acts, cells, tanh_cells) = scan(seq, w, "infer")
+        want, _ = scan(X, w, "train")
+        got, (_, acts, cells, tanh_cells) = scan(X, w, "infer")
         assert (len(acts), len(cells), len(tanh_cells)) == (1, 2, 1)
         assert np.array_equal(got, want)
 
@@ -317,11 +335,11 @@ class TestInferScan:
         p = tiny_model(40)
         X = RandomSource(41).gaussians(0, 1, 6 * 5).reshape(6, 5, 1)
         _, cache = model_forward(X, p, mode="infer")
-        assert [len(cache["buffers"][tag][1]) for tag in ("fwd", "bwd")] == [1, 1]
+        assert cache["buffers"]["scan"][1].shape == (1, 4, 2, 6, 4)
         assert "scan_backward" not in cache["buffers"]
         masks = draw_dropout_masks(p, 6, RandomSource(42))
         _, train_cache = model_forward(X, p, mode="train", dropout_masks=masks)
-        assert [len(train_cache["buffers"][tag][1]) for tag in ("fwd", "bwd")] == [5, 5]
+        assert train_cache["buffers"]["scan"][1].shape == (5, 4, 2, 6, 4)
 
 
 class TestBilstm:
@@ -340,6 +358,20 @@ class TestBilstm:
         T = seq.shape[0]
         for t in range(T):
             assert np.allclose(H[t, :4], H[T - 1 - t, 4:], atol=1e-12)
+
+    def test_backward_direction_reads_the_sequence_reversed(self):
+        # distinct matrices: a swapped matrix or a missing time reversal
+        # shows, which the palindrome test, with one matrix for both, cannot
+        rng = RandomSource(34)
+        w_fwd, w_bwd = fuse(random_gates(rng, 1, 4)), fuse(random_gates(rng, 1, 4))
+        p = model_with_lstm(w_fwd, w_bwd)
+        X = rng.gaussians(0, 1, 3 * 6).reshape(3, 6, 1)
+        _, cache = model_forward(X, p)
+        H = cache["buffers"]["attention"][0]
+        forward, _ = reference_scan(X, w_fwd)
+        backward, _ = reference_scan(X[:, ::-1], w_bwd)
+        assert_relatively_close(H[:, :, :4], forward)
+        assert_relatively_close(H[:, :, 4:], backward[:, ::-1])
 
     def test_zero_parameters_zero_states(self):
         p = model_with_lstm(zero_lstm(1, 4))
