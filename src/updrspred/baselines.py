@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, RankError, ShapeError
-from .optimize import Adam, lr_at_step
+from .optimize import Adam
 
 METHOD_ORDER = ("lls", "cg", "adam_linear", "ridge")
 
@@ -157,13 +157,13 @@ def _fit_adam_linear(Xi: np.ndarray, y: np.ndarray, spec: BaselineSpec) -> np.nd
     scale = 2.0 / n
     theta = np.zeros(Xi.shape[1])  # weights, then the intercept
     grad = np.empty_like(theta)
-    adam = Adam()
-    for step in range(spec.adam_steps):
+    adam = Adam(len(theta), spec.lr_initial)
+    for _ in range(spec.adam_steps):
         # grad = (2/n) (Xi'Xi theta - Xi'yz)
         np.matmul(gram, theta, out=grad)
         grad -= rhs
         grad *= scale
-        adam.step(theta, grad, lr_at_step(spec.lr_initial, step))
+        adam.step(theta, grad)
     weights = theta * sd
     weights[-1] += mu
     return weights

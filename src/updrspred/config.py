@@ -6,14 +6,14 @@ the initial learning rate, the epoch, batch and patience budget, the
 evaluation protocol and the run plumbing. Each key's default and range
 check live here and nowhere else. Constants of the setup this pipeline
 reproduces are stated once, in the stage that uses them: 0.3 dropout, the
-L2 penalty and batch-norm constants in ``nn.init_model_params``; the
-0.9-per-10,000-steps decay in ``optimize.LR_DECAY_FACTOR`` and
-``optimize.LR_DECAY_STEPS``; Adam's betas and epsilon as class constants
-of ``optimize.Adam``; the early-stopping ``min_delta`` in
-``optimize.TrainSettings``; the leaf size in ``forest.ForestParams``, whose
-forest always bootstraps; the noise scale in ``augment.SIGMA_SCALE``; the
-ridge penalty in ``baselines.BaselineSpec``; and the CG tolerance and
-iteration cap in ``baselines.solve_cg``.
+L2 penalty and batch-norm epsilon in ``nn.init_model_params``, batch-norm
+momentum in ``nn.BN_MOMENTUM``; the 0.9-per-10,000-steps decay in
+``optimize.LR_DECAY_FACTOR`` and ``optimize.LR_DECAY_STEPS``; Adam's betas
+and epsilon as class constants of ``optimize.Adam``; the early-stopping
+``min_delta`` in ``optimize.TrainSettings``; the leaf size in
+``forest.ForestParams``, whose forest always bootstraps; the noise scale in
+``augment.SIGMA_SCALE``; the ridge penalty in ``baselines.BaselineSpec``;
+and the CG tolerance and iteration cap in ``baselines.solve_cg``.
 
 Unknown keys, including keys that earlier versions accepted, are rejected
 rather than ignored so a typo cannot silently fall back to a default.

@@ -61,7 +61,7 @@ def as_table(X, y):
     """``X`` as a (rows, features) table in its own dtype and ``y`` as floats.
 
     Raises ShapeError for misshapen operands and NumericError for a
-    non-finite ``y``, before anything is fitted.
+    non-finite ``X`` or ``y``, before anything is fitted.
     """
     X = np.asarray(X)
     y = np.asarray(y, dtype=np.float64)
@@ -71,9 +71,11 @@ def as_table(X, y):
         raise ShapeError(f"y must be 1-D, got shape {y.shape}")
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    if not np.isfinite(y).all():
-        bad = np.count_nonzero(~np.isfinite(y))
-        raise NumericError(f"y must be finite, but {bad} of its {y.size} values are not")
+    for name, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            bad = np.count_nonzero(~np.isfinite(values))
+            raise NumericError(
+                f"{name} must be finite, but {bad} of its {values.size} values are not")
     return X, y
 
 

@@ -10,7 +10,8 @@ Layout of the network, front to back:
          direction's fused matrix, whose last row is the bias
       -> per-step concatenated states H, shape (T, 2u)
       -> attention: weights softmax(v . tanh(W h_t)), context = sum_t w_t h_t
-      -> dense(relu) -> batch norm -> dropout, twice
+      -> dense(relu) -> batch norm -> dropout, twice; a train-mode forward
+         draws its own dropout masks from the random source it is given
       -> single linear output unit
 
 Everything is vectorized over a leading batch axis, and the scans also
@@ -51,6 +52,11 @@ from .linalg import RandomSource, Workspace
 
 INVARIANT_CHECKS = {"attention_weight_sum": 0, "batchnorm_zero_mean": 0}
 
+# the running batch-norm statistics keep this share of their value per step
+BN_MOMENTUM = 0.9
+# seed of the dropout masks that every grad-check forward draws afresh
+MASK_SEED = 0x5EED
+
 
 def reset_invariant_counters() -> None:
     for key in INVARIANT_CHECKS:
@@ -89,7 +95,7 @@ class ModelParams:
 
     def __init__(self, input_dim: int, units: int, attn_dim: int,
                  dense_widths: tuple[int, int], dropout_rate: float, l2: float,
-                 bn_momentum: float, bn_eps: float):
+                 bn_eps: float):
         rows = units + input_dim + 1
         hidden = 2 * units
         d1, d2 = dense_widths
@@ -115,7 +121,6 @@ class ModelParams:
         self.units = units
         self.dropout_rate = dropout_rate
         self.l2 = l2
-        self.bn_momentum = bn_momentum
         self.bn_eps = bn_eps
         self.workspace = Workspace()
 
@@ -205,13 +210,11 @@ def init_model_params(
     dense_widths: tuple[int, int],
     dropout_rate: float = 0.3,
     l2: float = 1e-4,
-    bn_momentum: float = 0.9,
     bn_eps: float = 1e-5,
 ) -> ModelParams:
     if not 0.0 <= dropout_rate < 1.0:
         raise ParameterError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
-    p = ModelParams(input_dim, units, attn_dim, dense_widths, dropout_rate, l2,
-                    bn_momentum, bn_eps)
+    p = ModelParams(input_dim, units, attn_dim, dense_widths, dropout_rate, l2, bn_eps)
     rows = units + input_dim
     for w in p["lstm.w"]:  # forward direction first
         for gate in ("forget", "input", "cell", "output"):  # the draw order
@@ -417,10 +420,6 @@ def _batchnorm_backward(dout: np.ndarray, cache, gamma: np.ndarray):
     return dx, dgamma, dbeta
 
 
-def _dropout_shapes(p: ModelParams, batch: int):
-    return [(batch, len(p[f"dense{k}.b"])) for k in (1, 2)]
-
-
 def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
     """The two inverted-dropout masks of a train-mode batch of ``batch`` rows.
 
@@ -430,7 +429,8 @@ def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
     nothing and returns masks of ones.
     """
     masks = []
-    for shape in _dropout_shapes(p, batch):
+    for k in (1, 2):
+        shape = (batch, len(p[f"dense{k}.b"]))
         if p.dropout_rate == 0.0:
             masks.append(np.ones(shape))
         else:
@@ -443,14 +443,15 @@ def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
 # whole-model forward / backward
 
 
-def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
+def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | None = None):
     """Forward a batch of sequences (B, T, input_dim).
 
     Returns (predictions, cache); predictions holds one value per sequence.
     Train mode needs a batch of at least 2 (batch norm uses batch
-    statistics) and applies ``dropout_masks``, the (B, d1) and (B, d2)
-    pair that :func:`draw_dropout_masks` draws. Infer mode applies no
-    dropout, and its scan buffers keep one step's rows.
+    statistics) and a random source ``rng``: once the input has passed its
+    checks, it draws the batch's dropout masks from ``rng`` with
+    :func:`draw_dropout_masks` and applies them. Infer mode applies no
+    dropout and draws nothing, and its scan buffers keep one step's rows.
 
     The scan buffers, ``H`` and the attention scores, and in train mode the
     buffers :func:`model_backward` needs, are carved from ``p.workspace``,
@@ -483,13 +484,9 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
         )
     masks = (None, None)
     if mode == "train":
-        if dropout_masks is None:
-            raise ParameterError("train mode needs dropout masks")
-        shapes = _dropout_shapes(p, data.shape[0])
-        got = [np.shape(mask) for mask in dropout_masks]
-        if got != shapes:  # a (1, d1) mask would broadcast over the batch
-            raise ShapeError(f"dropout masks must have shapes {shapes}, got {got}")
-        masks = dropout_masks
+        if rng is None:
+            raise ParameterError("train mode needs a random source for its dropout masks")
+        masks = draw_dropout_masks(p, data.shape[0], rng)
 
     buffers = p.carve(data.shape[0], data.shape[1], mode == "train")
     H, pre = buffers["attention"]
@@ -501,7 +498,7 @@ def model_forward(x, p: ModelParams, mode: str = "infer", dropout_masks=None):
         lin = out @ p[f"dense{k}.w"].T + p[f"dense{k}.b"]
         normed, bn_cache = batchnorm_forward(
             np.maximum(lin, 0.0), p[f"bn{k}.gamma"], p[f"bn{k}.beta"],
-            p[f"bn{k}.running_mean"], p[f"bn{k}.running_var"], mode, p.bn_momentum, p.bn_eps)
+            p[f"bn{k}.running_mean"], p[f"bn{k}.running_var"], mode, BN_MOMENTUM, p.bn_eps)
         head.append((out, lin, bn_cache, mask))
         out = normed if mask is None else normed * mask
     preds = out @ p["out.w"] + p["out.b"][0]
@@ -615,9 +612,10 @@ def param_blocks(p: ModelParams) -> dict[str, np.ndarray]:
 def grad_check(p: ModelParams, x, y, eps: float = 1e-4):
     """Compare analytic gradients with central finite differences.
 
-    The dropout masks are drawn once and reused for every perturbed
-    forward, and forwards never mutate parameters, so the loss is a
-    deterministic function of the parameter vector. Returns
+    Every forward draws its dropout masks from a fresh
+    ``RandomSource(MASK_SEED)`` and so applies the same masks, and no
+    forward mutates the parameters, so the loss is a deterministic function
+    of the parameter vector. Returns
     (max relative error, worst error per block of :func:`param_blocks`);
     an entry whose analytic or numeric value is not finite errs by inf.
     """
@@ -625,13 +623,12 @@ def grad_check(p: ModelParams, x, y, eps: float = 1e-4):
         raise ParameterError(f"eps must be positive, got {eps}")
     data = np.asarray(x, dtype=np.float64)
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    masks = draw_dropout_masks(p, data.shape[0], RandomSource(0x5EED))
 
-    _, cache = model_forward(data, p, mode="train", dropout_masks=masks)
+    _, cache = model_forward(data, p, mode="train", rng=RandomSource(MASK_SEED))
     _, analytic = model_backward(cache, y, p)
 
     def loss_at() -> float:
-        _, c = model_forward(data, p, mode="train", dropout_masks=masks)
+        _, c = model_forward(data, p, mode="train", rng=RandomSource(MASK_SEED))
         r = c["preds"] - y
         return float((r * r).mean()) + _l2_penalty(p)
 
@@ -686,8 +683,7 @@ def random_gradcheck_model(seed: int, eps: float = 1e-4):
             dropout_rate=0.3, l2=1e-3, bn_eps=1.0,
         )
         X = data_rng.gaussians(0.0, 1.0, batch * T).reshape(batch, T, 1)
-        masks = draw_dropout_masks(p, batch, RandomSource(0x5EED))
-        preds, cache = model_forward(X, p, mode="train", dropout_masks=masks)
+        preds, cache = model_forward(X, p, mode="train", rng=RandomSource(MASK_SEED))
         y = preds + data_rng.gaussians(0.0, 0.15, batch)
         near_kink = ((np.abs(lin) < margin) & ~np.all(lin <= -margin, axis=0)
                      for _, lin, _, _ in cache["head"])

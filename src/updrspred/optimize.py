@@ -1,7 +1,7 @@
-"""Network training: Adam over a flat parameter vector, a staircase
+"""Network training: Adam over a flat parameter vector on a staircase
 exponential learning-rate schedule, early stopping on validation loss, and
-the epoch loop tying them together. The adam_linear baseline reuses
-``Adam`` and ``lr_at_step``; the direct solvers live in ``baselines``.
+the epoch loop tying them together. The adam_linear baseline reuses only
+``Adam``; the direct solvers live in ``baselines``.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import numpy as np
 
 from .errors import EmptyInputError, NumericError, ParameterError, ShapeError
 from .linalg import RandomSource
-from .nn import (
-    ModelParams,
-    commit_batchnorm,
-    draw_dropout_masks,
-    model_backward,
-    model_forward,
-)
+from .nn import ModelParams, commit_batchnorm, model_backward, model_forward
 
 
 # staircase exponential decay: the rate falls by LR_DECAY_FACTOR every
@@ -38,7 +32,8 @@ def lr_at_step(initial: float, step: int) -> float:
 
 
 class Adam:
-    """Adam over one flat parameter vector; the moments are vectors like it.
+    """Adam over one flat vector of ``size`` parameters, with moment vectors
+    like it; step ``t`` (from 0) moves at ``lr_at_step(lr_initial, t)``.
 
     A step works in two scratch vectors allocated with the moments and keeps
     the operation order of the textbook expression, so it gives that
@@ -49,20 +44,19 @@ class Adam:
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self):
+    def __init__(self, size: int, lr_initial: float):
+        self.lr_initial = lr_initial
         self.t = 0
-        self.m: Optional[np.ndarray] = None
-        self.v: Optional[np.ndarray] = None
-        self._scratch: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """One in-place update of ``theta``."""
-        if grad.shape != theta.shape:
-            raise ShapeError(f"gradient has shape {grad.shape}, parameters have {theta.shape}")
-        if self.m is None:
-            self.m = np.zeros_like(theta)
-            self.v = np.zeros_like(theta)
-            self._scratch = (np.empty_like(theta), np.empty_like(theta))
+        if not grad.shape == theta.shape == self.m.shape:
+            raise ShapeError(f"gradient has shape {grad.shape}, parameters have "
+                             f"{theta.shape}, the optimizer {self.m.shape}")
+        lr = lr_at_step(self.lr_initial, self.t)
         self.t += 1
         s1, s2 = self._scratch
         # m = BETA1 m + (1 - BETA1) g
@@ -158,9 +152,10 @@ def train_network(
 ) -> tuple[ModelParams, TrainHistory]:
     """Minibatch Adam with LR decay and early stopping on validation MSE.
 
-    Batches whose tail would be a single sample fold it into the previous
-    batch (train-mode batch norm needs at least two rows). A non-finite
-    minibatch loss raises NumericError before anything is updated.
+    The batch boundaries are planned once, a one-row tail folded into the
+    batch before it (train-mode batch norm needs at least two rows), and
+    each epoch walks them over a fresh permutation. A non-finite minibatch
+    loss raises NumericError before anything is updated.
     Training updates ``params`` in place and returns it holding the best
     snapshot; ``history.best_val_preds`` holds that snapshot's validation
     predictions, so callers need not predict the validation set again.
@@ -184,42 +179,34 @@ def train_network(
     if len(X_val) == 0:
         raise EmptyInputError("early stopping needs a non-empty validation set")
 
-    optimizer = Adam()
+    optimizer = Adam(params.n_trainable, settings.lr_initial)
     stopper = EarlyStopper(patience=settings.patience, min_delta=settings.min_delta)
     history = TrainHistory()
-    step = 0
+    bounds = list(range(0, n, settings.batch_size)) + [n]
+    if bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # fold a one-row tail into the batch before it
+    batches = list(zip(bounds, bounds[1:]))
 
     for epoch in range(settings.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        n_batches = 0
-        start = 0
-        while start < n:
-            stop = start + settings.batch_size
-            if n - stop == 1:
-                stop = n
-            batch_idx = order[start:min(stop, n)]
-            start = stop
-            xb = X_train[batch_idx]
-            yb = y_train[batch_idx]
-            masks = draw_dropout_masks(params, len(batch_idx), rng)
-            _, cache = model_forward(xb, params, mode="train", dropout_masks=masks)
-            loss, grad = model_backward(cache, yb, params)
+        for step, (start, stop) in enumerate(batches, start=1):
+            batch_idx = order[start:stop]
+            _, cache = model_forward(X_train[batch_idx], params, mode="train", rng=rng)
+            loss, grad = model_backward(cache, y_train[batch_idx], params)
             if not np.isfinite(loss):
                 # stop before one bad step writes NaN into every parameter
                 raise NumericError(
-                    f"epoch {epoch + 1}, step {n_batches + 1}: minibatch loss is not finite ({loss})"
+                    f"epoch {epoch + 1}, step {step}: minibatch loss is not finite ({loss})"
                 )
             commit_batchnorm(cache, params)
             del cache  # its workspace views; see the docstring
-            optimizer.step(params.trainable, grad, lr_at_step(settings.lr_initial, step))
-            step += 1
+            optimizer.step(params.trainable, grad)
             epoch_loss += loss
-            n_batches += 1
 
         val_preds = predict_network(params, X_val)
         val_mse = float(np.mean((val_preds - y_val) ** 2))
-        history.train_loss.append(epoch_loss / max(1, n_batches))
+        history.train_loss.append(epoch_loss / len(batches))
         history.val_loss.append(val_mse)
         verdict = stopper.update(val_mse, params)
         if stopper.stale_epochs == 0:  # this epoch's parameters were kept

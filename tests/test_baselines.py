@@ -17,7 +17,7 @@ from updrspred.baselines import (
 )
 from updrspred.errors import ConfigError, EmptyInputError, RankError, ShapeError
 from updrspred.linalg import RandomSource
-from updrspred.optimize import Adam, lr_at_step
+from updrspred.optimize import Adam
 
 
 def spec(method, **fields):
@@ -87,12 +87,12 @@ def reference_adam_linear(X, y, steps, lr_initial):
     yz = (y - mu) / sd
     theta = np.zeros(d + 1)
     grad = np.empty(d + 1)
-    adam = Adam()
-    for step in range(steps):
+    adam = Adam(d + 1, lr_initial)
+    for _ in range(steps):
         residual = X @ theta[:d] + theta[d] - yz
         grad[:d] = (2.0 / n) * (X.T @ residual)
         grad[d] = (2.0 / n) * residual.sum()
-        adam.step(theta, grad, lr_at_step(lr_initial, step))
+        adam.step(theta, grad)
     return theta[:d] * sd, theta[d] * sd + mu
 
 

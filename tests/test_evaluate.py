@@ -1,9 +1,12 @@
 import csv
 import dataclasses
+import functools
 import inspect
 import io
 import json
+import multiprocessing
 import shutil
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +181,22 @@ class TestRunExperiment:
             reset_invariant_counters()
             run_experiment(smoke_config(synthetic_csv, jobs=jobs))
             counts[jobs] = dict(INVARIANT_CHECKS)
+        assert counts[2] == counts[1]
+        assert all(count > 0 for count in counts[1].values())
+
+    def test_forkserver_workers_match_one_process(self, synthetic_csv, monkeypatch):
+        # Python 3.14 starts a pool's workers by forkserver on Linux, not by
+        # fork: each worker imports the package afresh, counters at zero
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")))
+        docs, counts = {}, {}
+        for jobs in (1, 2):
+            reset_invariant_counters()
+            report = run_experiment(smoke_config(synthetic_csv, jobs=jobs))
+            counts[jobs] = dict(INVARIANT_CHECKS)
+            docs[jobs] = json.loads(report.to_structured())
+            assert docs[jobs]["config"].pop("jobs") == jobs
+        assert docs[2] == docs[1]
         assert counts[2] == counts[1]
         assert all(count > 0 for count in counts[1].values())
 

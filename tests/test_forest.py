@@ -92,11 +92,21 @@ class TestFitTree:
         assert (depths >= 0).all()
         assert np.array_equal(fit_tree(X, np.ldexp(y, power), params), depths)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_target_refused(self, bad):
+    @pytest.mark.parametrize("table, bad", [
+        pytest.param("y", np.nan, id="nan"),
+        pytest.param("y", np.inf, id="inf"),
+        pytest.param("y", -np.inf, id="-inf"),
+        pytest.param("X", np.nan, id="X-nan"),
+        pytest.param("X", np.inf, id="X-inf"),
+        pytest.param("X", -np.inf, id="X--inf"),
+    ])
+    def test_non_finite_target_refused(self, table, bad):
         X = np.arange(12.0).reshape(6, 2)
-        y = np.array([0.0, 1.0, bad, 3.0, 4.0, 5.0])
-        with pytest.raises(NumericError, match="1 of its 6 values are not"):
+        y = np.arange(6.0)
+        operands = {"X": X, "y": y}
+        operands[table].flat[5] = bad
+        size = operands[table].size
+        with pytest.raises(NumericError, match=f"{table} must be finite, but 1 of its {size} "):
             fit_tree(X, y, full_growth_params())
 
 
@@ -389,14 +399,18 @@ class TestShapeRefusals:
 
 
 def test_fit_forest_refuses_a_non_finite_target_before_any_tree(monkeypatch):
+    # a non-finite target, then a non-finite feature value
     fitted = []
     monkeypatch.setattr(forest_module, "fit_tree", lambda *args: fitted.append(args))
-    rng = RandomSource(5)
-    with pytest.raises(NumericError):
-        fit_forest(np.arange(12.0).reshape(6, 2), np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0]),
-                   ForestParams(n_trees=3, max_depth=4, min_samples_leaf=1), rng)
-    assert fitted == []
-    assert rng.next_u64() == RandomSource(5).next_u64()
+    X, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    for table in (y, X):
+        table.flat[2] = np.nan
+        rng = RandomSource(5)
+        with pytest.raises(NumericError, match="must be finite"):
+            fit_forest(X, y, ForestParams(n_trees=3, max_depth=4, min_samples_leaf=1), rng)
+        table.flat[2] = 2.0
+        assert fitted == []
+        assert rng.next_u64() == RandomSource(5).next_u64()
 
 
 class TestForest:

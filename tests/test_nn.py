@@ -337,8 +337,7 @@ class TestInferScan:
         _, cache = model_forward(X, p, mode="infer")
         assert cache["buffers"]["scan"][1].shape == (1, 4, 2, 6, 4)
         assert "scan_backward" not in cache["buffers"]
-        masks = draw_dropout_masks(p, 6, RandomSource(42))
-        _, train_cache = model_forward(X, p, mode="train", dropout_masks=masks)
+        _, train_cache = model_forward(X, p, mode="train", rng=RandomSource(42))
         assert train_cache["buffers"]["scan"][1].shape == (5, 4, 2, 6, 4)
 
 
@@ -525,18 +524,28 @@ class TestDropout:
         with pytest.raises(ParameterError):
             tiny_model(46, dropout=1.0)
 
-    def test_train_mode_needs_masks(self):
+    def test_train_mode_needs_a_random_source(self):
         p = tiny_model(49, dropout=0.5)
-        with pytest.raises(ParameterError, match="train mode needs dropout masks"):
+        with pytest.raises(ParameterError, match="train mode needs a random source"):
             model_forward(np.ones((4, 5, 1)), p, mode="train")
 
-    @pytest.mark.parametrize("rows, widths", [(1, (6, 4)), (4, (4, 6)), (5, (6, 4))])
-    def test_misshapen_masks_rejected(self, rows, widths):
-        # a (1, d1) mask would broadcast silently over a 4-row batch
+    def test_train_forward_applies_the_masks_its_source_draws(self):
         p = tiny_model(50, dropout=0.5)
-        masks = [np.ones((rows, width)) for width in widths]
-        with pytest.raises(ShapeError, match="dropout masks must have shapes"):
-            model_forward(np.ones((4, 5, 1)), p, mode="train", dropout_masks=masks)
+        X = RandomSource(51).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
+        rng, twin = RandomSource(52), RandomSource(52)
+        _, cache = model_forward(X, p, mode="train", rng=rng)
+        want = draw_dropout_masks(p, 4, twin)
+        for (_, _, _, mask), expected in zip(cache["head"], want):
+            assert np.array_equal(mask, expected)
+        # the forward drew the masks and nothing else from its source
+        assert rng.next_u64() == twin.next_u64()
+
+    def test_refused_input_draws_no_masks(self):
+        p = tiny_model(53, dropout=0.5)
+        rng = RandomSource(54)
+        with pytest.raises(ShapeError):
+            model_forward(np.ones((4, 5, 2)), p, mode="train", rng=rng)
+        assert rng.next_u64() == RandomSource(54).next_u64()
 
 
 class TestModelForward:
@@ -571,8 +580,7 @@ class TestModelForward:
     def test_train_mode_single_sample_rejected(self):
         p = tiny_model(8, dropout=0.0)
         with pytest.raises(ParameterError):
-            model_forward(np.ones((5, 1))[None], p, mode="train",
-                          dropout_masks=draw_dropout_masks(p, 1, RandomSource(0)))
+            model_forward(np.ones((5, 1))[None], p, mode="train", rng=RandomSource(0))
 
     def test_wrong_step_width_or_missing_batch_axis_rejected(self):
         p = tiny_model(9)
@@ -592,8 +600,7 @@ class TestModelForward:
 class TestModelBackward:
     def forward_train(self, p, seed=21, batch=3, T=5):
         X = RandomSource(seed).gaussians(0, 1, batch * T).reshape(batch, T, 1)
-        masks = draw_dropout_masks(p, batch, RandomSource(seed + 1))
-        preds, cache = model_forward(X, p, mode="train", dropout_masks=masks)
+        preds, cache = model_forward(X, p, mode="train", rng=RandomSource(seed + 1))
         return X, preds, cache
 
     def test_perfect_fit_zero_loss_and_output_grad(self):
@@ -701,8 +708,7 @@ class TestInvariantCounters:
         reset_invariant_counters()
         p = tiny_model(15)
         X = RandomSource(16).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
-        masks = draw_dropout_masks(p, 4, RandomSource(17))
-        model_forward(X, p, mode="train", dropout_masks=masks)
+        model_forward(X, p, mode="train", rng=RandomSource(17))
         assert INVARIANT_CHECKS["attention_weight_sum"] == 4
         assert INVARIANT_CHECKS["batchnorm_zero_mean"] == 2
 
@@ -717,9 +723,8 @@ class TestWorkspaceCarving:
     def test_a_later_forward_makes_the_cache_stale(self, mode):
         p = tiny_model(50, dropout=0.3)
         X = RandomSource(51).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
-        masks = draw_dropout_masks(p, 4, RandomSource(52))
-        preds, cache = model_forward(X, p, mode="train", dropout_masks=masks)
-        model_forward(X, p, mode=mode, dropout_masks=masks if mode == "train" else None)
+        preds, cache = model_forward(X, p, mode="train", rng=RandomSource(52))
+        model_forward(X, p, mode=mode, rng=RandomSource(52))
         with pytest.raises(StateError, match="stale"):
             model_backward(cache, preds, p)
 
@@ -728,15 +733,13 @@ class TestWorkspaceCarving:
         # NaN, left by a larger call, gives the same bits as a fresh one
         X = RandomSource(53).gaussians(0, 1, 6 * 5).reshape(6, 5, 1)
         y = RandomSource(54).gaussians(0, 1, 6)
-        masks = draw_dropout_masks(tiny_model(55, dropout=0.3), 6, RandomSource(56))
         results = []
         for warm in (False, True):
             p = tiny_model(55, dropout=0.3)
             if warm:
-                model_forward(np.ones((9, 7, 1)), p, mode="train",
-                              dropout_masks=draw_dropout_masks(p, 9, RandomSource(57)))
+                model_forward(np.ones((9, 7, 1)), p, mode="train", rng=RandomSource(57))
                 p.workspace.floats.fill(np.nan)
-            preds, cache = model_forward(X, p, mode="train", dropout_masks=masks)
+            preds, cache = model_forward(X, p, mode="train", rng=RandomSource(56))
             results.append((preds, *model_backward(cache, y, p),
                             model_forward(X, p, mode="infer")[0]))
         (p0, l0, g0, i0), (p1, l1, g1, i1) = results
@@ -748,8 +751,7 @@ class TestBatchNormCommit:
     def test_commit_applies_running_updates(self):
         p = tiny_model(18)
         X = RandomSource(19).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
-        masks = draw_dropout_masks(p, 4, RandomSource(20))
-        _, cache = model_forward(X, p, mode="train", dropout_masks=masks)
+        _, cache = model_forward(X, p, mode="train", rng=RandomSource(20))
         before = p["bn1.running_mean"].copy()
         commit_batchnorm(cache, p)
         assert not np.array_equal(p["bn1.running_mean"], before)

@@ -1,18 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from updrspred import optimize
 from updrspred.errors import EmptyInputError, NumericError, ShapeError
 from updrspred.linalg import RandomSource
-from updrspred.nn import (
-    commit_batchnorm,
-    draw_dropout_masks,
-    init_model_params,
-    model_backward,
-    model_forward,
-)
+from updrspred.nn import commit_batchnorm, init_model_params, model_backward, model_forward
 from updrspred.optimize import (
+    LR_DECAY_STEPS,
     Adam,
     EarlyStopper,
     TrainSettings,
@@ -40,15 +37,15 @@ class TestLrSchedule:
 class TestAdam:
     def test_first_step_magnitude(self):
         theta = np.array([0.0])
-        adam = Adam()
-        adam.step(theta, np.array([1.0]), lr=0.001)
+        adam = Adam(1, 0.001)
+        adam.step(theta, np.array([1.0]))
         # bias correction makes m_hat = g and v_hat = g*g at t=1
         assert theta[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_zero_gradient_fixed_point(self):
         theta = np.array([1.0, -2.0])
-        adam = Adam()
-        adam.step(theta, np.zeros(2), lr=0.1)
+        adam = Adam(2, 0.1)
+        adam.step(theta, np.zeros(2))
         assert np.array_equal(theta, [1.0, -2.0])
 
     def test_matches_scalar_recurrence(self):
@@ -65,9 +62,9 @@ class TestAdam:
             v_hat = v / (1 - b2 ** t)
             theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
         params = np.array([0.5])
-        adam = Adam()
+        adam = Adam(1, lr)
         for _ in range(2):
-            adam.step(params, np.array([g]), lr=lr)
+            adam.step(params, np.array([g]))
         assert params[0] == pytest.approx(theta, abs=1e-15)
 
     def test_matches_expression_oracle_bit_for_bit(self):
@@ -79,8 +76,8 @@ class TestAdam:
         theta = rng.gaussians(0, 1, n)
         want = theta.copy()
         m, v = np.zeros(n), np.zeros(n)
-        adam = Adam()
         lr = 0.003
+        adam = Adam(n, lr)
         for t in range(1, 51):
             grad = rng.gaussians(0, 1, n) * (0.0, 1.0, 1e6)[t % 3]
             m *= b1
@@ -90,15 +87,45 @@ class TestAdam:
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
             want -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            adam.step(theta, grad, lr)
+            adam.step(theta, grad)
             assert np.array_equal(theta, want)
             assert np.array_equal(adam.m, m)
             assert np.array_equal(adam.v, v)
 
     def test_shape_mismatch(self):
-        adam = Adam()
+        adam = Adam(3, 0.1)
         with pytest.raises(ShapeError):
-            adam.step(np.zeros(3), np.zeros(2), lr=0.1)
+            adam.step(np.zeros(3), np.zeros(2))
+        # vectors that match each other but not the optimizer's size
+        with pytest.raises(ShapeError, match=r"the optimizer \(3,\)"):
+            adam.step(np.zeros(2), np.zeros(2))
+        assert adam.t == 0
+
+    def test_moments_allocated_when_built(self):
+        adam = Adam(4, 0.1)
+        assert np.array_equal(adam.m, np.zeros(4)) and np.array_equal(adam.v, np.zeros(4))
+
+    def test_rate_follows_the_schedule_across_a_decay_step(self):
+        # the scalar recurrence in the step's operation order, its rate taken
+        # from lr_at_step before each update counts; checked bit for bit on
+        # the steps either side of the first decay
+        lr_initial = 0.01
+        b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPS
+        theta, m, v = 0.5, 0.0, 0.0
+        params = np.array([0.5])
+        adam = Adam(1, lr_initial)
+        for step in range(LR_DECAY_STEPS + 10):
+            g = math.sin(0.001 * step) + 0.25
+            m = m * b1 + g * (1.0 - b1)
+            v = v * b2 + g * (1.0 - b2) * g
+            t = step + 1
+            theta -= m / (1.0 - b1 ** t) * lr_at_step(lr_initial, step) / (
+                math.sqrt(v / (1.0 - b2 ** t)) + eps)
+            adam.step(params, np.array([g]))
+            if step >= LR_DECAY_STEPS - 10:
+                assert params[0] == theta, step
+        assert adam.t == LR_DECAY_STEPS + 10
+        assert lr_at_step(lr_initial, LR_DECAY_STEPS) < lr_initial
 
 
 class TestEarlyStopper:
@@ -207,6 +234,41 @@ class TestTrainNetwork:
         settings = TrainSettings(epochs=2, batch_size=16, lr_initial=0.001, patience=15)
         train_network(params, X, y, X[:4], y[:4], settings, RandomSource(22))
 
+    @pytest.mark.parametrize("n, batch_size", [
+        (17, 16), (32, 16), (33, 16), (2, 64), (65, 64), (129, 64), (7, 2),
+    ])
+    def test_each_epoch_walks_one_batch_plan(self, monkeypatch, n, batch_size):
+        # the batch sizes of the loop that recomputed each boundary per
+        # batch, folding a one-row tail into the batch before it
+        want, start = [], 0
+        while start < n:
+            stop = start + batch_size
+            if n - stop == 1:
+                stop = n
+            want.append(min(stop, n) - start)
+            start = stop
+        batches = []
+        forward = optimize.model_forward
+
+        def spy(x, p, mode="infer", rng=None):
+            if mode == "train":
+                batches.append(x[:, 0, 0].astype(int))
+            return forward(x, p, mode, rng)
+
+        monkeypatch.setattr(optimize, "model_forward", spy)
+        X = np.arange(n, dtype=np.float64).reshape(n, 1, 1)  # row i holds i
+        params = init_model_params(RandomSource(36), units=2, attn_dim=2,
+                                   dense_widths=(3, 2), dropout_rate=0.2)
+        settings = TrainSettings(epochs=3, batch_size=batch_size, lr_initial=0.001,
+                                 patience=15)
+        _, history = train_network(params, X, np.zeros(n), X[:2], np.zeros(2), settings,
+                                   RandomSource(37))
+        assert len(history.train_loss) == 3 and len(batches) == 3 * len(want)
+        for epoch in range(3):
+            walked = batches[epoch * len(want):(epoch + 1) * len(want)]
+            assert [len(rows) for rows in walked] == want
+            assert np.array_equal(np.sort(np.concatenate(walked)), np.arange(n))
+
     @pytest.mark.parametrize("n_train, n_val", [
         (25, 12),  # more targets than rows would train on the first 20
         (15, 12),  # fewer targets than rows would fail on a batch index
@@ -257,8 +319,7 @@ class TestWorkspaceReuse:
                                    dense_widths=(8, 4))
 
         def step():
-            masks = draw_dropout_masks(params, B, rng)
-            _, cache = model_forward(X[:B], params, mode="train", dropout_masks=masks)
+            _, cache = model_forward(X[:B], params, mode="train", rng=rng)
             model_backward(cache, y[:B], params)
             commit_batchnorm(cache, params)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from updrspred import rfe as rfe_module
-from updrspred.errors import ParameterError, ShapeError
+from updrspred.errors import NumericError, ParameterError, ShapeError
 from updrspred.forest import ForestParams
 from updrspred.linalg import RandomSource
 from updrspred.rfe import rfe_select
@@ -145,6 +145,20 @@ def test_bad_shapes_refused_before_any_forest(x_shape, y_shape, message, monkeyp
         rfe_select(data.normal(size=x_shape), data.normal(size=y_shape), k, FAST_FOREST, rng)
     assert fitted == []
     assert rng.next_u64() == RandomSource(6).next_u64()
+
+
+def test_non_finite_table_refused_before_any_forest(monkeypatch):
+    # NaN in every third row of one column used to rank as the largest value
+    fitted = []
+    monkeypatch.setattr(rfe_module, "fit_forest", lambda *args: fitted.append(args))
+    data = np.random.default_rng(0)
+    X = data.normal(size=(200, 4))
+    X[::3, 0] = np.nan
+    rng = RandomSource(7)
+    with pytest.raises(NumericError, match="X must be finite, but 67 of its 800 values are not"):
+        rfe_select(X, data.normal(size=200), 2, FAST_FOREST, rng)
+    assert fitted == []
+    assert rng.next_u64() == RandomSource(7).next_u64()
 
 
 class TestRfeReport:
