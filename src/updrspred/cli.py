@@ -154,8 +154,14 @@ def select(ctx):
 def train_eval(ctx):
     """Run the cross-validated experiment and write all report files."""
     config = _build_config(ctx)
-    report = run_experiment(config)
+    # made first, so an unusable --out fails before the long experiment
     run_dir = _make_run_dir(config)
+    try:
+        report = run_experiment(config)
+    except BaseException:
+        if not any(run_dir.iterdir()):
+            run_dir.rmdir()
+        raise
     (run_dir / "report.json").write_text(report.to_structured() + "\n")
     (run_dir / "report.csv").write_text(render_csv(report))
     mse_table = render_mse_table(report)

@@ -129,6 +129,13 @@ class Workspace:
     OS. The buffer is replaced only when a call needs more than it holds.
     ``reserves`` counts the calls, so a holder of views can tell whether a
     later call may have overwritten them.
+
+    Growing costs far more than the difference in size, so a network's
+    infer carve of one predict chunk should not be larger than its train
+    carve: the first validation predict after the train steps would then
+    grow the buffer. In one measurement at ``net-train`` shape, an infer
+    carve of 14.2 MB over a train carve of 13.8 MB raised peak RSS by about
+    11 MB, from 66.8 to 78.1 MB.
     """
 
     def __init__(self):

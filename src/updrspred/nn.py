@@ -29,10 +29,16 @@ train-mode batch normalization must center each feature within 1e-6.
 The large per-call arrays (the scans' buffers, the states ``H``, the
 attention scores and their gradients) are views of the parameters' one
 reused :class:`~updrspred.linalg.Workspace`, so a step of a shape seen
-before allocates no large array. A forward's cache holds ``mode``,
-``buffers`` (those views), ``weights``, ``pre``, ``head``, ``head_out``,
-``preds`` and ``reserve``, as :func:`model_forward` describes, and holds
-only until the next forward on the same parameters.
+before allocates no large array. They are laid out by lifetime (see
+:func:`_buffer_shapes`): groups that are never live at the same time start
+at one offset. In a train step the forward scan's step scratch, the
+attention backward's scratch and the scan backward's buffers share one
+region, since each is dead before the next is written; in an inference
+call the attention scores overlay the scan's buffers, which are dead once
+``H`` is written. A forward's cache holds ``mode``, ``buffers`` (those
+views), ``weights``, ``pre``, ``head``, ``head_out``, ``preds`` and
+``reserve``, as :func:`model_forward` describes, and holds only until the
+next forward on the same parameters.
 """
 
 from __future__ import annotations
@@ -144,37 +150,61 @@ class ModelParams:
         return out
 
     def carve(self, batch: int, steps: int, train: bool) -> dict[str, tuple]:
-        """One forward call's arrays, grouped as in :func:`_buffer_shapes`.
+        """One forward call's arrays by group, laid out as :func:`_buffer_shapes` gives them.
 
         Every array is a view of ``workspace``, reserved once for the whole
         call, the backward's groups included in train mode, so the buffer
         never grows partway through a step.
         """
-        shapes = _buffer_shapes(batch, steps, self.input_dim, self.units,
-                                self.shapes["attn.v"][0], train)
-        groups, offset = {}, 0
-        for name, group in shapes.items():
-            groups[name] = []
-            for shape in group:
-                size = math.prod(shape)
-                groups[name].append((offset, offset + size, shape))
-                # whole 64-byte steps, so every block is aligned as the buffer is
-                offset += -(-size // 8) * 8
-        floats = self.workspace.reserve(offset)
-        return {name: tuple(floats[start:stop].reshape(shape) for start, stop, shape in blocks)
+        regions = _buffer_shapes(batch, steps, self.input_dim, self.units,
+                                 self.shapes["attn.v"][0], train)
+        groups, start = {}, 0
+        for region in regions:
+            end = start
+            for name, group in region.items():
+                groups[name], offset = [], start  # every group of a region starts at it
+                for shape in group:
+                    size = math.prod(shape)
+                    groups[name].append((offset, offset + size, shape))
+                    # whole 64-byte steps, so every block is aligned as the buffer is
+                    offset += -(-size // 8) * 8
+                end = max(end, offset)
+            start = end
+        floats = self.workspace.reserve(start)
+        return {name: tuple(floats[a:b].reshape(shape) for a, b, shape in blocks)
                 for name, blocks in groups.items()}
 
 
 def _buffer_shapes(batch: int, steps: int, input_dim: int, units: int, attn_dim: int,
-                   train: bool) -> dict[str, tuple]:
-    """Shapes of the arrays a forward call carves, by group.
+                   train: bool) -> list[dict[str, tuple]]:
+    """Shapes of the arrays a forward call carves, by group, in regions.
 
-    ``scan`` is both directions' (hx, acts, cells, tanh_cells) and
-    ``scan_scratch`` their (z, ig) step scratch, as :func:`_lstm_scan` uses
-    them; ``attention`` is (H, pre). Train mode adds :func:`model_backward`'s
-    groups: ``scan_backward``, the (d_gates, dh, dc, tmp, dsig) of
-    :func:`_lstm_scan_backward`, and ``attention_backward``, (dH, d_pre_lin,
-    its scratch, and d_pre_lin @ attn.w).
+    Each region is a dict of groups that start at one offset and so overlay
+    each other: no two of them are live at the same time. A region is as
+    long as its longest group, and the regions follow each other. A group's
+    arrays follow each other. The groups and their lifetimes:
+
+        scan                (hx, acts, cells, tanh_cells) of both directions,
+                            as :func:`_lstm_scan` uses them: from the scan
+                            until ``H`` is written, and in train mode on to
+                            the end of :func:`_lstm_scan_backward`, whose
+                            cache it is
+        scan_scratch        the scan's (z, ig) step scratch: the scan only
+        states              (H,): from the end of the scan to the attention,
+                            and in train mode to the attention's backward
+        scores              (pre,), the attention's pre-scores: from the
+                            attention on, and in train mode to its backward
+        attention_backward  train only; (d_pre_lin, its scratch, d_pre_lin @
+                            attn.w): the attention's backward only
+        d_states            train only; (dH,): from the attention's backward
+                            to the end of the scan's backward
+        scan_backward       train only; the (d_gates, dh, dc, tmp, dsig) of
+                            :func:`_lstm_scan_backward`: that backward only
+
+    In train mode ``scan_scratch``, ``attention_backward`` and
+    ``scan_backward`` share the last region, and every other group has its
+    own. In infer mode ``scores`` overlays ``scan``, and the other two
+    groups have their own regions.
 
     The direction axis (forward first) comes first in ``hx``, so each
     direction's [h, x, 1] rows are one (T * B, R) block, and in
@@ -183,16 +213,18 @@ def _buffer_shapes(batch: int, steps: int, input_dim: int, units: int, attn_dim:
     """
     B, T, d, u = batch, steps, input_dim, units
     kept = T if train else 1
-    shapes = {"scan": ((2, T + 1, B, u + d + 1), (kept, 4, 2, B, u), (kept + 1, 2, B, u),
-                       (kept, 2, B, u)),
-              "scan_scratch": ((2, B, 4 * u), (2, B, u)),
-              "attention": ((B, T, 2 * u), (B * T, attn_dim))}
-    if train:
-        shapes["scan_backward"] = ((2, T, B, 4 * u), (2, B, u), (2, B, u), (2, B, u),
-                                   (3, 2, B, u))
-        shapes["attention_backward"] = ((B, T, 2 * u), (B * T, attn_dim),
-                                        (B * T, attn_dim), (B * T, 2 * u))
-    return shapes
+    scan = {"scan": ((2, T + 1, B, u + d + 1), (kept, 4, 2, B, u), (kept + 1, 2, B, u),
+                     (kept, 2, B, u))}
+    scan_scratch = {"scan_scratch": ((2, B, 4 * u), (2, B, u))}
+    states = {"states": ((B, T, 2 * u),)}
+    scores = {"scores": ((B * T, attn_dim),)}
+    if not train:
+        return [{**scan, **scores}, scan_scratch, states]
+    return [scan, states, scores, {"d_states": ((B, T, 2 * u),)},
+            {**scan_scratch,
+             "attention_backward": ((B * T, attn_dim), (B * T, attn_dim), (B * T, 2 * u)),
+             "scan_backward": ((2, T, B, 4 * u), (2, B, u), (2, B, u), (2, B, u),
+                               (3, 2, B, u))}]
 
 
 def _glorot(rng: RandomSource, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -461,7 +493,7 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
         mode, preds   the mode, and the predictions (an array of their own)
         buffers       the carved views by group (:func:`_buffer_shapes`);
                       ``buffers["scan"]`` is the scan backward's cache, and
-                      ``buffers["attention"][0]`` is ``H``
+                      ``buffers["states"][0]`` is ``H``
         weights, pre  the attention weights and tanh pre-scores
         head          each dense layer's (input, pre-activation, batch-norm
                       cache, dropout mask), front to back; masks are None
@@ -489,7 +521,7 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
         masks = draw_dropout_masks(p, data.shape[0], rng)
 
     buffers = p.carve(data.shape[0], data.shape[1], mode == "train")
-    H, pre = buffers["attention"]
+    (H,), (pre,) = buffers["states"], buffers["scores"]
     _lstm_scan(data, p["lstm.w"], buffers["scan"], buffers["scan_scratch"], H)
 
     out, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
@@ -557,11 +589,12 @@ def model_backward(cache, target, p: ModelParams):
 
     # attention: context = sum_t weights_t h_t with weights = softmax(scores)
     buffers = cache["buffers"]
-    H = buffers["attention"][0]
+    (H,), (dH,) = buffers["states"], buffers["d_states"]
     weights = cache["weights"]
     pre = cache["pre"]
     B, T, D = H.shape
-    dH, d_pre_lin, d_pre_tmp, d_pre_h = buffers["attention_backward"]
+    # d_pre_lin and its scratch overlay the forward's dead scan scratch
+    d_pre_lin, d_pre_tmp, d_pre_h = buffers["attention_backward"]
     np.multiply(weights[:, :, None], d_context[:, None, :], out=dH)
     d_weights = np.matmul(H, d_context[:, :, None])[:, :, 0]
     wsum = (weights * d_weights).sum(axis=1, keepdims=True)
@@ -577,6 +610,7 @@ def model_backward(cache, target, p: ModelParams):
     np.matmul(d_pre_lin, p["attn.w"], out=d_pre_h)
     dH += d_pre_h.reshape(B, T, D)
 
+    # the scan backward's buffers overlay the attention backward's, dead from here
     _lstm_scan_backward(buffers["scan"], dH, p["lstm.w"], g["lstm.w"], buffers["scan_backward"])
     return loss, grad
 

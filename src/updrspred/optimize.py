@@ -35,21 +35,28 @@ class Adam:
     """Adam over one flat vector of ``size`` parameters, with moment vectors
     like it; step ``t`` (from 0) moves at ``lr_at_step(lr_initial, t)``.
 
-    A step works in two scratch vectors allocated with the moments and keeps
-    the operation order of the textbook expression, so it gives that
-    expression's bits without its whole-vector temporaries.
+    A step walks the vectors in chunks of ``CHUNK`` entries, so that the
+    parameters, the gradient, the two moments and two chunk-sized scratch
+    vectors stay in L2 cache through the step's passes over a chunk. Every
+    entry gets the textbook expression's operations in its order, so a
+    step gives that expression's bits without its whole-vector temporaries.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
+    CHUNK = 16_384  # six 128 KB slices
 
     def __init__(self, size: int, lr_initial: float):
         self.lr_initial = lr_initial
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._scratch = (np.empty(size), np.empty(size))
+        s1, s2 = np.empty(min(size, self.CHUNK)), np.empty(min(size, self.CHUNK))
+        # per chunk: its slice, and its views of the moments and the scratch
+        self._chunks = [(slice(a, a + self.CHUNK), self.m[a:a + self.CHUNK],
+                         self.v[a:a + self.CHUNK], s1[:size - a], s2[:size - a])
+                        for a in range(0, size, self.CHUNK)]
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """One in-place update of ``theta``."""
@@ -58,24 +65,27 @@ class Adam:
                              f"{theta.shape}, the optimizer {self.m.shape}")
         lr = lr_at_step(self.lr_initial, self.t)
         self.t += 1
-        s1, s2 = self._scratch
-        # m = BETA1 m + (1 - BETA1) g
-        self.m *= self.BETA1
-        np.multiply(grad, 1.0 - self.BETA1, out=s1)
-        self.m += s1
-        # v = BETA2 v + (1 - BETA2) g g
-        self.v *= self.BETA2
-        np.multiply(grad, 1.0 - self.BETA2, out=s1)
-        s1 *= grad
-        self.v += s1
-        # theta -= lr m_hat / (sqrt(v_hat) + EPS)
-        np.divide(self.m, 1.0 - self.BETA1 ** self.t, out=s1)
-        s1 *= lr
-        np.divide(self.v, 1.0 - self.BETA2 ** self.t, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += self.EPS
-        s1 /= s2
-        theta -= s1
+        m_scale = 1.0 - self.BETA1 ** self.t
+        v_scale = 1.0 - self.BETA2 ** self.t
+        for part, m, v, s1, s2 in self._chunks:
+            th, g = theta[part], grad[part]
+            # m = BETA1 m + (1 - BETA1) g
+            m *= self.BETA1
+            np.multiply(g, 1.0 - self.BETA1, out=s1)
+            m += s1
+            # v = BETA2 v + (1 - BETA2) g g
+            v *= self.BETA2
+            np.multiply(g, 1.0 - self.BETA2, out=s1)
+            s1 *= g
+            v += s1
+            # theta -= lr m_hat / (sqrt(v_hat) + EPS)
+            np.divide(m, m_scale, out=s1)
+            s1 *= lr
+            np.divide(v, v_scale, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.EPS
+            s1 /= s2
+            th -= s1
 
 
 @dataclass

@@ -9,6 +9,7 @@ import updrspred.cli as cli_module
 from updrspred import evaluate
 from updrspred.cli import main
 from updrspred.config import RunConfig
+from updrspred.errors import NumericError
 
 
 def run_cli(args, env=None):
@@ -158,6 +159,31 @@ class TestTrainEval:
         assert result.exit_code == 2
         assert "lr_initial must be finite" in result.output
         assert not (tmp_path / "runs").exists()
+
+    def test_out_that_is_a_file_exits_2_before_the_experiment(self, synthetic_csv, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.setattr(cli_module, "run_experiment",
+                            lambda config: pytest.fail("the experiment ran"))
+        config = smoke_config_file(tmp_path, synthetic_csv)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        result = run_cli(["--config", str(config), "--out", str(taken), "train-eval"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert taken.read_text() == "a file, not a directory\n"
+
+    def test_failed_experiment_leaves_no_empty_run_directory(self, synthetic_csv, tmp_path,
+                                                             monkeypatch):
+        def fail(config):
+            assert len(list((tmp_path / "runs").iterdir())) == 1  # made before it ran
+            raise NumericError("diverged")
+
+        monkeypatch.setattr(cli_module, "run_experiment", fail)
+        config = smoke_config_file(tmp_path, synthetic_csv)
+        result = run_cli(["--config", str(config), "train-eval"])
+        assert result.exit_code == 1
+        assert "diverged" in result.output
+        assert list((tmp_path / "runs").iterdir()) == []
 
     def test_env_var_supplies_dataset(self, synthetic_csv, tmp_path):
         result = run_cli(

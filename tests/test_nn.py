@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from updrspred.errors import (
     ShapeError,
     StateError,
 )
+import updrspred.nn as nn_module
 from updrspred.linalg import RandomSource
 from updrspred.nn import (
     GATES,
@@ -32,6 +34,7 @@ from updrspred.nn import (
     random_gradcheck_model,
     reset_invariant_counters,
 )
+from updrspred.optimize import PREDICT_BATCH
 
 
 def fuse(gates):
@@ -44,9 +47,9 @@ def fuse(gates):
 
 def nan_buffers(batch, steps, input_dim, units, train):
     """Every group of _buffer_shapes, filled with NaN so a read before a write shows."""
-    shapes = _buffer_shapes(batch, steps, input_dim, units, 1, train)
+    regions = _buffer_shapes(batch, steps, input_dim, units, 1, train)
     return {name: tuple(np.full(shape, np.nan) for shape in group)
-            for name, group in shapes.items()}
+            for region in regions for name, group in region.items()}
 
 
 def scan(X, w, mode):
@@ -55,7 +58,7 @@ def scan(X, w, mode):
     buffers, which in train mode are the backward's cache."""
     B, T, d = X.shape
     buffers = nan_buffers(B, T, d, w.shape[2] // 4, mode == "train")
-    H = buffers["attention"][0]
+    H = buffers["states"][0]
     _lstm_scan(X, w, buffers["scan"], buffers["scan_scratch"], H)
     return H, buffers["scan"]
 
@@ -85,6 +88,24 @@ def random_gates(rng, input_dim, units, scale=0.6):
         gates[f"w_{gate}"] = rng.gaussians(0, scale, rows * units).reshape(rows, units)
         gates[f"b_{gate}"] = rng.gaussians(0, scale, units)
     return gates
+
+
+# The groups of a carve by mode (train or not), each group's first and last
+# phase of use: 0 the scan, 1 the attention, 2 the attention's backward, 3
+# the scan's backward; an infer call ends after phase 1. Two groups may
+# share storage only if their spans do not meet.
+LIFETIMES = {
+    True: {"scan": (0, 3), "scan_scratch": (0, 0), "states": (0, 2), "scores": (1, 2),
+           "attention_backward": (2, 2), "d_states": (2, 3), "scan_backward": (3, 3)},
+    False: {"scan": (0, 0), "scan_scratch": (0, 0), "states": (0, 1), "scores": (1, 1)},
+}
+# the groups that the layout puts at one offset, by mode
+SHARED_GROUPS = {True: [("scan_scratch", "attention_backward", "scan_backward")],
+                 False: [("scan", "scores")]}
+
+
+def paper_model():
+    return init_model_params(RandomSource(0), units=100, attn_dim=64, dense_widths=(64, 32))
 
 
 def tiny_model(seed, dropout=0.0, l2=0.0):
@@ -345,7 +366,7 @@ class TestBilstm:
     def test_t1_uses_same_step_twice(self):
         p = model_with_lstm(fuse(random_gates(RandomSource(6), 1, 4)))
         _, cache = model_forward(np.array([[0.4]])[None], p)
-        H = cache["buffers"]["attention"][0][0]
+        H = cache["buffers"]["states"][0][0]
         assert H.shape == (1, 8)
         assert np.allclose(H[0, :4], H[0, 4:])
 
@@ -353,7 +374,7 @@ class TestBilstm:
         p = model_with_lstm(fuse(random_gates(RandomSource(7), 1, 4)))
         seq = np.array([[0.3], [-1.2], [0.5], [-1.2], [0.3]])
         _, cache = model_forward(seq[None], p)
-        H = cache["buffers"]["attention"][0][0]
+        H = cache["buffers"]["states"][0][0]
         T = seq.shape[0]
         for t in range(T):
             assert np.allclose(H[t, :4], H[T - 1 - t, 4:], atol=1e-12)
@@ -366,7 +387,7 @@ class TestBilstm:
         p = model_with_lstm(w_fwd, w_bwd)
         X = rng.gaussians(0, 1, 3 * 6).reshape(3, 6, 1)
         _, cache = model_forward(X, p)
-        H = cache["buffers"]["attention"][0]
+        H = cache["buffers"]["states"][0]
         forward, _ = reference_scan(X, w_fwd)
         backward, _ = reference_scan(X[:, ::-1], w_bwd)
         assert_relatively_close(H[:, :, :4], forward)
@@ -375,7 +396,7 @@ class TestBilstm:
     def test_zero_parameters_zero_states(self):
         p = model_with_lstm(zero_lstm(1, 4))
         _, cache = model_forward(np.array([[1.0], [2.0]])[None], p)
-        assert np.array_equal(cache["buffers"]["attention"][0][0], np.zeros((2, 8)))
+        assert np.array_equal(cache["buffers"]["states"][0][0], np.zeros((2, 8)))
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -654,7 +675,6 @@ class TestGradCheck:
             assert worst < 1e-5, f"seed {seed}: {worst}"
 
     def test_corrupted_gradient_detected(self, monkeypatch):
-        import updrspred.nn as nn_module
         original = nn_module.model_backward
 
         def corrupted(cache, target, p):
@@ -670,7 +690,6 @@ class TestGradCheck:
 
     def test_nan_gradient_entry_fails_its_block(self, monkeypatch):
         # max(0.0, nan) is 0.0, so a NaN must not reach the maxima as NaN
-        import updrspred.nn as nn_module
         original = nn_module.model_backward
 
         def poisoned(cache, target, p):
@@ -730,7 +749,10 @@ class TestWorkspaceCarving:
 
     def test_results_do_not_depend_on_what_the_workspace_held(self):
         # every carved array is written before it is read: a buffer full of
-        # NaN, left by a larger call, gives the same bits as a fresh one
+        # NaN, left by a larger call, gives the same bits as a fresh one. The
+        # groups that share the backward's region are all dead between the
+        # forward and the backward, so NaN written there then must not show
+        # either, nor NaN written over the whole buffer before an infer call
         X = RandomSource(53).gaussians(0, 1, 6 * 5).reshape(6, 5, 1)
         y = RandomSource(54).gaussians(0, 1, 6)
         results = []
@@ -740,11 +762,90 @@ class TestWorkspaceCarving:
                 model_forward(np.ones((9, 7, 1)), p, mode="train", rng=RandomSource(57))
                 p.workspace.floats.fill(np.nan)
             preds, cache = model_forward(X, p, mode="train", rng=RandomSource(56))
-            results.append((preds, *model_backward(cache, y, p),
-                            model_forward(X, p, mode="infer")[0]))
+            if warm:
+                for name in SHARED_GROUPS[True][0]:
+                    for array in cache["buffers"][name]:
+                        array.fill(np.nan)
+            loss, grad = model_backward(cache, y, p)
+            if warm:
+                p.workspace.floats.fill(np.nan)
+            results.append((preds, loss, grad, model_forward(X, p, mode="infer")[0]))
         (p0, l0, g0, i0), (p1, l1, g1, i1) = results
         assert p0.tobytes() == p1.tobytes() and l0 == l1
         assert g0.tobytes() == g1.tobytes() and i0.tobytes() == i1.tobytes()
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_groups_share_storage_only_when_never_live_together(self, train):
+        p = init_model_params(RandomSource(58), units=5, attn_dim=3, dense_widths=(4, 4))
+        buffers = p.carve(3, 4, train)
+        lives = LIFETIMES[train]
+        assert set(buffers) == set(lives)
+        for group in buffers.values():  # a group's arrays follow each other
+            for i, a in enumerate(group):
+                assert not any(np.shares_memory(a, b) for b in group[i + 1:])
+        shared = [set(names) for names in SHARED_GROUPS[train]]
+        for a, b in itertools.combinations(buffers, 2):
+            overlap = any(np.shares_memory(x, z) for x in buffers[a] for z in buffers[b])
+            (a0, a1), (b0, b1) = lives[a], lives[b]
+            if a0 <= b1 and b0 <= a1:
+                assert not overlap, (a, b)
+            assert overlap == any({a, b} <= names for names in shared), (a, b)
+
+    def test_paper_shape_train_carve_budget(self):
+        # B=64, T=10, 100 units, attention 64: the shared region saves the
+        # 273,920 floats (2.1 MB) the backward's groups took beside each other
+        p = paper_model()
+        p.carve(64, 10, True)
+        assert p.workspace.floats.size <= 1_810_176
+
+    # (batch, steps, units, attn_dim): the paper's shape, which is also the
+    # net-train benchmark's, and ingest-linear's 8-unit network
+    @pytest.mark.parametrize("batch, steps, units, attn_dim",
+                             [(64, 10, 100, 64), (64, 20, 8, 8)])
+    def test_a_predict_chunk_fits_in_the_train_carve(self, batch, steps, units, attn_dim):
+        # a validation predict after a train step must not grow the workspace
+        p = init_model_params(RandomSource(59), units=units, attn_dim=attn_dim,
+                              dense_widths=(64, 32))
+        p.carve(batch, steps, True)
+        floats = p.workspace.floats
+        p.carve(PREDICT_BATCH, steps, False)
+        assert p.workspace.floats is floats
+
+    def test_a_small_train_batch_grows_the_workspace_once_by_under_a_megabyte(self):
+        # rfe-forest's network (32 rows, 10 steps, 8 units, attention 8): a
+        # PREDICT_BATCH-row call's states H and [h, x, 1] rows alone outgrow
+        # the 32-row train carve, so the first predict grows the workspace
+        p = init_model_params(RandomSource(59), units=8, attn_dim=8, dense_widths=(16, 8))
+        p.carve(32, 10, True)
+        train = p.workspace.floats.size
+        p.carve(PREDICT_BATCH, 10, False)
+        assert 0 < (p.workspace.floats.size - train) * 8 < 2 ** 20
+        floats = p.workspace.floats
+        p.carve(32, 10, True)
+        assert p.workspace.floats is floats
+
+    @pytest.mark.parametrize("batch, steps, units, attn_dim", [(64, 10, 100, 64), (6, 5, 4, 3)])
+    def test_shared_offsets_give_the_bits_of_separate_storage(self, monkeypatch, batch, steps,
+                                                              units, attn_dim):
+        X = RandomSource(60).gaussians(0, 1, batch * steps).reshape(batch, steps, 1)
+        y = RandomSource(61).gaussians(0, 1, batch)
+
+        def run():
+            p = init_model_params(RandomSource(62), units=units, attn_dim=attn_dim,
+                                  dense_widths=(64, 32))
+            preds, cache = model_forward(X, p, mode="train", rng=RandomSource(63))
+            loss, grad = model_backward(cache, y, p)
+            return p.workspace.floats.size, preds, loss, grad, model_forward(X, p)[0]
+
+        shared = run()
+        layout = nn_module._buffer_shapes
+        monkeypatch.setattr(nn_module, "_buffer_shapes", lambda *args: [
+            {name: group} for region in layout(*args) for name, group in region.items()])
+        separate = run()
+        assert separate[0] > shared[0]  # every group has storage of its own
+        assert shared[2] == separate[2]
+        for a, b in zip(shared[1:], separate[1:]):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestBatchNormCommit:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from updrspred import optimize
 from updrspred.errors import EmptyInputError, NumericError, ShapeError
@@ -91,6 +93,31 @@ class TestAdam:
             assert np.array_equal(theta, want)
             assert np.array_equal(adam.m, m)
             assert np.array_equal(adam.v, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.one_of(st.integers(1, 3 * Adam.CHUNK + 100),
+                          st.sampled_from([Adam.CHUNK - 1, Adam.CHUNK, Adam.CHUNK + 1,
+                                           2 * Adam.CHUNK])),
+           steps=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
+    @example(size=21, steps=4, seed=0)  # the adam_linear baseline's vector
+    def test_chunked_step_matches_the_whole_vector_expression(self, size, steps, seed):
+        # the textbook update over the whole vector at once, with the step's
+        # operation order, against the step that walks it chunk by chunk
+        b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPS
+        rng = RandomSource(seed)
+        theta = rng.gaussians(0, 1, size)
+        want, m, v = theta.copy(), np.zeros(size), np.zeros(size)
+        lr_initial = 0.003
+        adam = Adam(size, lr_initial)
+        for t in range(1, steps + 1):
+            grad = rng.gaussians(0, 1, size) * (0.0, 1.0, 1e6)[t % 3]
+            m = m * b1 + grad * (1.0 - b1)
+            v = v * b2 + grad * (1.0 - b2) * grad
+            want = want - m / (1.0 - b1 ** t) * lr_at_step(lr_initial, t - 1) / (
+                np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            adam.step(theta, grad)
+            assert theta.tobytes() == want.tobytes()
+            assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
 
     def test_shape_mismatch(self):
         adam = Adam(3, 0.1)
