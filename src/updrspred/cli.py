@@ -16,6 +16,7 @@ default dataset path. Exit codes: 0 success, 1 runtime or numeric failure,
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import os
@@ -98,18 +99,30 @@ def _build_config(ctx) -> RunConfig:
     return config
 
 
-def _make_run_dir(config: RunConfig) -> Path:
+@contextlib.contextmanager
+def _run_dir(config: RunConfig):
+    """A new run directory for a command's work, removed if the work raises while it is empty.
+
+    It is made before the work, so an unusable ``--out`` fails before a long
+    elimination or experiment rather than after it.
+    """
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = Path(config.out_dir)
     base.mkdir(parents=True, exist_ok=True)
     name = f"run-{stamp}-seed{config.seed}"
     for suffix in itertools.count():
-        candidate = base / (f"{name}-{suffix}" if suffix else name)
+        run_dir = base / (f"{name}-{suffix}" if suffix else name)
         try:
-            candidate.mkdir()
+            run_dir.mkdir()
         except FileExistsError:  # taken, perhaps by a concurrent run
             continue
-        return candidate
+        break
+    try:
+        yield run_dir
+    except BaseException:
+        if not any(run_dir.iterdir()):
+            run_dir.rmdir()
+        raise
 
 
 @main.command()
@@ -135,12 +148,12 @@ def inspect(dataset):
 def select(ctx):
     """Run recursive feature elimination and write its report."""
     config = _build_config(ctx)
-    ds = load_csv(config.dataset)
-    X, y = build_design(ds, config.target, config.regressors)
-    X = apply_standardizer(fit_standardizer(X, column_names=config.regressors), X)
-    result = rfe_select(X, y, config.rfe_k, config.forest_params(),
-                        RandomSource(config.seed), protected=config.protected_indices())
-    run_dir = _make_run_dir(config)
+    with _run_dir(config) as run_dir:
+        ds = load_csv(config.dataset)
+        X, y = build_design(ds, config.target, config.regressors)
+        X = apply_standardizer(fit_standardizer(X, column_names=config.regressors), X)
+        result = rfe_select(X, y, config.rfe_k, config.forest_params(),
+                            RandomSource(config.seed), protected=config.protected_indices())
     names = list(config.regressors)
     (run_dir / "rfe_report.txt").write_text(result.to_report(names))
     (run_dir / "rfe_report.json").write_text(result.to_json(names) + "\n")
@@ -154,14 +167,8 @@ def select(ctx):
 def train_eval(ctx):
     """Run the cross-validated experiment and write all report files."""
     config = _build_config(ctx)
-    # made first, so an unusable --out fails before the long experiment
-    run_dir = _make_run_dir(config)
-    try:
+    with _run_dir(config) as run_dir:
         report = run_experiment(config)
-    except BaseException:
-        if not any(run_dir.iterdir()):
-            run_dir.rmdir()
-        raise
     (run_dir / "report.json").write_text(report.to_structured() + "\n")
     (run_dir / "report.csv").write_text(render_csv(report))
     mse_table = render_mse_table(report)

@@ -88,9 +88,13 @@ class StandardizationStats:
 
 
 def _parse_cell(raw: str, column: str, row_number: int) -> float:
+    # float() also reads PEP 515 underscores and non-ASCII digits, so a
+    # mistyped "2_1" or "٢١" would load as 21.0
     try:
+        if not raw.isascii() or "_" in raw:
+            raise ValueError(raw)
         value = float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ParseError(
             f"row {row_number}: column {column!r} has non-numeric value {raw!r}"
         ) from None

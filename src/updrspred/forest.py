@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, NumericError, ParameterError, ShapeError
-from .linalg import RandomSource, Workspace
+from .linalg import RandomSource
 
 
 @dataclass
@@ -106,7 +106,7 @@ def fixed_point(y: np.ndarray) -> np.ndarray:
     return np.rint(np.ldexp(y, scale)).astype(np.int64)
 
 
-def _level_splits(q, order, values, sizes, min_leaf, workspace):
+def _level_splits(q, order, values, sizes, min_leaf, scratch):
     """Each node's best split at one depth: (feature, position, taken).
 
     Row j of ``order`` and of ``values`` holds the row ids and the column-j
@@ -118,8 +118,9 @@ def _level_splits(q, order, values, sizes, min_leaf, workspace):
     distinct values, leaves each side ``min_leaf`` rows or more, and gain
     ties go to the lowest feature, then the leftmost split. ``position`` is
     the column index of the left side's last row; ``taken`` marks the nodes
-    whose targets differ and whose best split gains. The float blocks are
-    views of the tree's ``workspace``, filled in place.
+    whose targets differ and whose best split gains. The two (d, N) float
+    blocks are a view of the front of ``scratch``, the tree's flat block of
+    at least ``2 * d * N`` floats, and are written before they are read.
     """
     (d, N), K = order.shape, len(sizes)
     starts = np.cumsum(sizes) - sizes
@@ -137,7 +138,7 @@ def _level_splits(q, order, values, sizes, min_leaf, workspace):
     # c1 * (-c1) / left_n + r1 * (-r1) / right_n in floats from the exact
     # sums; rounding is sign-symmetric, so x * (-x) / n == x * x / (-n).
     # r1 is 0 at a node's last row, where the side rule below rules it out
-    score, term = workspace.reserve(2 * d * N).reshape(2, d, N)
+    score, term = scratch[:2 * d * N].reshape(2, d, N)
     score[...] = c1
     score *= score
     score /= -left_n
@@ -172,6 +173,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
     Returns a (d,) int64 array: the depth of the shallowest node that splits
     on the feature, 0 for the root, or -1 where the feature never splits.
     Every split searches all features, and only each column's order counts.
+    No level holds more rows than the root, so one ``2 * d * n`` float block,
+    allocated once, serves every depth's split scores.
     """
     X, y = as_table(X, y)
     if X.size == 0 or y.size == 0:
@@ -182,10 +185,10 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
     if n < 2 * min_leaf:
         return depths
     q, XT, cols = fixed_point(y), np.ascontiguousarray(X.T), np.arange(d)[:, None]
-    order, workspace = np.argsort(XT, axis=1, kind="stable"), Workspace()
+    order, scratch = np.argsort(XT, axis=1, kind="stable"), np.empty(2 * d * n)
     values, sizes = XT[cols, order], np.array([n])
     for depth in range(params.max_depth):
-        feature, position, split = _level_splits(q, order, values, sizes, min_leaf, workspace)
+        feature, position, split = _level_splits(q, order, values, sizes, min_leaf, scratch)
         # breadth-first, so a feature's first recorded depth is its minimum
         used = feature[split]
         depths[used[depths[used] < 0]] = depth

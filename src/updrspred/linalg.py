@@ -1,4 +1,4 @@
-"""The seeded random source and the reused float workspace.
+"""The seeded random source.
 
 Every stochastic choice in the pipeline flows through :class:`RandomSource`
 so that a single integer seed reproduces a whole run bit for bit, on any
@@ -11,9 +11,6 @@ one.
 Uniform doubles take the top 53 bits of each word, giving values in
 [0, 1). Gaussian draws come from the Box-Muller transform applied to
 consecutive uniform pairs.
-
-:class:`Workspace` is the grow-only buffer that a forest tree's depths and
-a network's forward and backward passes carve their large arrays from.
 """
 
 from __future__ import annotations
@@ -119,37 +116,3 @@ class RandomSource:
         """Derive an independent child stream (consumes one draw)."""
         return RandomSource(self.next_u64())
 
-
-class Workspace:
-    """A grow-only flat float64 buffer that repeated calls carve arrays from.
-
-    Each call reserves what it needs and carves its arrays from the front of
-    ``floats`` as views, so calls of one shape allocate nothing after the
-    first, and none faults in pages that the previous one handed back to the
-    OS. The buffer is replaced only when a call needs more than it holds.
-    ``reserves`` counts the calls, so a holder of views can tell whether a
-    later call may have overwritten them.
-
-    Growing costs far more than the difference in size, so a network's
-    infer carve of one predict chunk should not be larger than its train
-    carve: the first validation predict after the train steps would then
-    grow the buffer. In one measurement at ``net-train`` shape, an infer
-    carve of 14.2 MB over a train carve of 13.8 MB raised peak RSS by about
-    11 MB, from 66.8 to 78.1 MB.
-    """
-
-    def __init__(self):
-        self.floats = np.empty(0)
-        self.reserves = 0
-
-    def reserve(self, n_floats: int) -> np.ndarray:
-        """The buffer's first ``n_floats`` items, after growing it if it holds fewer.
-
-        Growing frees the old buffer first, unless a caller still holds a
-        view of it.
-        """
-        self.reserves += 1
-        if self.floats.size < n_floats:
-            self.floats = None  # free the old buffer before the larger one
-            self.floats = np.empty(n_floats)
-        return self.floats[:n_floats]

@@ -28,17 +28,17 @@ train-mode batch normalization must center each feature within 1e-6.
 
 The large per-call arrays (the scans' buffers, the states ``H``, the
 attention scores and their gradients) are views of the parameters' one
-reused :class:`~updrspred.linalg.Workspace`, so a step of a shape seen
-before allocates no large array. They are laid out by lifetime (see
-:func:`_buffer_shapes`): groups that are never live at the same time start
-at one offset. In a train step the forward scan's step scratch, the
+grow-only ``scratch`` buffer (see :meth:`ModelParams.carve`), so a step of
+a shape seen before allocates no large array. They are laid out by
+lifetime (see :func:`_buffer_shapes`): groups that are never live at the
+same time start at one offset. In a train step the forward scan's step scratch, the
 attention backward's scratch and the scan backward's buffers share one
 region, since each is dead before the next is written; in an inference
 call the attention scores overlay the scan's buffers, which are dead once
 ``H`` is written. A forward's cache holds ``mode``, ``buffers`` (those
-views), ``weights``, ``pre``, ``head``, ``head_out``, ``preds`` and
-``reserve``, as :func:`model_forward` describes, and holds only until the
-next forward on the same parameters.
+views), ``weights``, ``head``, ``head_out``, ``preds`` and ``carves``, as
+:func:`model_forward` describes, and holds only until the next forward on
+the same parameters.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .linalg import RandomSource, Workspace
+from .linalg import RandomSource
 
 INVARIANT_CHECKS = {"attention_weight_sum": 0, "batchnorm_zero_mean": 0}
 
@@ -92,11 +92,22 @@ class ModelParams:
     forward direction first, as one (2, units + input_dim + 1, 4 * units)
     block. Dense weights are (out_dim, in_dim).
 
-    ``workspace`` is the buffer that every :func:`model_forward` on these
-    parameters, and its :func:`model_backward`, carve their large arrays
-    from (see :meth:`carve`). It is empty until the first forward. Since
-    every forward overwrites it, one thread at a time runs the network on
-    a given ``ModelParams``.
+    ``scratch`` is the flat float64 buffer that every :func:`model_forward`
+    on these parameters, and its :func:`model_backward`, carve their large
+    arrays from (see :meth:`carve`), and ``carves`` counts the carves, so a
+    holder of views can tell whether a later forward may have overwritten
+    them. The buffer is empty until the first forward and grows only when
+    a carve needs more than it holds, so calls of one shape allocate
+    nothing after the first, and none faults in pages that the previous
+    one handed back to the OS. Since every forward overwrites it, one
+    thread at a time runs the network on a given ``ModelParams``.
+
+    Growing costs far more than the difference in size, so the infer carve
+    of one predict chunk should not be larger than the train carve: the
+    first validation predict after the train steps would then grow the
+    buffer. In one measurement at ``net-train`` shape, an infer carve of
+    14.2 MB over a train carve of 13.8 MB raised peak RSS by about 11 MB,
+    from 66.8 to 78.1 MB.
     """
 
     def __init__(self, input_dim: int, units: int, attn_dim: int,
@@ -128,7 +139,8 @@ class ModelParams:
         self.dropout_rate = dropout_rate
         self.l2 = l2
         self.bn_eps = bn_eps
-        self.workspace = Workspace()
+        self.scratch = np.empty(0)
+        self.carves = 0
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -152,9 +164,11 @@ class ModelParams:
     def carve(self, batch: int, steps: int, train: bool) -> dict[str, tuple]:
         """One forward call's arrays by group, laid out as :func:`_buffer_shapes` gives them.
 
-        Every array is a view of ``workspace``, reserved once for the whole
-        call, the backward's groups included in train mode, so the buffer
-        never grows partway through a step.
+        Every array is a view of ``scratch``, sized once for the whole call,
+        the backward's groups included in train mode, so the buffer never
+        grows partway through a step. A carve that needs more than the
+        buffer holds replaces it, freeing the old one first unless a view of
+        it is still alive. Every carve counts in ``carves``.
         """
         regions = _buffer_shapes(batch, steps, self.input_dim, self.units,
                                  self.shapes["attn.v"][0], train)
@@ -170,8 +184,11 @@ class ModelParams:
                     offset += -(-size // 8) * 8
                 end = max(end, offset)
             start = end
-        floats = self.workspace.reserve(start)
-        return {name: tuple(floats[a:b].reshape(shape) for a, b, shape in blocks)
+        self.carves += 1
+        if self.scratch.size < start:
+            self.scratch = None  # free the old buffer before the larger one
+            self.scratch = np.empty(start)
+        return {name: tuple(self.scratch[a:b].reshape(shape) for a, b, shape in blocks)
                 for name, blocks in groups.items()}
 
 
@@ -291,7 +308,7 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, buffers, scratch, H: np.ndarray) ->
     directions at once. The step writes c_t into the cell row after c_{t-1}
     (the first is the zero start) and h_t into the hidden part of ``hx[:,
     t + 1]``; the last row's input part is unused. The ones column is
-    written on every call, since ``hx`` is reused workspace. Train-mode
+    written on every call, since ``hx`` is reused scratch. Train-mode
     buffers keep a gate, cell and tanh(c) row for every step, which only
     the backward pass reads. Infer-mode buffers keep one gate row, one tanh
     row and two cell rows, reused in turn. ``X`` is only read.
@@ -389,10 +406,9 @@ def _lstm_scan_backward(cache, dH: np.ndarray, w: np.ndarray, dw: np.ndarray,
 
 
 def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray, pre: np.ndarray):
-    """H (B, T, D) -> (context (B, D), weights (B, T), tanh pre-scores).
+    """H (B, T, D) -> (context (B, D), weights (B, T)).
 
-    The pre-scores are written into ``pre``, (B * T, attn_dim), and
-    returned as a (B, T, attn_dim) view of it.
+    The tanh pre-scores are written into ``pre``, (B * T, attn_dim).
     """
     B, T, D = H.shape
     np.matmul(H.reshape(B * T, D), w.T, out=pre)
@@ -407,7 +423,7 @@ def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray, pre: np.ndarra
     if not np.all(np.abs(sums - 1.0) <= 1e-9):
         raise NumericError("attention weights failed to normalize")
     context = np.matmul(weights[:, None, :], H)[:, 0, :]
-    return context, weights, pre
+    return context, weights
 
 
 def batchnorm_forward(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -486,21 +502,22 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
     dropout and draws nothing, and its scan buffers keep one step's rows.
 
     The scan buffers, ``H`` and the attention scores, and in train mode the
-    buffers :func:`model_backward` needs, are carved from ``p.workspace``,
-    reserved once for the call. The cache holds only what the backward,
+    buffers :func:`model_backward` needs, are carved from ``p.scratch``,
+    once for the call. The cache holds only what the backward,
     :func:`commit_batchnorm` and the grad-check conditioner read:
 
         mode, preds   the mode, and the predictions (an array of their own)
         buffers       the carved views by group (:func:`_buffer_shapes`);
-                      ``buffers["scan"]`` is the scan backward's cache, and
-                      ``buffers["states"][0]`` is ``H``
-        weights, pre  the attention weights and tanh pre-scores
+                      ``buffers["scan"]`` is the scan backward's cache,
+                      ``buffers["states"][0]`` is ``H`` and
+                      ``buffers["scores"][0]`` the tanh pre-scores
+        weights       the attention weights
         head          each dense layer's (input, pre-activation, batch-norm
                       cache, dropout mask), front to back; masks are None
                       in infer mode
         head_out      the last dense layer's output
-        reserve       the workspace's reserve count: the views hold only
-                      until the next forward on ``p``, and
+        carves        ``p.carves`` after this call's carve: the views hold
+                      only until the next forward on ``p``, and
                       :func:`model_backward` refuses a stale cache
     """
     if mode not in ("train", "infer"):
@@ -524,7 +541,7 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
     (H,), (pre,) = buffers["states"], buffers["scores"]
     _lstm_scan(data, p["lstm.w"], buffers["scan"], buffers["scan_scratch"], H)
 
-    out, weights, pre = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
+    out, weights = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
     head = []
     for k, mask in enumerate(masks, start=1):
         lin = out @ p[f"dense{k}.w"].T + p[f"dense{k}.b"]
@@ -535,8 +552,8 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
         out = normed if mask is None else normed * mask
     preds = out @ p["out.w"] + p["out.b"][0]
 
-    cache = {"mode": mode, "buffers": buffers, "weights": weights, "pre": pre, "head": head,
-             "head_out": out, "preds": preds, "reserve": p.workspace.reserves}
+    cache = {"mode": mode, "buffers": buffers, "weights": weights, "head": head,
+             "head_out": out, "preds": preds, "carves": p.carves}
     return preds, cache
 
 
@@ -549,8 +566,8 @@ def model_backward(cache, target, p: ModelParams):
 
     Loss is the batch mean of squared errors plus the L2 penalty on the two
     hidden dense weight matrices. The gradient is one vector laid out like
-    ``p.trainable``; the large intermediates reuse the workspace region
-    that the forward reserved for them. A cache from before the latest
+    ``p.trainable``; the large intermediates reuse the scratch region that
+    the forward carved for them. A cache from before the latest
     :func:`model_forward` on ``p`` raises StateError, since that forward
     overwrote the buffers it holds.
     """
@@ -558,7 +575,7 @@ def model_backward(cache, target, p: ModelParams):
         raise StateError("model_backward needs the cache from model_forward")
     if cache["mode"] != "train":
         raise StateError("model_backward needs a train-mode forward cache")
-    if cache["reserve"] != p.workspace.reserves:
+    if cache["carves"] != p.carves:
         raise StateError("stale cache: a later model_forward on these parameters "
                          "overwrote its buffers")
     y = np.atleast_1d(np.asarray(target, dtype=np.float64))
@@ -589,9 +606,8 @@ def model_backward(cache, target, p: ModelParams):
 
     # attention: context = sum_t weights_t h_t with weights = softmax(scores)
     buffers = cache["buffers"]
-    (H,), (dH,) = buffers["states"], buffers["d_states"]
+    (H,), (dH,), (pre,) = buffers["states"], buffers["d_states"], buffers["scores"]
     weights = cache["weights"]
-    pre = cache["pre"]
     B, T, D = H.shape
     # d_pre_lin and its scratch overlay the forward's dead scan scratch
     d_pre_lin, d_pre_tmp, d_pre_h = buffers["attention_backward"]
@@ -599,11 +615,10 @@ def model_backward(cache, target, p: ModelParams):
     d_weights = np.matmul(H, d_context[:, :, None])[:, :, 0]
     wsum = (weights * d_weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - wsum)
-    pre_rows = pre.reshape(B * T, -1)
-    g["attn.v"][:] = d_scores.reshape(B * T) @ pre_rows
+    g["attn.v"][:] = d_scores.reshape(B * T) @ pre
     # d_pre_lin = d_scores * v * (1 - pre^2), in this order
     np.multiply(d_scores.reshape(B * T, 1), p["attn.v"], out=d_pre_lin)
-    np.multiply(pre_rows, pre_rows, out=d_pre_tmp)
+    np.multiply(pre, pre, out=d_pre_tmp)
     np.subtract(1.0, d_pre_tmp, out=d_pre_tmp)
     d_pre_lin *= d_pre_tmp
     g["attn.w"][:] = d_pre_lin.T @ H.reshape(B * T, D)

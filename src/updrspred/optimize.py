@@ -173,8 +173,8 @@ def train_network(
     the validation set must not be empty (EmptyInputError).
 
     A step's cache is dropped once its batch-norm statistics are committed,
-    so no view of ``params.workspace`` is alive when the epoch's validation
-    predict grows the workspace, and the smaller buffer is freed.
+    so no view of ``params.scratch`` is alive when the epoch's validation
+    predict grows that buffer, and the smaller one is freed.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     X_val = np.asarray(X_val, dtype=np.float64)
@@ -210,7 +210,7 @@ def train_network(
                     f"epoch {epoch + 1}, step {step}: minibatch loss is not finite ({loss})"
                 )
             commit_batchnorm(cache, params)
-            del cache  # its workspace views; see the docstring
+            del cache  # its scratch views; see the docstring
             optimizer.step(params.trainable, grad)
             epoch_loss += loss
 

@@ -30,8 +30,12 @@ class RfeRound:
 @dataclass
 class RfeResult:
     selected: tuple  # original indices kept, ascending
-    elimination_order: tuple  # original indices in removal order
     rounds: list = field(default_factory=list)
+
+    @property
+    def elimination_order(self) -> tuple:
+        """Original indices in removal order, one per round."""
+        return tuple(r.removed for r in self.rounds)
 
     def per_round_importance(self):
         return [
@@ -93,7 +97,6 @@ def rfe_select(
     if d > k:
         X = dense_ranks(X)  # a forest reads only each column's order
     surviving = list(range(d))
-    eliminated = []
     rounds = []
     while len(surviving) > k:
         round_rng = rng.spawn()
@@ -115,11 +118,6 @@ def rfe_select(
                 removed=dropped,
             )
         )
-        eliminated.append(dropped)
         surviving.pop(drop_local)
 
-    return RfeResult(
-        selected=tuple(sorted(surviving)),
-        elimination_order=tuple(eliminated),
-        rounds=rounds,
-    )
+    return RfeResult(selected=tuple(sorted(surviving)), rounds=rounds)

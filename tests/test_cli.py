@@ -106,6 +106,33 @@ class TestSelect:
         d2 = extract_run_dir(second.output)
         assert (d1 / "rfe_report.json").read_bytes() == (d2 / "rfe_report.json").read_bytes()
 
+    def test_out_under_a_file_exits_2_before_the_elimination(self, synthetic_csv, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli_module, "rfe_select",
+                            lambda *args, **kwargs: pytest.fail("the elimination ran"))
+        config = smoke_config_file(tmp_path, synthetic_csv)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        before = sorted(tmp_path.iterdir())
+        result = run_cli(["--config", str(config), "--out", str(taken / "runs"), "select"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert taken.read_text() == "a file, not a directory\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_failed_elimination_leaves_no_empty_run_directory(self, synthetic_csv, tmp_path,
+                                                             monkeypatch):
+        def fail(*args, **kwargs):
+            assert len(list((tmp_path / "runs").iterdir())) == 1  # made before it ran
+            raise NumericError("diverged")
+
+        monkeypatch.setattr(cli_module, "rfe_select", fail)
+        config = smoke_config_file(tmp_path, synthetic_csv)
+        result = run_cli(["--config", str(config), "select"])
+        assert result.exit_code == 1
+        assert "diverged" in result.output
+        assert list((tmp_path / "runs").iterdir()) == []
+
 
 class TestTrainEval:
     def test_smoke_run_completes(self, synthetic_csv, tmp_path):
@@ -294,6 +321,7 @@ class TestRunDirectory:
         monkeypatch.setattr(cli_module.time, "strftime", lambda fmt: "20260101-000000")
         monkeypatch.setattr(Path, "exists", lambda self: False)
         (tmp_path / "run-20260101-000000-seed3").mkdir()
-        made = cli_module._make_run_dir(RunConfig(dataset="x.csv", out_dir=str(tmp_path), seed=3))
-        assert made == tmp_path / "run-20260101-000000-seed3-1"
+        with cli_module._run_dir(RunConfig(dataset="x.csv", out_dir=str(tmp_path),
+                                           seed=3)) as made:
+            assert made == tmp_path / "run-20260101-000000-seed3-1"
         assert made.is_dir()

@@ -327,8 +327,8 @@ class TestMatchesReference:
     def test_levels_hold_only_their_open_nodes_rows_and_reuse_the_root_buffer(
             self, monkeypatch):
         # no level is padded: each holds exactly its open nodes' rows, so
-        # none is wider than the root, whose workspace buffer every later
-        # level reuses
+        # none is wider than the root, and every level carves its scores
+        # from the one block the tree sized for the root
         rng = RandomSource(23)
         X = rng.gaussians(0, 1, 300 * 4).reshape(300, 4)
         X[:, 3] = np.round(X[:, 3])
@@ -337,11 +337,9 @@ class TestMatchesReference:
         levels = []
         level_splits = forest_module._level_splits
 
-        def spy(q, order, values, sizes, min_leaf, workspace):
-            levels.append((order.shape, values.shape, sizes.copy()))
-            result = level_splits(q, order, values, sizes, min_leaf, workspace)
-            levels[-1] += (workspace.floats,)
-            return result
+        def spy(q, order, values, sizes, min_leaf, scratch):
+            levels.append((order.shape, values.shape, sizes.copy(), scratch))
+            return level_splits(q, order, values, sizes, min_leaf, scratch)
 
         monkeypatch.setattr(forest_module, "_level_splits", spy)
         depths = fit_tree(X, y, params)
@@ -349,10 +347,32 @@ class TestMatchesReference:
         widths = [order_shape[1] for order_shape, *_ in levels]
         assert widths[0] == 300 and widths[-1] < 300
         assert widths == sorted(widths, reverse=True)
+        assert levels[0][3].shape == (2 * 4 * 300,)
         for order_shape, values_shape, sizes, buffer in levels:
             assert order_shape == values_shape == (4, sizes.sum())
             assert sizes.min() >= 2 * params.min_samples_leaf
             assert buffer is levels[0][3]
+        assert np.array_equal(depths, reference_depths(X, y, params))
+
+    def test_depths_do_not_depend_on_what_the_scratch_block_held(self, monkeypatch):
+        # every depth writes its score blocks before it reads them, so a
+        # block full of NaN, as a deeper level's leftovers might be, gives
+        # the same depths
+        rng = RandomSource(24)
+        X = rng.gaussians(0, 1, 240 * 5).reshape(240, 5)
+        X[:, 4] = np.round(X[:, 4])
+        y = np.cos(X[:, 0]) + X[:, 1] * X[:, 4] + 0.1 * rng.gaussians(0, 1, 240)
+        params = ForestParams(n_trees=1, max_depth=10, min_samples_leaf=2)
+        level_splits, calls = forest_module._level_splits, []
+
+        def spy(q, order, values, sizes, min_leaf, scratch):
+            scratch.fill(np.nan)
+            calls.append(len(sizes))
+            return level_splits(q, order, values, sizes, min_leaf, scratch)
+
+        monkeypatch.setattr(forest_module, "_level_splits", spy)
+        depths = fit_tree(X, y, params)
+        assert len(calls) > 3
         assert np.array_equal(depths, reference_depths(X, y, params))
 
     def test_every_forest_tree_matches_on_its_bootstrap(self):

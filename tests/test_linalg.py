@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from updrspred.errors import ParameterError
-from updrspred.linalg import RandomSource, Workspace
+from updrspred.linalg import RandomSource
 
 
 class TestRandomSource:
@@ -121,15 +121,3 @@ class TestGaussian:
     def test_odd_count(self):
         assert len(RandomSource(4).gaussians(0.0, 1.0, 7)) == 7
 
-
-class TestWorkspace:
-    def test_grows_only_and_counts_reserves(self):
-        workspace = Workspace()
-        first = workspace.reserve(10)
-        buffer = workspace.floats
-        smaller = workspace.reserve(4)
-        assert first.shape == (10,) and smaller.shape == (4,)
-        assert workspace.floats is buffer and np.shares_memory(first, smaller)
-        larger = workspace.reserve(20)
-        assert larger.shape == (20,) and workspace.floats is not buffer
-        assert workspace.reserves == 3

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,7 +405,7 @@ class TestBilstm:
 
 
 def attend(H, w, v):
-    context, weights, _ = _attention_batch(H[None], w, v, np.empty((len(H), len(v))))
+    context, weights = _attention_batch(H[None], w, v, np.empty((len(H), len(v))))
     return context[0], weights[0]
 
 
@@ -747,6 +748,46 @@ class TestWorkspaceCarving:
         with pytest.raises(StateError, match="stale"):
             model_backward(cache, preds, p)
 
+    def test_a_smaller_carve_reuses_the_buffer_and_a_larger_one_replaces_it(self):
+        p = init_model_params(RandomSource(64), units=5, attn_dim=3, dense_widths=(4, 4))
+        assert p.scratch.size == 0 and p.carves == 0
+        first = p.carve(6, 4, True)
+        buffer = p.scratch
+        smaller = p.carve(2, 3, True)
+        assert p.scratch is buffer
+        assert np.shares_memory(first["scan"][0], smaller["scan"][0])
+        larger = p.carve(12, 4, True)
+        assert p.scratch is not buffer and p.scratch.size > buffer.size
+        assert all(np.shares_memory(a, p.scratch) for group in larger.values() for a in group)
+        assert not np.shares_memory(larger["scan"][0], buffer)
+        assert p.carves == 3
+
+    def test_every_forward_carves_once_and_a_backward_not_at_all(self):
+        p = tiny_model(65)
+        X = RandomSource(66).gaussians(0, 1, 4 * 5).reshape(4, 5, 1)
+        preds, cache = model_forward(X, p, mode="train", rng=RandomSource(67))
+        assert p.carves == cache["carves"] == 1
+        model_backward(cache, preds, p)
+        assert p.carves == 1
+        _, cache = model_forward(X, p, mode="infer")
+        assert p.carves == cache["carves"] == 2
+
+    def test_growing_frees_the_old_buffer_before_the_new_one(self):
+        # with no view of the old buffer alive, the two are never held at once
+        p = init_model_params(RandomSource(68), units=16, attn_dim=8, dense_widths=(4, 4))
+        tracemalloc.start()
+        try:
+            p.carve(32, 10, True)  # its views die at once
+            old = p.scratch.nbytes
+            tracemalloc.reset_peak()
+            p.carve(64, 10, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        new = p.scratch.nbytes
+        assert new > old > 2 ** 17
+        assert peak < old + new
+
     def test_results_do_not_depend_on_what_the_workspace_held(self):
         # every carved array is written before it is read: a buffer full of
         # NaN, left by a larger call, gives the same bits as a fresh one. The
@@ -760,7 +801,7 @@ class TestWorkspaceCarving:
             p = tiny_model(55, dropout=0.3)
             if warm:
                 model_forward(np.ones((9, 7, 1)), p, mode="train", rng=RandomSource(57))
-                p.workspace.floats.fill(np.nan)
+                p.scratch.fill(np.nan)
             preds, cache = model_forward(X, p, mode="train", rng=RandomSource(56))
             if warm:
                 for name in SHARED_GROUPS[True][0]:
@@ -768,7 +809,7 @@ class TestWorkspaceCarving:
                         array.fill(np.nan)
             loss, grad = model_backward(cache, y, p)
             if warm:
-                p.workspace.floats.fill(np.nan)
+                p.scratch.fill(np.nan)
             results.append((preds, loss, grad, model_forward(X, p, mode="infer")[0]))
         (p0, l0, g0, i0), (p1, l1, g1, i1) = results
         assert p0.tobytes() == p1.tobytes() and l0 == l1
@@ -796,7 +837,7 @@ class TestWorkspaceCarving:
         # 273,920 floats (2.1 MB) the backward's groups took beside each other
         p = paper_model()
         p.carve(64, 10, True)
-        assert p.workspace.floats.size <= 1_810_176
+        assert p.scratch.size <= 1_810_176
 
     # (batch, steps, units, attn_dim): the paper's shape, which is also the
     # net-train benchmark's, and ingest-linear's 8-unit network
@@ -807,9 +848,9 @@ class TestWorkspaceCarving:
         p = init_model_params(RandomSource(59), units=units, attn_dim=attn_dim,
                               dense_widths=(64, 32))
         p.carve(batch, steps, True)
-        floats = p.workspace.floats
+        floats = p.scratch
         p.carve(PREDICT_BATCH, steps, False)
-        assert p.workspace.floats is floats
+        assert p.scratch is floats
 
     def test_a_small_train_batch_grows_the_workspace_once_by_under_a_megabyte(self):
         # rfe-forest's network (32 rows, 10 steps, 8 units, attention 8): a
@@ -817,12 +858,12 @@ class TestWorkspaceCarving:
         # the 32-row train carve, so the first predict grows the workspace
         p = init_model_params(RandomSource(59), units=8, attn_dim=8, dense_widths=(16, 8))
         p.carve(32, 10, True)
-        train = p.workspace.floats.size
+        train = p.scratch.size
         p.carve(PREDICT_BATCH, 10, False)
-        assert 0 < (p.workspace.floats.size - train) * 8 < 2 ** 20
-        floats = p.workspace.floats
+        assert 0 < (p.scratch.size - train) * 8 < 2 ** 20
+        floats = p.scratch
         p.carve(32, 10, True)
-        assert p.workspace.floats is floats
+        assert p.scratch is floats
 
     @pytest.mark.parametrize("batch, steps, units, attn_dim", [(64, 10, 100, 64), (6, 5, 4, 3)])
     def test_shared_offsets_give_the_bits_of_separate_storage(self, monkeypatch, batch, steps,
@@ -835,7 +876,7 @@ class TestWorkspaceCarving:
                                   dense_widths=(64, 32))
             preds, cache = model_forward(X, p, mode="train", rng=RandomSource(63))
             loss, grad = model_backward(cache, y, p)
-            return p.workspace.floats.size, preds, loss, grad, model_forward(X, p)[0]
+            return p.scratch.size, preds, loss, grad, model_forward(X, p)[0]
 
         shared = run()
         layout = nn_module._buffer_shapes

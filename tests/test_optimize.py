@@ -352,7 +352,7 @@ class TestWorkspaceReuse:
 
         step()
         predict_network(params, X)
-        buffer = params.workspace.floats
+        buffer = params.scratch
         gate_bytes = T * B * 4 * units * 8
         tracemalloc.start()
         try:
@@ -363,5 +363,5 @@ class TestWorkspaceReuse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert params.workspace.floats is buffer
+        assert params.scratch is buffer
         assert peak - before < gate_bytes
