@@ -180,7 +180,6 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
 
     params = init_model_params(
         init_rng,
-        input_dim=1,
         units=config.lstm_units,
         attn_dim=config.attn_dim,
         dense_widths=tuple(config.dense_widths),

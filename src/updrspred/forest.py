@@ -2,10 +2,12 @@
 
 Trees split greedily on variance reduction and grow breadth-first on
 presorted columns (SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996). A tree
-reads only each column's order: the forest ranks each column once, and
-each tree radix-sorts its bootstrap rows' ranks. One vectorized pass over
-a (feature, row) table then searches every open node of a depth, with no
-padding and no Python loop over the nodes. A node sends a row left when
+reads only each column's order, so a table of dense column ranks
+(:func:`dense_ranks`) fits the same trees as its values: ``rfe_select``
+ranks its table once, and each tree radix-sorts its bootstrap rows'
+ranks. One vectorized pass over a (feature, row) table then searches
+every open node of a depth, with no padding and no Python loop over the
+nodes. A node sends a row left when
 its value is at most the left side's last one. The sorted row ids are
 regrouped stably by child, so each node sees its rows as a stable sort of
 that node alone orders them, and the minimal split depths equal those of
@@ -226,22 +228,21 @@ def fit_forest(
     """Minimal split depths of ``n_trees`` trees, one per bootstrap resample.
 
     Returns an (n_trees, d) int64 array whose row t is tree t's
-    :func:`fit_tree` output on its bootstrap rows of ``X``'s dense column
-    ranks (:func:`dense_ranks`), which order the rows as the values do. A
-    table of unsigned integers is taken as ranks already and not ranked
-    again. Per-tree seeds are all derived from ``rng`` up front, so a
-    parallel implementation fitting trees out of order would produce the
-    identical forest.
+    :func:`fit_tree` output on its bootstrap rows of ``X``, which is handed
+    on unchanged. A tree reads only each column's order, so ``X`` may be
+    the values or their :func:`dense_ranks`; ``rfe_select`` passes the
+    ranks, which it computes once for all its rounds. Per-tree seeds are
+    all derived from ``rng`` up front, so a parallel implementation
+    fitting trees out of order would produce the identical forest.
     """
     X, y = as_table(X, y)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a forest on empty data")
     params.validate()
     tree_rngs = [rng.spawn() for _ in range(params.n_trees)]
-    ranks = X if X.dtype.kind == "u" else dense_ranks(X)
     n = X.shape[0]
     draws = (tree_rng.integers(n, n) for tree_rng in tree_rngs)
-    return np.stack([fit_tree(ranks[rows], y[rows], params) for rows in draws])
+    return np.stack([fit_tree(X[rows], y[rows], params) for rows in draws])
 
 
 def feature_importance(depths: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ hand-derived backpropagation.
 
 Layout of the network, front to back:
 
-    sequence (T steps of input_dim values)
+    sequence (T steps of one value each)
       -> forward LSTM scan and backward LSTM scan (u units each), run in
          lockstep: each step advances both directions, and every gate of a
          direction's step is one product of [h_{t-1}, x_t, 1] with the
@@ -44,6 +44,7 @@ the same parameters.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 
@@ -85,12 +86,14 @@ class ModelParams:
     them. ``p[name]`` is a reshaped view into it, so writing through a view
     changes the vector and a snapshot is one ``vector.copy()``.
 
+    ``blocks`` maps each name to its ``(start, stop, shape)`` in the vector.
+
     Each LSTM direction has one fused matrix over the concatenated
-    [h_prev, x_t, 1] input, shape (units + input_dim + 1, 4 * units): the
-    hidden rows, the input rows, then the bias as the last row. Its
-    columns are blocks in ``GATES`` order. ``p["lstm.w"]`` holds the pair,
-    forward direction first, as one (2, units + input_dim + 1, 4 * units)
-    block. Dense weights are (out_dim, in_dim).
+    [h_prev, x_t, 1] input, shape (units + 2, 4 * units): the hidden rows,
+    the input row, then the bias as the last row. Its columns are blocks
+    in ``GATES`` order. ``p["lstm.w"]`` holds the pair, forward direction
+    first, as one (2, units + 2, 4 * units) block. Dense weights are
+    (out_dim, in_dim).
 
     ``scratch`` is the flat float64 buffer that every :func:`model_forward`
     on these parameters, and its :func:`model_backward`, carve their large
@@ -102,22 +105,29 @@ class ModelParams:
     one handed back to the OS. Since every forward overwrites it, one
     thread at a time runs the network on a given ``ModelParams``.
 
+    The buffer is an anonymous memory map, not a ``malloc`` block, so
+    dropping it always hands its pages back to the OS, and its place does
+    not depend on the heap. A ``malloc`` block of this size comes from the
+    heap once an earlier one has been freed (glibc then raises its mmap
+    threshold), where small allocations can split the freed block so that
+    the next fold's buffer no longer fits and the heap grows by a whole
+    buffer: with ``malloc``, ``net-train``'s peak RSS read 66.8 or 76.6 MB
+    depending only on the directory the run started from.
+
     Growing costs far more than the difference in size, so the infer carve
     of one predict chunk should not be larger than the train carve: the
     first validation predict after the train steps would then grow the
-    buffer. In one measurement at ``net-train`` shape, an infer carve of
-    14.2 MB over a train carve of 13.8 MB raised peak RSS by about 11 MB,
-    from 66.8 to 78.1 MB.
+    buffer. In one measurement at ``net-train`` shape, with a ``malloc``
+    buffer, an infer carve of 14.2 MB over a train carve of 13.8 MB raised
+    peak RSS by about 11 MB, from 66.8 to 78.1 MB.
     """
 
-    def __init__(self, input_dim: int, units: int, attn_dim: int,
-                 dense_widths: tuple[int, int], dropout_rate: float, l2: float,
-                 bn_eps: float):
-        rows = units + input_dim + 1
+    def __init__(self, units: int, attn_dim: int, dense_widths: tuple[int, int],
+                 dropout_rate: float, l2: float, bn_eps: float):
         hidden = 2 * units
         d1, d2 = dense_widths
         trainable = {
-            "lstm.w": (2, rows, 4 * units),
+            "lstm.w": (2, units + 2, 4 * units),
             "attn.w": (attn_dim, hidden), "attn.v": (attn_dim,),
             "dense1.w": (d1, hidden), "dense1.b": (d1,),
             "bn1.gamma": (d1,), "bn1.beta": (d1,),
@@ -129,12 +139,14 @@ class ModelParams:
             "bn1.running_mean": (d1,), "bn1.running_var": (d1,),
             "bn2.running_mean": (d2,), "bn2.running_var": (d2,),
         }
-        self.shapes = {**trainable, **running}
-        self.n_trainable = sum(int(np.prod(s)) for s in trainable.values())
-        self.vector = np.zeros(sum(int(np.prod(s)) for s in self.shapes.values()))
+        self.blocks, stop = {}, 0
+        for name, shape in {**trainable, **running}.items():
+            start, stop = stop, stop + math.prod(shape)
+            self.blocks[name] = (start, stop, shape)
+        self.n_trainable = self.blocks["bn1.running_mean"][0]  # the first running entry
+        self.vector = np.zeros(stop)
         self.trainable = self.vector[:self.n_trainable]
         self._views = self.views(self.vector)
-        self.input_dim = input_dim
         self.units = units
         self.dropout_rate = dropout_rate
         self.l2 = l2
@@ -151,15 +163,8 @@ class ModelParams:
         A vector of ``n_trainable`` entries (a gradient) gets the trainable
         names only.
         """
-        out = {}
-        offset = 0
-        for name, shape in self.shapes.items():
-            if offset == len(vector):
-                break
-            size = int(np.prod(shape))
-            out[name] = vector[offset:offset + size].reshape(shape)
-            offset += size
-        return out
+        return {name: vector[start:stop].reshape(shape)
+                for name, (start, stop, shape) in self.blocks.items() if stop <= len(vector)}
 
     def carve(self, batch: int, steps: int, train: bool) -> dict[str, tuple]:
         """One forward call's arrays by group, laid out as :func:`_buffer_shapes` gives them.
@@ -170,8 +175,7 @@ class ModelParams:
         buffer holds replaces it, freeing the old one first unless a view of
         it is still alive. Every carve counts in ``carves``.
         """
-        regions = _buffer_shapes(batch, steps, self.input_dim, self.units,
-                                 self.shapes["attn.v"][0], train)
+        regions = _buffer_shapes(batch, steps, self.units, len(self["attn.v"]), train)
         groups, start = {}, 0
         for region in regions:
             end = start
@@ -187,12 +191,12 @@ class ModelParams:
         self.carves += 1
         if self.scratch.size < start:
             self.scratch = None  # free the old buffer before the larger one
-            self.scratch = np.empty(start)
+            self.scratch = np.frombuffer(mmap.mmap(-1, 8 * start), dtype=np.float64)
         return {name: tuple(self.scratch[a:b].reshape(shape) for a, b, shape in blocks)
                 for name, blocks in groups.items()}
 
 
-def _buffer_shapes(batch: int, steps: int, input_dim: int, units: int, attn_dim: int,
+def _buffer_shapes(batch: int, steps: int, units: int, attn_dim: int,
                    train: bool) -> list[dict[str, tuple]]:
     """Shapes of the arrays a forward call carves, by group, in regions.
 
@@ -228,9 +232,9 @@ def _buffer_shapes(batch: int, steps: int, input_dim: int, units: int, attn_dim:
     ``d_gates``; ``acts`` is gate-major, (kept, 4, 2, B, u), so a gate of
     both directions is one contiguous block.
     """
-    B, T, d, u = batch, steps, input_dim, units
+    B, T, u = batch, steps, units
     kept = T if train else 1
-    scan = {"scan": ((2, T + 1, B, u + d + 1), (kept, 4, 2, B, u), (kept + 1, 2, B, u),
+    scan = {"scan": ((2, T + 1, B, u + 2), (kept, 4, 2, B, u), (kept + 1, 2, B, u),
                      (kept, 2, B, u))}
     scan_scratch = {"scan_scratch": ((2, B, 4 * u), (2, B, u))}
     states = {"states": ((B, T, 2 * u),)}
@@ -246,14 +250,12 @@ def _buffer_shapes(batch: int, steps: int, input_dim: int, units: int, attn_dim:
 
 def _glorot(rng: RandomSource, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    size = int(np.prod(shape))
-    return (rng.uniforms(size) * 2.0 - 1.0).reshape(shape) * limit
+    return (rng.uniforms(math.prod(shape)) * 2.0 - 1.0).reshape(shape) * limit
 
 
 def init_model_params(
     rng: RandomSource,
     *,
-    input_dim: int = 1,
     units: int,
     attn_dim: int,
     dense_widths: tuple[int, int],
@@ -263,8 +265,8 @@ def init_model_params(
 ) -> ModelParams:
     if not 0.0 <= dropout_rate < 1.0:
         raise ParameterError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
-    p = ModelParams(input_dim, units, attn_dim, dense_widths, dropout_rate, l2, bn_eps)
-    rows = units + input_dim
+    p = ModelParams(units, attn_dim, dense_widths, dropout_rate, l2, bn_eps)
+    rows = units + 1
     for w in p["lstm.w"]:  # forward direction first
         for gate in ("forget", "input", "cell", "output"):  # the draw order
             k = GATES.index(gate)
@@ -287,19 +289,18 @@ def init_model_params(
 
 
 def _lstm_scan(X: np.ndarray, w: np.ndarray, buffers, scratch, H: np.ndarray) -> None:
-    """Run both directions' recurrences over (B, T, input_dim) from zero states.
+    """Run both directions' recurrences over (B, T, 1) from zero states.
 
-    ``w`` is the (2, R, 4u) pair of fused matrices, R = u + input_dim + 1,
-    forward direction first, bias row last. ``buffers`` is ``(hx, acts,
-    cells, tanh_cells)`` and ``scratch`` the ``(z, ig)`` step scratch,
-    shaped as :func:`_buffer_shapes` gives them; the scan overwrites them
-    all. The forward direction's states go into ``H[:, :, :u]``, and the
+    ``w`` is the (2, u + 2, 4u) pair of fused matrices, forward direction
+    first, bias row last. ``buffers`` is ``(hx, acts, cells, tanh_cells)``
+    and ``scratch`` the ``(z, ig)`` step scratch, shaped as
+    :func:`_buffer_shapes` gives them; the scan overwrites them all. The forward direction's states go into ``H[:, :, :u]``, and the
     backward direction, which reads the sequence reversed, writes its
     states back in the sequence's order into ``H[:, :, u:]``. Train-mode
     ``buffers`` are then the cache that :func:`_lstm_scan_backward` reads.
 
     The scan runs time-major, both directions in lockstep. Row t of
-    direction k's ``hx[k]`` (T + 1, B, R) holds [h_{t-1}, x_t, 1], x_t
+    direction k's ``hx[k]`` (T + 1, B, u + 2) holds [h_{t-1}, x_t, 1], x_t
     taken in that direction's order, so a step's biased gates are one
     product per direction with its fused matrix, into ``z``. The gates are
     activated out of ``z`` into the step's gate-major row of ``acts``, (4,
@@ -353,10 +354,11 @@ def _lstm_scan_backward(cache, dH: np.ndarray, w: np.ndarray, dw: np.ndarray,
 
     ``dH`` is the gradient of ``H`` (B, T, 2u), the backward direction's
     half read in that direction's (reversed) order. Overwrites ``dw``, laid
-    out like the (2, R, 4u) pair ``w``. Each step writes each direction's
-    gate gradients into one contiguous (B, 4u) row of ``d_gates``, and the
-    gradient of each whole matrix, bias row included, is one product over
-    all steps after the loop, written into ``dw`` (Appleyard et al. 2016).
+    out like the (2, u + 2, 4u) pair ``w``. Each step writes each
+    direction's gate gradients into one contiguous (B, 4u) row of
+    ``d_gates``, and the gradient of each whole matrix, bias row included,
+    is one product over all steps after the loop, written into ``dw``
+    (Appleyard et al. 2016).
     The gate-derivative factors are formed step by step in (2, B, u)-sized
     scratch: formed for all T up front they make blocks that outgrow the
     cache, which measured slower. ``scratch`` is ``(d_gates, dh, dc, tmp,
@@ -428,11 +430,12 @@ def _attention_batch(H: np.ndarray, w: np.ndarray, v: np.ndarray, pre: np.ndarra
 
 def batchnorm_forward(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray, mode: str,
-                      momentum: float, eps: float):
+                      eps: float):
     """Normalize columns of (B, d); returns (out, cache).
 
-    Train mode uses batch statistics and records updated running stats in
-    the cache (the caller commits them); infer mode uses the running stats.
+    Train mode uses batch statistics and records running stats updated at
+    ``BN_MOMENTUM`` in the cache (the caller commits them); infer mode uses
+    the running stats.
     """
     X = np.asarray(X, dtype=np.float64)
     if mode == "train":
@@ -445,8 +448,8 @@ def batchnorm_forward(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         INVARIANT_CHECKS["batchnorm_zero_mean"] += 1
         if not np.all(np.abs(xhat.mean(axis=0)) <= 1e-6):
             raise NumericError("batch norm failed to center the batch")
-        new_mean = momentum * running_mean + (1 - momentum) * mean
-        new_var = momentum * running_var + (1 - momentum) * var
+        new_mean = BN_MOMENTUM * running_mean + (1 - BN_MOMENTUM) * mean
+        new_var = BN_MOMENTUM * running_var + (1 - BN_MOMENTUM) * var
         cache = {"xhat": xhat, "istd": istd, "new_running": (new_mean, new_var)}
     elif mode == "infer":
         istd = 1.0 / np.sqrt(running_var + eps)
@@ -492,7 +495,7 @@ def draw_dropout_masks(p: ModelParams, batch: int, rng: RandomSource):
 
 
 def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | None = None):
-    """Forward a batch of sequences (B, T, input_dim).
+    """Forward a batch of sequences (B, T, 1), one value per step.
 
     Returns (predictions, cache); predictions holds one value per sequence.
     Train mode needs a batch of at least 2 (batch norm uses batch
@@ -524,13 +527,11 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
         raise ParameterError(f"unknown mode {mode!r}")
     data = np.asarray(x, dtype=np.float64)
     if data.ndim != 3:
-        raise ShapeError(f"expected (B, T, d) input, got shape {data.shape}")
+        raise ShapeError(f"expected (B, T, 1) input, got shape {data.shape}")
     if data.shape[1] == 0:
         raise EmptyInputError("empty sequence")
-    if data.shape[2] != p.input_dim:
-        raise ShapeError(
-            f"model expects {p.input_dim} values per step, got {data.shape[2]}"
-        )
+    if data.shape[2] != 1:
+        raise ShapeError(f"the network reads one value per step, got {data.shape[2]}")
     masks = (None, None)
     if mode == "train":
         if rng is None:
@@ -547,7 +548,7 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
         lin = out @ p[f"dense{k}.w"].T + p[f"dense{k}.b"]
         normed, bn_cache = batchnorm_forward(
             np.maximum(lin, 0.0), p[f"bn{k}.gamma"], p[f"bn{k}.beta"],
-            p[f"bn{k}.running_mean"], p[f"bn{k}.running_var"], mode, BN_MOMENTUM, p.bn_eps)
+            p[f"bn{k}.running_mean"], p[f"bn{k}.running_var"], mode, p.bn_eps)
         head.append((out, lin, bn_cache, mask))
         out = normed if mask is None else normed * mask
     preds = out @ p["out.w"] + p["out.b"][0]
@@ -728,7 +729,7 @@ def random_gradcheck_model(seed: int, eps: float = 1e-4):
         params_rng = base.spawn()
         data_rng = base.spawn()
         p = init_model_params(
-            params_rng, input_dim=1, units=4, attn_dim=3, dense_widths=(6, 4),
+            params_rng, units=4, attn_dim=3, dense_widths=(6, 4),
             dropout_rate=0.3, l2=1e-3, bn_eps=1.0,
         )
         X = data_rng.gaussians(0.0, 1.0, batch * T).reshape(batch, T, 1)

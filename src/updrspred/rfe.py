@@ -43,30 +43,27 @@ class RfeResult:
             for r in self.rounds
         ]
 
-    def to_report(self, feature_names=None) -> str:
-        """Human-readable elimination history."""
-        def label(idx):
-            return feature_names[idx] if feature_names else f"feature {idx}"
-
-        lines = [f"selected ({len(self.selected)}): " + ", ".join(label(i) for i in self.selected)]
+    def to_report(self, feature_names) -> str:
+        """Human-readable elimination history, naming column j ``feature_names[j]``."""
+        selected = ", ".join(feature_names[i] for i in self.selected)
+        lines = [f"selected ({len(self.selected)}): {selected}"]
         for round_no, r in enumerate(self.rounds, start=1):
             scores = ", ".join(
-                f"{label(f)}={s:.4f}" for f, s in zip(r.surviving, r.importance)
+                f"{feature_names[f]}={s:.4f}" for f, s in zip(r.surviving, r.importance)
             )
-            lines.append(f"round {round_no}: removed {label(r.removed)} [{scores}]")
+            lines.append(f"round {round_no}: removed {feature_names[r.removed]} [{scores}]")
         return "\n".join(lines) + "\n"
 
-    def to_json(self, feature_names=None) -> str:
-        doc = {
+    def to_json(self, feature_names) -> str:
+        """The elimination history as JSON, with column j named ``feature_names[j]``."""
+        return json.dumps({
             "version": 1,
             "selected": [int(i) for i in self.selected],
             "elimination_order": [int(i) for i in self.elimination_order],
             "per_round_importance": self.per_round_importance(),
-        }
-        if feature_names:
-            doc["selected_names"] = [feature_names[i] for i in self.selected]
-            doc["eliminated_names"] = [feature_names[i] for i in self.elimination_order]
-        return json.dumps(doc, indent=2, sort_keys=True)
+            "selected_names": [feature_names[i] for i in self.selected],
+            "eliminated_names": [feature_names[i] for i in self.elimination_order],
+        }, indent=2, sort_keys=True)
 
 
 def rfe_select(

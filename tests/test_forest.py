@@ -434,7 +434,7 @@ def test_fit_forest_refuses_a_non_finite_target_before_any_tree(monkeypatch):
 
 
 class TestForest:
-    def test_trees_read_unsigned_ranks(self, monkeypatch):
+    def test_trees_read_the_table_unchanged(self, monkeypatch):
         tables = []
         fit = forest_module.fit_tree
 
@@ -447,11 +447,12 @@ class TestForest:
         fit_forest(X, X[:, 0], ForestParams(n_trees=2, max_depth=3), RandomSource(4))
         assert len(tables) == 2
         for table in tables:
-            # column 0 ascends through 300 values; column 1 ranks -1.0, 2.5, 7.0 as 0, 1, 2
-            assert table.dtype == np.uint16
-            assert np.array_equal(table[:, 1], np.array([1, 0, 2])[table[:, 0] // 100])
+            # each tree gets its bootstrap rows of X itself, values and dtype
+            assert table.dtype == np.float64
+            rows = np.searchsorted(X[:, 0], table[:, 0])  # column 0 ascends
+            assert np.array_equal(table, X[rows])
 
-    def test_an_unsigned_table_is_taken_as_ranks(self, monkeypatch):
+    def test_ranks_give_the_forest_of_their_values(self, monkeypatch):
         rng = RandomSource(17)
         X = rng.gaussians(0, 1, 90 * 4).reshape(90, 4)
         X[:, 2] = np.round(X[:, 2])
@@ -459,9 +460,9 @@ class TestForest:
         params = ForestParams(n_trees=4, max_depth=5, min_samples_leaf=2)
         ranks = dense_ranks(X)
         assert ranks.dtype == np.uint8
-        expected = fit_forest(X, y, params, RandomSource(2))
         ranked = []
         monkeypatch.setattr(forest_module, "dense_ranks", lambda table: ranked.append(table))
+        expected = fit_forest(X, y, params, RandomSource(2))
         assert np.array_equal(fit_forest(ranks, y, params, RandomSource(2)), expected)
         assert ranked == []
 

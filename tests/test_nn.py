@@ -1,6 +1,7 @@
 import itertools
 import math
-import tracemalloc
+import mmap
+import weakref
 
 import numpy as np
 import pytest
@@ -46,19 +47,19 @@ def fuse(gates):
     return np.vstack([w, b])
 
 
-def nan_buffers(batch, steps, input_dim, units, train):
+def nan_buffers(batch, steps, units, train):
     """Every group of _buffer_shapes, filled with NaN so a read before a write shows."""
-    regions = _buffer_shapes(batch, steps, input_dim, units, 1, train)
+    regions = _buffer_shapes(batch, steps, units, 1, train)
     return {name: tuple(np.full(shape, np.nan) for shape in group)
             for region in regions for name, group in region.items()}
 
 
 def scan(X, w, mode):
-    """_lstm_scan with the (2, R, 4u) pair ``w`` on buffers of the shapes
+    """_lstm_scan with the (2, u + 2, 4u) pair ``w`` on buffers of the shapes
     model_forward carves; returns the states H (B, T, 2u) and the scan
     buffers, which in train mode are the backward's cache."""
-    B, T, d = X.shape
-    buffers = nan_buffers(B, T, d, w.shape[2] // 4, mode == "train")
+    B, T, _ = X.shape
+    buffers = nan_buffers(B, T, w.shape[2] // 4, mode == "train")
     H = buffers["states"][0]
     _lstm_scan(X, w, buffers["scan"], buffers["scan_scratch"], H)
     return H, buffers["scan"]
@@ -66,24 +67,23 @@ def scan(X, w, mode):
 
 def scan_backward(cache, dH, w, dw):
     """_lstm_scan_backward on scratch of the shapes model_forward carves."""
-    hx, acts = cache[:2]
-    T, _, _, B, u = acts.shape
-    scratch = nan_buffers(B, T, hx.shape[3] - u - 1, u, True)["scan_backward"]
+    T, _, _, B, u = cache[1].shape  # the gate rows
+    scratch = nan_buffers(B, T, u, True)["scan_backward"]
     _lstm_scan_backward(cache, dH, w, dw, scratch)
 
 
 def pair(w_fwd, w_bwd=None):
-    """The (2, R, 4u) block of both directions' matrices, forward first;
+    """The (2, u + 2, 4u) block of both directions' matrices, forward first;
     one matrix serves both directions."""
     return np.stack([w_fwd, w_fwd if w_bwd is None else w_bwd])
 
 
-def zero_lstm(input_dim, units):
-    return np.zeros((units + input_dim + 1, 4 * units))
+def zero_lstm(units):
+    return np.zeros((units + 2, 4 * units))
 
 
-def random_gates(rng, input_dim, units, scale=0.6):
-    rows = units + input_dim
+def random_gates(rng, units, scale=0.6):
+    rows = units + 1
     gates = {}
     for gate in ("forget", "input", "cell", "output"):
         gates[f"w_{gate}"] = rng.gaussians(0, scale, rows * units).reshape(rows, units)
@@ -111,7 +111,7 @@ def paper_model():
 
 def tiny_model(seed, dropout=0.0, l2=0.0):
     return init_model_params(
-        RandomSource(seed), input_dim=1, units=4, attn_dim=3,
+        RandomSource(seed), units=4, attn_dim=3,
         dense_widths=(6, 4), dropout_rate=dropout, l2=l2,
     )
 
@@ -125,7 +125,7 @@ def model_with_lstm(w_fwd, w_bwd=None):
 
 
 def scalar_scan_oracle(seq, gates):
-    """Hidden states of one (T, input_dim) sequence from zero state,
+    """Hidden states of one (T, 1) sequence from zero state,
     recomputed step by step with plain Python floats."""
     u = len(gates["b_forget"])
     h = [0.0] * u
@@ -250,8 +250,8 @@ class TestParamLayout:
 class TestLstmCell:
     def test_zero_parameters(self):
         u = 3
-        X = np.array([[[5.0, -1.0], [0.3, 2.0]]])
-        states, (_, acts, cells, _) = scan(X, pair(zero_lstm(2, u)), "train")
+        X = np.array([[[5.0], [0.3]]])
+        states, (_, acts, cells, _) = scan(X, pair(zero_lstm(u)), "train")
         c_prevs = cells[:-1]
         assert acts.shape == (2, 4, 2, 1, u)  # gate-major: step, gate, direction
         assert np.all(acts[:, :3] == 0.5)  # forget, input, output
@@ -261,7 +261,7 @@ class TestLstmCell:
 
     def test_saturated_forget_gate_preserves_cell(self):
         u = 2
-        w = zero_lstm(1, u)
+        w = zero_lstm(u)
         w[-1, :2 * u] = 100.0  # forget and input gates saturated open
         w[u:-1, 3 * u:] = 1.0  # candidate = tanh(x_t)
         X = np.array([[[0.7], [0.0], [0.0], [0.0]]])
@@ -276,8 +276,8 @@ class TestLstmCell:
     def test_matches_scalar_oracle(self):
         rng = RandomSource(414)
         u = 3
-        gates_fwd, gates_bwd = random_gates(rng, 2, u), random_gates(rng, 2, u)
-        X = rng.gaussians(0, 1, 2 * 6 * 2).reshape(2, 6, 2)
+        gates_fwd, gates_bwd = random_gates(rng, u), random_gates(rng, u)
+        X = rng.gaussians(0, 1, 2 * 6).reshape(2, 6, 1)
         states, _ = scan(X, pair(fuse(gates_fwd), fuse(gates_bwd)), "train")
         for row in range(2):
             assert np.allclose(states[row, :, :u], scalar_scan_oracle(X[row], gates_fwd),
@@ -290,7 +290,7 @@ class TestLstmCell:
         # but float64 rounds tanh(|x| > 19) to exactly 1
         rng = RandomSource(5)
         u = 4
-        w = pair(fuse(random_gates(rng, 1, u, scale=0.8)), fuse(random_gates(rng, 1, u, scale=0.8)))
+        w = pair(fuse(random_gates(rng, u, scale=0.8)), fuse(random_gates(rng, u, scale=0.8)))
         X = rng.gaussians(0, 1, 12).reshape(2, 6, 1)
         _, (_, acts, _, _) = scan(X, w, "train")
         assert np.all((acts[:, :3] > 0) & (acts[:, :3] < 1))
@@ -299,13 +299,13 @@ class TestLstmCell:
 
 class TestScanMatchesReference:
     @settings(max_examples=200, deadline=None)
-    @given(batch=st.integers(1, 9), steps=st.integers(1, 7), input_dim=st.integers(1, 3),
-           units=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
-    def test_states_and_gradients_match(self, batch, steps, input_dim, units, seed):
+    @given(batch=st.integers(1, 9), steps=st.integers(1, 7), units=st.integers(1, 6),
+           seed=st.integers(0, 2**31 - 1))
+    def test_states_and_gradients_match(self, batch, steps, units, seed):
         rng = RandomSource(seed)
-        w_fwd = fuse(random_gates(rng, input_dim, units))
-        w_bwd = fuse(random_gates(rng, input_dim, units))
-        X = rng.gaussians(0, 1, batch * steps * input_dim).reshape(batch, steps, input_dim)
+        w_fwd = fuse(random_gates(rng, units))
+        w_bwd = fuse(random_gates(rng, units))
+        X = rng.gaussians(0, 1, batch * steps).reshape(batch, steps, 1)
         dH = rng.gaussians(0, 1, batch * steps * 2 * units).reshape(batch, steps, 2 * units)
         kept = X.copy()
         X.setflags(write=False)
@@ -332,21 +332,19 @@ class TestScanMatchesReference:
 
 class TestInferScan:
     @settings(max_examples=100, deadline=None)
-    @given(batch=st.integers(1, 300), steps=st.integers(1, 12), input_dim=st.integers(1, 3),
-           units=st.integers(1, 8), scale=st.sampled_from([0.6, 30.0]),
-           seed=st.integers(0, 2**31 - 1))
-    def test_states_equal_the_training_scan(self, batch, steps, input_dim, units, scale,
-                                            seed):
+    @given(batch=st.integers(1, 300), steps=st.integers(1, 12), units=st.integers(1, 8),
+           scale=st.sampled_from([0.6, 30.0]), seed=st.integers(0, 2**31 - 1))
+    def test_states_equal_the_training_scan(self, batch, steps, units, scale, seed):
         # inputs of +-50 against weights of scale 30 drive gate pre-activations
         # past -709, where exp(-z) overflows in the sigmoid
         rng = RandomSource(seed)
-        w = pair(fuse(random_gates(rng, input_dim, units, scale=scale)),
-                 fuse(random_gates(rng, input_dim, units, scale=scale)))
-        size = batch * steps * input_dim
+        w = pair(fuse(random_gates(rng, units, scale=scale)),
+                 fuse(random_gates(rng, units, scale=scale)))
+        size = batch * steps
         X = rng.gaussians(0, 1, size)
         wild = rng.uniforms(size) < 0.2
         X[wild] = np.where(rng.uniforms(size) < 0.5, -50.0, 50.0)[wild]
-        X = X.reshape(batch, steps, input_dim)
+        X = X.reshape(batch, steps, 1)
         X.setflags(write=False)
         want, _ = scan(X, w, "train")
         got, (_, acts, cells, tanh_cells) = scan(X, w, "infer")
@@ -365,14 +363,14 @@ class TestInferScan:
 
 class TestBilstm:
     def test_t1_uses_same_step_twice(self):
-        p = model_with_lstm(fuse(random_gates(RandomSource(6), 1, 4)))
+        p = model_with_lstm(fuse(random_gates(RandomSource(6), 4)))
         _, cache = model_forward(np.array([[0.4]])[None], p)
         H = cache["buffers"]["states"][0][0]
         assert H.shape == (1, 8)
         assert np.allclose(H[0, :4], H[0, 4:])
 
     def test_palindrome_symmetry(self):
-        p = model_with_lstm(fuse(random_gates(RandomSource(7), 1, 4)))
+        p = model_with_lstm(fuse(random_gates(RandomSource(7), 4)))
         seq = np.array([[0.3], [-1.2], [0.5], [-1.2], [0.3]])
         _, cache = model_forward(seq[None], p)
         H = cache["buffers"]["states"][0][0]
@@ -384,7 +382,7 @@ class TestBilstm:
         # distinct matrices: a swapped matrix or a missing time reversal
         # shows, which the palindrome test, with one matrix for both, cannot
         rng = RandomSource(34)
-        w_fwd, w_bwd = fuse(random_gates(rng, 1, 4)), fuse(random_gates(rng, 1, 4))
+        w_fwd, w_bwd = fuse(random_gates(rng, 4)), fuse(random_gates(rng, 4))
         p = model_with_lstm(w_fwd, w_bwd)
         X = rng.gaussians(0, 1, 3 * 6).reshape(3, 6, 1)
         _, cache = model_forward(X, p)
@@ -395,7 +393,7 @@ class TestBilstm:
         assert_relatively_close(H[:, :, 4:], backward[:, ::-1])
 
     def test_zero_parameters_zero_states(self):
-        p = model_with_lstm(zero_lstm(1, 4))
+        p = model_with_lstm(zero_lstm(4))
         _, cache = model_forward(np.array([[1.0], [2.0]])[None], p)
         assert np.array_equal(cache["buffers"]["states"][0][0], np.zeros((2, 8)))
 
@@ -473,8 +471,7 @@ class TestAttention:
 class TestBatchNorm:
     def bn(self, d, **kw):
         base = dict(gamma=np.ones(d), beta=np.zeros(d),
-                    running_mean=np.zeros(d), running_var=np.ones(d),
-                    momentum=0.9, eps=1e-5)
+                    running_mean=np.zeros(d), running_var=np.ones(d), eps=1e-5)
         base.update(kw)
         return base
 
@@ -502,13 +499,17 @@ class TestBatchNorm:
         with pytest.raises(ParameterError):
             batchnorm_forward(np.ones((1, 3)), **self.bn(3), mode="train")
 
-    def test_running_stats_updated_with_momentum(self):
+    def test_running_stats_updated_with_momentum(self, monkeypatch):
         bn = self.bn(1)
         X = np.array([[2.0], [4.0]])  # batch mean 3, var 1
         _, cache = batchnorm_forward(X, **bn, mode="train")
         new_mean, new_var = cache["new_running"]
         assert new_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 3.0)
         assert new_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
+        # the momentum is the module's one constant
+        monkeypatch.setattr(nn_module, "BN_MOMENTUM", 0.5)
+        _, cache = batchnorm_forward(X, **bn, mode="train")
+        assert cache["new_running"][0][0] == pytest.approx(1.5)
 
 
 class TestDropout:
@@ -604,12 +605,15 @@ class TestModelForward:
         with pytest.raises(ParameterError):
             model_forward(np.ones((5, 1))[None], p, mode="train", rng=RandomSource(0))
 
-    def test_wrong_step_width_or_missing_batch_axis_rejected(self):
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_wrong_step_width_or_missing_batch_axis_rejected(self, mode):
         p = tiny_model(9)
-        with pytest.raises(ShapeError, match="model expects 1 values per step, got 2"):
-            model_forward(np.ones((4, 2))[None], p, mode="infer")
-        with pytest.raises(ShapeError, match=r"expected \(B, T, d\) input"):
-            model_forward(np.ones((5, 1)), p, mode="infer")
+        rng = RandomSource(10)
+        with pytest.raises(ShapeError, match="the network reads one value per step, got 2"):
+            model_forward(np.ones((3, 4, 2)), p, mode=mode, rng=rng)
+        with pytest.raises(ShapeError, match=r"expected \(B, T, 1\) input"):
+            model_forward(np.ones((5, 1)), p, mode=mode, rng=rng)
+        assert p.carves == 0
 
     def test_unknown_mode_rejected_before_any_work(self):
         p = tiny_model(9)
@@ -772,21 +776,25 @@ class TestWorkspaceCarving:
         _, cache = model_forward(X, p, mode="infer")
         assert p.carves == cache["carves"] == 2
 
-    def test_growing_frees_the_old_buffer_before_the_new_one(self):
-        # with no view of the old buffer alive, the two are never held at once
+    def test_growing_frees_the_old_buffer_before_the_new_one(self, monkeypatch):
+        # with no view of the old buffer alive, the two are never held at once:
+        # the old memory map is closed before the new one is made
         p = init_model_params(RandomSource(68), units=16, attn_dim=8, dense_widths=(4, 4))
-        tracemalloc.start()
-        try:
-            p.carve(32, 10, True)  # its views die at once
-            old = p.scratch.nbytes
-            tracemalloc.reset_peak()
-            p.carve(64, 10, True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        new = p.scratch.nbytes
-        assert new > old > 2 ** 17
-        assert peak < old + new
+        p.carve(32, 10, True)  # its views die at once
+        old = p.scratch.nbytes
+        old_map = weakref.ref(p.scratch.base.obj)
+        alive_when_mapping = []
+        make_map = mmap.mmap
+
+        def spy(*args):
+            alive_when_mapping.append(old_map() is not None)
+            return make_map(*args)
+
+        monkeypatch.setattr(nn_module.mmap, "mmap", spy)
+        p.carve(64, 10, True)
+        assert alive_when_mapping == [False]
+        assert isinstance(p.scratch.base.obj, make_map)
+        assert p.scratch.nbytes > old > 2 ** 17
 
     def test_results_do_not_depend_on_what_the_workspace_held(self):
         # every carved array is written before it is read: a buffer full of

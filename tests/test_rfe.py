@@ -119,8 +119,8 @@ def test_each_fold_is_ranked_once_and_selects_as_before(monkeypatch):
     for table, record in zip(tables, result.rounds):
         assert table.dtype == ranks.dtype
         assert np.array_equal(table, ranks[:, list(record.surviving)])
-    # handing every round its float columns, which fit_forest ranks afresh,
-    # selects the same
+    # handing every round its float columns, which the trees read as they
+    # are, selects the same
     monkeypatch.setattr(rfe_module, "dense_ranks", lambda table: table)
     monkeypatch.setattr(rfe_module, "fit_forest", fit_forest)
     per_round = rfe_select(X, y, 2, FAST_FOREST, RandomSource(3))
@@ -173,7 +173,10 @@ class TestRfeReport:
     def test_json_roundtrip(self):
         X, y, rng = make_signal_problem(11)
         result = rfe_select(X, y, 2, FAST_FOREST, rng)
-        doc = json.loads(result.to_json())
+        names = [f"col{i}" for i in range(6)]
+        doc = json.loads(result.to_json(names))
         assert doc["version"] == 1
         assert sorted(doc["selected"] + doc["elimination_order"]) == list(range(6))
         assert len(doc["per_round_importance"]) == 4
+        assert doc["selected_names"] == [names[i] for i in doc["selected"]]
+        assert doc["eliminated_names"] == [names[i] for i in doc["elimination_order"]]
