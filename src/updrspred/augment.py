@@ -17,14 +17,12 @@ from .linalg import RandomSource
 SIGMA_SCALE = 0.01
 
 
-def jitter(X: np.ndarray, sigma_per_column: np.ndarray, rng: RandomSource) -> np.ndarray:
+def jitter(X: np.ndarray, sigma: np.ndarray, rng: RandomSource) -> np.ndarray:
     """One perturbed copy of X: entry (i, j) gains N(0, sigma_j**2) noise.
 
     Draws a standard-normal matrix in row-major order and scales it per
     column, so a zero sigma yields exactly the original values.
     """
-    X = np.asarray(X, dtype=np.float64)
-    sigma = np.asarray(sigma_per_column, dtype=np.float64)
     if sigma.shape != (X.shape[1],):
         raise ShapeError(f"need one sigma per column: X has {X.shape[1]}, got {sigma.shape}")
     if np.any(sigma < 0):
@@ -44,8 +42,6 @@ def augment_training_set(
     Column noise is ``SIGMA_SCALE`` times the column's own stddev, which is
     1 for standardized input.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if copies < 0:

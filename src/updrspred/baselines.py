@@ -86,8 +86,6 @@ def solve_lls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     formed. Refuses a design whose R has a diagonal entry at or below
     ``max(m, n) * eps * max|diag R|`` with ``RankError``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ShapeError(f"incompatible shapes X{X.shape}, y{y.shape}")
     m, n = X.shape
@@ -113,8 +111,6 @@ def solve_cg(X: np.ndarray, y: np.ndarray, tol: float = 1e-10,
     products are numpy elementwise operations and sums, not BLAS calls, so
     the result does not depend on which BLAS kernel the machine runs.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ShapeError(f"incompatible shapes X{X.shape}, y{y.shape}")
     n = X.shape[1]
@@ -172,31 +168,28 @@ def _fit_adam_linear(Xi: np.ndarray, y: np.ndarray, spec: BaselineSpec) -> np.nd
 def fit_baseline(spec: BaselineSpec, X_train: np.ndarray, y_train: np.ndarray) -> LinearModel:
     """Fit one method; expects an already-standardized design matrix."""
     spec.validate()
-    X = np.asarray(X_train, dtype=np.float64)
-    y = np.asarray(y_train, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    if X_train.ndim != 2 or y_train.ndim != 1 or X_train.shape[0] != y_train.shape[0]:
         raise ShapeError(f"need X (rows, features) and y with one value per row, "
-                         f"got X{X.shape}, y{y.shape}")
-    n, d = X.shape
+                         f"got X{X_train.shape}, y{y_train.shape}")
+    n, d = X_train.shape
     if n == 0:
-        raise EmptyInputError(f"no training rows to fit {spec.method!r} on (X{X.shape})")
-    Xi = np.column_stack([X, np.ones(n)])
+        raise EmptyInputError(f"no training rows to fit {spec.method!r} on (X{X_train.shape})")
+    Xi = np.column_stack([X_train, np.ones(n)])
 
     if spec.method == "lls":
-        full = solve_lls(Xi, y)
+        full = solve_lls(Xi, y_train)
     elif spec.method == "cg":
-        full = solve_cg(Xi, y)
+        full = solve_cg(Xi, y_train)
     elif spec.method == "adam_linear":
-        full = _fit_adam_linear(Xi, y, spec)
+        full = _fit_adam_linear(Xi, y_train, spec)
     else:
         penalty = np.sqrt(spec.ridge_lambda) * np.eye(d, d + 1)
-        full = solve_lls(np.vstack([Xi, penalty]), np.concatenate([y, np.zeros(d)]))
+        full = solve_lls(np.vstack([Xi, penalty]), np.concatenate([y_train, np.zeros(d)]))
 
     return LinearModel(weights=full[:d], intercept=float(full[d]))
 
 
 def predict_linear(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.weights.shape[0]:
         raise ShapeError(
             f"model has {model.weights.shape[0]} weights, input has shape {X.shape}"

@@ -154,11 +154,10 @@ def select(ctx):
         X = apply_standardizer(fit_standardizer(X, column_names=config.regressors), X)
         result = rfe_select(X, y, config.rfe_k, config.forest_params(),
                             RandomSource(config.seed), protected=config.protected_indices())
-    names = list(config.regressors)
-    (run_dir / "rfe_report.txt").write_text(result.to_report(names))
-    (run_dir / "rfe_report.json").write_text(result.to_json(names) + "\n")
+    (run_dir / "rfe_report.txt").write_text(result.to_report(config.regressors))
+    (run_dir / "rfe_report.json").write_text(result.to_json(config.regressors) + "\n")
     click.echo(f"run directory: {run_dir}")
-    click.echo(result.to_report(names), nl=False)
+    click.echo(result.to_report(config.regressors), nl=False)
 
 
 @main.command("train-eval")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .baselines import BaselineSpec
-from .dataset import DEFAULT_REGRESSORS, check_design
+from .dataset import DEFAULT_REGRESSORS, check_design, utf8_lines
 from .errors import ConfigError
 from .forest import ForestParams
 from .optimize import TrainSettings
@@ -150,13 +150,6 @@ class RunConfig:
             lr_initial=self.lr_initial,
         )
 
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["regressors"] = list(self.regressors)
-        doc["protected_regressors"] = list(self.protected_regressors)
-        doc["dense_widths"] = list(self.dense_widths)
-        return doc
-
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 # what a JSON value must be for each annotation; a boolean is never a number
@@ -194,17 +187,21 @@ def config_from_dict(doc: dict) -> RunConfig:
     return config
 
 
+def _refuse_repeats(pairs) -> dict:
+    keys = [key for key, _ in pairs]
+    repeated = [key for key in keys if keys.count(key) > 1]
+    if repeated:
+        raise ConfigError(f"config key {repeated[0]!r} is given more than once")
+    return dict(pairs)
+
+
 def load_config(path) -> dict:
-    """The unvalidated JSON object in ``path``, read as UTF-8 with or without a BOM."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            doc = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"{path}: not UTF-8 text ({exc.reason}: byte 0x{exc.object[exc.start]:02x})"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    """The unvalidated JSON object in the UTF-8 file ``path``; a repeated key is refused."""
+    try:
+        doc = json.loads("".join(utf8_lines(path, ConfigError)),
+                         object_pairs_hook=_refuse_repeats)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
@@ -222,4 +219,7 @@ def parse_override(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings (paths, column names) stay strings
+    # a string key takes text that is no JSON string, such as 2024 or null, as written
+    if _FIELD_TYPES[key] == "str" and not isinstance(value, str):
+        value = raw
     return key, value

@@ -8,6 +8,7 @@ header name, so files with reordered columns load fine.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -103,14 +104,16 @@ def _parse_cell(raw: str, column: str, row_number: int) -> float:
     return value
 
 
-def _utf8_lines(fh, path):
-    """The lines of ``fh``; a byte that is not UTF-8 raises ParseError naming ``path``."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path}: not UTF-8 text ({exc.reason}: byte 0x{exc.object[exc.start]:02x})"
-        ) from None
+def utf8_lines(path, fault: type[Exception]):
+    """The lines, endings kept, of the UTF-8 file ``path`` (a byte-order mark
+    is skipped); a byte that is not UTF-8 raises ``fault`` naming ``path``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise fault(
+                f"{path}: not UTF-8 text ({exc.reason}: byte 0x{exc.object[exc.start]:02x})"
+            ) from None
 
 
 def load_csv(path) -> Dataset:
@@ -119,16 +122,14 @@ def load_csv(path) -> Dataset:
     The file is UTF-8 text, with or without a byte-order mark. Row numbers
     in errors count the header as row 1.
     """
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+    with contextlib.closing(utf8_lines(path, ParseError)) as lines:
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyInputError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        positions = {}
-        for i, name in enumerate(header):
-            positions.setdefault(name, i)
+        positions = {name: i for i, name in enumerate(header)}
         missing = [c for c in REQUIRED_COLUMNS if c not in positions]
         if missing:
             raise SchemaError(f"{path}: missing column(s) {', '.join(repr(m) for m in missing)}")
@@ -200,10 +201,9 @@ def check_design(target: str, regressors) -> None:
 def build_design(dataset: Dataset, target: str, regressors) -> tuple[np.ndarray, np.ndarray]:
     """Assemble (X, y): one row per record in file order.
 
-    ``regressors`` is an ordered list of column names that become the
+    ``regressors`` is an ordered sequence of column names that become the
     columns of X; see :func:`check_design` for what is accepted.
     """
-    regressors = list(regressors)
     check_design(target, regressors)
     X = np.column_stack([dataset.column(name) for name in regressors])
     y = dataset.column(TARGET_COLUMNS[target])
@@ -212,7 +212,6 @@ def build_design(dataset: Dataset, target: str, regressors) -> tuple[np.ndarray,
 
 def fit_standardizer(X: np.ndarray, column_names=()) -> StandardizationStats:
     """Per-column mean/stddev (population) from training rows only."""
-    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-D (rows, columns), got shape {X.shape}")
     if X.size == 0:
@@ -226,7 +225,6 @@ def fit_standardizer(X: np.ndarray, column_names=()) -> StandardizationStats:
 
 
 def apply_standardizer(stats: StandardizationStats, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-D (rows, columns), got shape {X.shape}")
     if X.shape[1] != stats.mean.shape[0]:
@@ -311,7 +309,6 @@ def to_sequences(X: np.ndarray) -> np.ndarray:
     order, so a recurrent model reads the feature vector as a sequence.
     Returns a new (N, d, 1) array.
     """
-    X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise EmptyInputError("cannot build sequences from an empty matrix")
     n, d = X.shape

@@ -58,8 +58,6 @@ REPORT_VERSION = 2
 
 def mse(y: np.ndarray, y_hat: np.ndarray) -> float:
     """Mean squared error over paired observations."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise ShapeError(f"length mismatch: {y.shape} vs {y_hat.shape}")
     if y.size == 0:
@@ -70,8 +68,6 @@ def mse(y: np.ndarray, y_hat: np.ndarray) -> float:
 
 def r2(y: np.ndarray, y_hat: np.ndarray) -> float:
     """A coefficient of determination: 1 minus residual over total variation."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise ShapeError(f"length mismatch: {y.shape} vs {y_hat.shape}")
     if y.size < 2:
@@ -168,9 +164,8 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
         X[0], y_tr, config.rfe_k, config.forest_params(), rfe_rng,
         protected=config.protected_indices(),
     )
-    selected = list(selection.selected)
 
-    X_sel = tuple(part[:, selected] for part in X)
+    X_sel = tuple(part[:, selection.selected] for part in X)
     X_aug, y_aug = augment_training_set(X_sel[0], y_tr, config.jitter_copies, augment_rng)
 
     # the network regresses a z-scored target; the 0.001-rate schedule
@@ -182,7 +177,7 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
         init_rng,
         units=config.lstm_units,
         attn_dim=config.attn_dim,
-        dense_widths=tuple(config.dense_widths),
+        dense_widths=config.dense_widths,
     )
     trained, history = train_network(
         params,
@@ -204,7 +199,7 @@ def _run_fold(args) -> tuple[dict, dict, dict]:
     results[NETWORK_NAME] = _score(fold_no, NETWORK_NAME, net_preds, y)
 
     detail = {
-        "selected_features": [config.regressors[i] for i in selected],
+        "selected_features": [config.regressors[i] for i in selection.selected],
         "elimination_order": [config.regressors[i] for i in selection.elimination_order],
         "epochs_run": len(history.val_loss),
         "stopped_early": history.stopped_early,
@@ -270,7 +265,7 @@ def run_experiment(config: RunConfig) -> CvReport:
         folds=folds,
         aggregate=_aggregate(methods, folds),
         # the file name alone, so that checkouts at two paths write one report
-        config={**config.to_dict(), "dataset": os.path.basename(config.dataset)},
+        config={**asdict(config), "dataset": os.path.basename(config.dataset)},
         seed=config.seed,
         details=details,
     )

@@ -59,14 +59,12 @@ class ForestParams:
             raise ParameterError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
 
 
-def as_table(X, y):
-    """``X`` as a (rows, features) table in its own dtype and ``y`` as floats.
+def check_table(X: np.ndarray, y: np.ndarray) -> None:
+    """Check that ``X`` is a (rows, features) table with one finite ``y`` per row.
 
     Raises ShapeError for misshapen operands and NumericError for a
     non-finite ``X`` or ``y``, before anything is fitted.
     """
-    X = np.asarray(X)
-    y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-D (rows, features), got shape {X.shape}")
     if y.ndim != 1:
@@ -78,7 +76,6 @@ def as_table(X, y):
             bad = np.count_nonzero(~np.isfinite(values))
             raise NumericError(
                 f"{name} must be finite, but {bad} of its {values.size} values are not")
-    return X, y
 
 
 def dense_ranks(X: np.ndarray) -> np.ndarray:
@@ -178,7 +175,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: ForestParams) -> np.ndarray:
     No level holds more rows than the root, so one ``2 * d * n`` float block,
     allocated once, serves every depth's split scores.
     """
-    X, y = as_table(X, y)
+    check_table(X, y)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a tree on empty data")
     params.validate()
@@ -235,7 +232,7 @@ def fit_forest(
     all derived from ``rng`` up front, so a parallel implementation
     fitting trees out of order would produce the identical forest.
     """
-    X, y = as_table(X, y)
+    check_table(X, y)
     if X.size == 0 or y.size == 0:
         raise EmptyInputError("cannot fit a forest on empty data")
     params.validate()

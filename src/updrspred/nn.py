@@ -437,7 +437,6 @@ def batchnorm_forward(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     ``BN_MOMENTUM`` in the cache (the caller commits them); infer mode uses
     the running stats.
     """
-    X = np.asarray(X, dtype=np.float64)
     if mode == "train":
         if X.shape[0] < 2:
             raise ParameterError("train-mode batch norm needs a batch of at least 2")
@@ -525,22 +524,21 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"unknown mode {mode!r}")
-    data = np.asarray(x, dtype=np.float64)
-    if data.ndim != 3:
-        raise ShapeError(f"expected (B, T, 1) input, got shape {data.shape}")
-    if data.shape[1] == 0:
+    if x.ndim != 3:
+        raise ShapeError(f"expected (B, T, 1) input, got shape {x.shape}")
+    if x.shape[1] == 0:
         raise EmptyInputError("empty sequence")
-    if data.shape[2] != 1:
-        raise ShapeError(f"the network reads one value per step, got {data.shape[2]}")
+    if x.shape[2] != 1:
+        raise ShapeError(f"the network reads one value per step, got {x.shape[2]}")
     masks = (None, None)
     if mode == "train":
         if rng is None:
             raise ParameterError("train mode needs a random source for its dropout masks")
-        masks = draw_dropout_masks(p, data.shape[0], rng)
+        masks = draw_dropout_masks(p, x.shape[0], rng)
 
-    buffers = p.carve(data.shape[0], data.shape[1], mode == "train")
+    buffers = p.carve(x.shape[0], x.shape[1], mode == "train")
     (H,), (pre,) = buffers["states"], buffers["scores"]
-    _lstm_scan(data, p["lstm.w"], buffers["scan"], buffers["scan_scratch"], H)
+    _lstm_scan(x, p["lstm.w"], buffers["scan"], buffers["scan_scratch"], H)
 
     out, weights = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
     head = []
@@ -579,12 +577,11 @@ def model_backward(cache, target, p: ModelParams):
     if cache["carves"] != p.carves:
         raise StateError("stale cache: a later model_forward on these parameters "
                          "overwrote its buffers")
-    y = np.atleast_1d(np.asarray(target, dtype=np.float64))
     preds = cache["preds"]
-    if y.shape != preds.shape:
-        raise ShapeError(f"target shape {y.shape} does not match predictions {preds.shape}")
-    B = len(y)
-    residual = preds - y
+    if target.shape != preds.shape:
+        raise ShapeError(f"target shape {target.shape} does not match predictions {preds.shape}")
+    B = len(target)
+    residual = preds - target
     loss = float((residual * residual).mean()) + _l2_penalty(p)
 
     grad = np.zeros(p.n_trainable)
@@ -671,14 +668,11 @@ def grad_check(p: ModelParams, x, y, eps: float = 1e-4):
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    data = np.asarray(x, dtype=np.float64)
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-
-    _, cache = model_forward(data, p, mode="train", rng=RandomSource(MASK_SEED))
+    _, cache = model_forward(x, p, mode="train", rng=RandomSource(MASK_SEED))
     _, analytic = model_backward(cache, y, p)
 
     def loss_at() -> float:
-        _, c = model_forward(data, p, mode="train", rng=RandomSource(MASK_SEED))
+        _, c = model_forward(x, p, mode="train", rng=RandomSource(MASK_SEED))
         r = c["preds"] - y
         return float((r * r).mean()) + _l2_penalty(p)
 

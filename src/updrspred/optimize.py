@@ -141,11 +141,10 @@ class TrainHistory:
 
 
 def predict_network(params: ModelParams, X_seq: np.ndarray) -> np.ndarray:
-    """Inference-mode predictions for (N, T, d) input, batched for memory."""
-    data = np.asarray(X_seq, dtype=np.float64)
-    out = np.empty(data.shape[0])
-    for start in range(0, data.shape[0], PREDICT_BATCH):
-        chunk = data[start:start + PREDICT_BATCH]
+    """Inference-mode predictions for (N, T, 1) input, batched for memory."""
+    out = np.empty(X_seq.shape[0])
+    for start in range(0, X_seq.shape[0], PREDICT_BATCH):
+        chunk = X_seq[start:start + PREDICT_BATCH]
         preds, _ = model_forward(chunk, params, mode="infer")
         out[start:start + len(chunk)] = preds
     return out
@@ -176,10 +175,6 @@ def train_network(
     so no view of ``params.scratch`` is alive when the epoch's validation
     predict grows that buffer, and the smaller one is freed.
     """
-    X_train = np.asarray(X_train, dtype=np.float64)
-    X_val = np.asarray(X_val, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.float64)
-    y_val = np.asarray(y_val, dtype=np.float64)
     for name, X, y in (("train", X_train, y_train), ("val", X_val, y_val)):
         if y.shape != X.shape[:1]:
             raise ShapeError(f"y_{name} has shape {y.shape}, X_{name} has shape {X.shape}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .forest import ForestParams, as_table, dense_ranks, feature_importance, fit_forest
+from .forest import ForestParams, check_table, dense_ranks, feature_importance, fit_forest
 from .linalg import RandomSource
 
 
@@ -81,7 +81,7 @@ def rfe_select(
     highest original column index). Protected columns count toward ``k``
     but are never removed.
     """
-    X, y = as_table(X, y)
+    check_table(X, y)
     d = X.shape[1]
     if not 1 <= k <= d:
         raise ParameterError(f"k must lie in 1..{d}, got {k}")

@@ -1,15 +1,20 @@
+import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import updrspred.cli as cli_module
 from updrspred import evaluate
 from updrspred.cli import main
-from updrspred.config import RunConfig
-from updrspred.errors import NumericError
+from updrspred.config import RunConfig, parse_override
+from updrspred.dataset import DEFAULT_REGRESSORS
+from updrspred.errors import NumericError, UsageFault
 
 
 def run_cli(args, env=None):
@@ -247,6 +252,13 @@ class TestConfigFile:
         assert result.exit_code == 2
         assert "latin.json: not UTF-8 text" in result.output
 
+    def test_repeated_key_exits_2(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"dataset": "x.csv", "epochs": 200, "epochs": 2}')
+        result = run_cli(["--config", str(path), "select"])
+        assert result.exit_code == 2
+        assert "config key 'epochs' is given more than once" in result.output
+
     def test_overrides_apply_before_validation(self, synthetic_csv, tmp_path):
         # with the motor target, the default regressors hold the target's
         # own column; the file alone is refused, and --set mends it
@@ -312,6 +324,83 @@ class TestGradcheck:
         result = run_cli(["gradcheck"])
         assert result.exit_code == 1
         assert "model 0 failed in blocks: fwd.w_forget" in result.output
+
+
+class TestSetOverride:
+    @pytest.mark.parametrize("key", ["dataset", "target", "out_dir"])
+    @pytest.mark.parametrize("text", ["2024", "1e3", "true", "null"])
+    def test_string_key_keeps_text_that_is_no_json_string(self, key, text):
+        assert parse_override(f"{key}={text}") == (key, text)
+
+    def test_json_strings_and_other_keys_parse_as_json(self):
+        assert parse_override('dataset="a b.csv"') == ("dataset", "a b.csv")
+        assert parse_override("epochs=2") == ("epochs", 2)
+        assert parse_override("lr_initial=1e3") == ("lr_initial", 1000.0)
+        assert parse_override("subsample_rows=null") == ("subsample_rows", None)
+
+    def test_numeric_out_dir_runs(self, synthetic_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = smoke_config_file(tmp_path, synthetic_csv)
+        result = run_cli(["--config", str(config), "--set", "out_dir=2024", "select"])
+        assert result.exit_code == 0, result.output
+        assert extract_run_dir(result.output).parent == Path("2024")
+
+
+# values a config file may hold for each RunConfig key, nearly all of them
+# valid so that most examples build a config (the type and range refusals
+# have their own tests); the strings include text that JSON reads as a
+# number, a boolean or null
+VALUES_BY_ANNOTATION = {
+    "str": st.sampled_from(["2024", "1e3", "true", "null", "NaN", "[1]"]) | st.text(min_size=1),
+    "int": st.integers(2, 20),
+    "float": st.floats(0.01, 0.99),
+    "bool": st.booleans(),
+    "Optional[int]": st.none() | st.integers(10, 10**6),
+}
+VALUES_BY_KEY = {
+    "target": st.just("total"),
+    "regressors": st.permutations(DEFAULT_REGRESSORS),
+    "protected_regressors": st.lists(st.sampled_from(DEFAULT_REGRESSORS), max_size=2),
+    "dense_widths": st.lists(st.integers(1, 64), min_size=2, max_size=2),
+}
+CONFIG_DOCS = st.fixed_dictionaries({"dataset": VALUES_BY_ANNOTATION["str"]}, optional={
+    field.name: VALUES_BY_KEY[field.name] if field.name in VALUES_BY_KEY
+    else VALUES_BY_ANNOTATION[field.type]
+    for field in dataclasses.fields(RunConfig) if field.name != "dataset"
+})
+
+
+def set_text(value, quote: bool) -> str:
+    """``value`` as typed after ``--set KEY=``: a string as written, unless
+    ``quote`` asks for JSON or the string holds a quote mark; anything else
+    as JSON."""
+    if isinstance(value, str) and not (quote or '"' in value):
+        return value
+    return json.dumps(value)
+
+
+def build(**opts):
+    """The CLI's merged RunConfig for ``opts``, or its fault's type and message."""
+    try:
+        return cli_module._build_config(SimpleNamespace(obj=dict(opts, seed=None, out_dir=None,
+                                                                 jobs=None)))
+    except UsageFault as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+class TestFileAndSetAgree:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=CONFIG_DOCS, quote=st.booleans())
+    def test_a_value_builds_one_config_from_either(self, config_path, doc, quote):
+        config_path.write_text(json.dumps(doc))
+        from_file = build(config_path=str(config_path), overrides=())
+        overrides = tuple(f"{key}={set_text(value, quote)}" for key, value in doc.items())
+        assert build(config_path=None, overrides=overrides) == from_file
 
 
 class TestRunDirectory:

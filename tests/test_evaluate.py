@@ -400,7 +400,7 @@ def toy_report(**config_overrides):
     }
     config = dataclasses.replace(RunConfig(dataset="x.csv"), **config_overrides)
     return CvReport(methods=methods, folds=folds, aggregate=aggregate,
-                    config=config.to_dict(), seed=0)
+                    config=dataclasses.asdict(config), seed=0)
 
 
 class TestRendering:
