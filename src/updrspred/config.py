@@ -177,6 +177,11 @@ def config_from_dict(doc: dict) -> RunConfig:
     kwargs = dict(doc)
     for key, value in doc.items():
         _check_type(key, value, _FIELD_TYPES[key])
+        if _FIELD_TYPES[key] == "float":  # stored as one, so 1 and 1.0 write one report
+            try:
+                kwargs[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"config key {key!r} is too large for a float") from None
     for key, item_type in _ITEM_TYPES.items():
         if key in kwargs:
             for item in kwargs[key]:

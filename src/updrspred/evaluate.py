@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -242,6 +241,10 @@ def run_experiment(config: RunConfig) -> CvReport:
     ]
 
     if config.jobs > 1:
+        # imported here: it loads multiprocessing, which a one-process run
+        # never uses but would still hold in memory
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork-started pool forks all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(fold_args))) as pool:
             outcomes = list(pool.map(_run_fold, fold_args))

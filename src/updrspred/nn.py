@@ -31,14 +31,15 @@ attention scores and their gradients) are views of the parameters' one
 grow-only ``scratch`` buffer (see :meth:`ModelParams.carve`), so a step of
 a shape seen before allocates no large array. They are laid out by
 lifetime (see :func:`_buffer_shapes`): groups that are never live at the
-same time start at one offset. In a train step the forward scan's step scratch, the
-attention backward's scratch and the scan backward's buffers share one
-region, since each is dead before the next is written; in an inference
-call the attention scores overlay the scan's buffers, which are dead once
-``H`` is written. A forward's cache holds ``mode``, ``buffers`` (those
-views), ``weights``, ``head``, ``head_out``, ``preds`` and ``carves``, as
-:func:`model_forward` describes, and holds only until the next forward on
-the same parameters.
+same time start at one offset. In a train step the forward scan's step
+scratch, then ``H`` with the attention scores and the attention backward's
+scratch, then the scan backward's buffers share one region, since each is
+dead before the next is written; in an inference call the attention
+scores overlay the scan's buffers, which are dead once ``H`` is written,
+and ``H`` overlays the scan's step scratch. A forward's cache holds
+``mode``, ``buffers`` (those views), ``weights``, ``head``, ``head_out``,
+``preds`` and ``carves``, as :func:`model_forward` describes, and holds
+only until the next forward on the same parameters.
 """
 
 from __future__ import annotations
@@ -118,8 +119,10 @@ class ModelParams:
     of one predict chunk should not be larger than the train carve: the
     first validation predict after the train steps would then grow the
     buffer. In one measurement at ``net-train`` shape, with a ``malloc``
-    buffer, an infer carve of 14.2 MB over a train carve of 13.8 MB raised
-    peak RSS by about 11 MB, from 66.8 to 78.1 MB.
+    buffer and an earlier layout, an infer carve of 14.2 MB over a train
+    carve of 13.8 MB raised peak RSS by about 11 MB, from 66.8 to 78.1 MB.
+    At that shape (batch 64, 10 steps, 100 units, attention 64) the train
+    carve is now 12.52 MiB and a 256-row infer carve 11.02 MiB.
     """
 
     def __init__(self, units: int, attn_dim: int, dense_widths: tuple[int, int],
@@ -203,29 +206,35 @@ def _buffer_shapes(batch: int, steps: int, units: int, attn_dim: int,
     Each region is a dict of groups that start at one offset and so overlay
     each other: no two of them are live at the same time. A region is as
     long as its longest group, and the regions follow each other. A group's
-    arrays follow each other. The groups and their lifetimes:
+    arrays follow each other. The groups and their lifetimes, in the
+    phases of a call (the scan's steps, the scan's end, which writes ``H``,
+    the attention, the attention's backward, the scan's backward):
 
         scan                (hx, acts, cells, tanh_cells) of both directions,
                             as :func:`_lstm_scan` uses them: from the scan
                             until ``H`` is written, and in train mode on to
                             the end of :func:`_lstm_scan_backward`, whose
                             cache it is
-        scan_scratch        the scan's (z, ig) step scratch: the scan only
-        states              (H,): from the end of the scan to the attention,
-                            and in train mode to the attention's backward
-        scores              (pre,), the attention's pre-scores: from the
-                            attention on, and in train mode to its backward
-        attention_backward  train only; (d_pre_lin, its scratch, d_pre_lin @
-                            attn.w): the attention's backward only
+        scan_scratch        the scan's (z, ig) step scratch: the scan's
+                            steps only
+        states              infer only; (H,): from the scan's end to the
+                            attention
+        scores              infer only; (pre,), the attention's pre-scores:
+                            the attention only
+        attention           train only; (H, pre, d_pre_lin, its scratch,
+                            d_pre_lin @ attn.w): ``H`` from the scan's end,
+                            ``pre`` from the attention, the other three in
+                            the attention's backward, which is the last
+                            phase that reads any of them
         d_states            train only; (dH,): from the attention's backward
                             to the end of the scan's backward
         scan_backward       train only; the (d_gates, dh, dc, tmp, dsig) of
                             :func:`_lstm_scan_backward`: that backward only
 
-    In train mode ``scan_scratch``, ``attention_backward`` and
-    ``scan_backward`` share the last region, and every other group has its
-    own. In infer mode ``scores`` overlays ``scan``, and the other two
-    groups have their own regions.
+    In train mode ``scan_scratch``, ``attention`` and ``scan_backward``
+    share the last region, and ``scan`` and ``d_states`` have their own. In
+    infer mode ``scores`` overlays ``scan``, and ``scan_scratch`` overlays
+    ``states``.
 
     The direction axis (forward first) comes first in ``hx``, so each
     direction's [h, x, 1] rows are one (T * B, R) block, and in
@@ -237,13 +246,13 @@ def _buffer_shapes(batch: int, steps: int, units: int, attn_dim: int,
     scan = {"scan": ((2, T + 1, B, u + 2), (kept, 4, 2, B, u), (kept + 1, 2, B, u),
                      (kept, 2, B, u))}
     scan_scratch = {"scan_scratch": ((2, B, 4 * u), (2, B, u))}
-    states = {"states": ((B, T, 2 * u),)}
-    scores = {"scores": ((B * T, attn_dim),)}
     if not train:
-        return [{**scan, **scores}, scan_scratch, states]
-    return [scan, states, scores, {"d_states": ((B, T, 2 * u),)},
+        return [{**scan, "scores": ((B * T, attn_dim),)},
+                {**scan_scratch, "states": ((B, T, 2 * u),)}]
+    return [scan, {"d_states": ((B, T, 2 * u),)},
             {**scan_scratch,
-             "attention_backward": ((B * T, attn_dim), (B * T, attn_dim), (B * T, 2 * u)),
+             "attention": ((B, T, 2 * u), (B * T, attn_dim), (B * T, attn_dim),
+                           (B * T, attn_dim), (B * T, 2 * u)),
              "scan_backward": ((2, T, B, 4 * u), (2, B, u), (2, B, u), (2, B, u),
                                (3, 2, B, u))}]
 
@@ -294,9 +303,11 @@ def _lstm_scan(X: np.ndarray, w: np.ndarray, buffers, scratch, H: np.ndarray) ->
     ``w`` is the (2, u + 2, 4u) pair of fused matrices, forward direction
     first, bias row last. ``buffers`` is ``(hx, acts, cells, tanh_cells)``
     and ``scratch`` the ``(z, ig)`` step scratch, shaped as
-    :func:`_buffer_shapes` gives them; the scan overwrites them all. The forward direction's states go into ``H[:, :, :u]``, and the
-    backward direction, which reads the sequence reversed, writes its
-    states back in the sequence's order into ``H[:, :, u:]``. Train-mode
+    :func:`_buffer_shapes` gives them; the scan overwrites them all. The
+    forward direction's states go into ``H[:, :, :u]``, and the backward
+    direction, which reads the sequence reversed, writes its states back
+    in the sequence's order into ``H[:, :, u:]``. ``H`` may share storage
+    with ``scratch``: it is written only after the last step. Train-mode
     ``buffers`` are then the cache that :func:`_lstm_scan_backward` reads.
 
     The scan runs time-major, both directions in lockstep. Row t of
@@ -510,9 +521,11 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
 
         mode, preds   the mode, and the predictions (an array of their own)
         buffers       the carved views by group (:func:`_buffer_shapes`);
-                      ``buffers["scan"]`` is the scan backward's cache,
-                      ``buffers["states"][0]`` is ``H`` and
-                      ``buffers["scores"][0]`` the tanh pre-scores
+                      ``buffers["scan"]`` is the scan backward's cache; in
+                      infer mode ``buffers["states"][0]`` is ``H`` and
+                      ``buffers["scores"][0]`` the tanh pre-scores, and in
+                      train mode they are the first two arrays of
+                      ``buffers["attention"]``
         weights       the attention weights
         head          each dense layer's (input, pre-activation, batch-norm
                       cache, dropout mask), front to back; masks are None
@@ -537,7 +550,10 @@ def model_forward(x, p: ModelParams, mode: str = "infer", rng: RandomSource | No
         masks = draw_dropout_masks(p, x.shape[0], rng)
 
     buffers = p.carve(x.shape[0], x.shape[1], mode == "train")
-    (H,), (pre,) = buffers["states"], buffers["scores"]
+    if mode == "train":
+        H, pre = buffers["attention"][:2]
+    else:
+        (H,), (pre,) = buffers["states"], buffers["scores"]
     _lstm_scan(x, p["lstm.w"], buffers["scan"], buffers["scan_scratch"], H)
 
     out, weights = _attention_batch(H, p["attn.w"], p["attn.v"], pre)
@@ -604,11 +620,10 @@ def model_backward(cache, target, p: ModelParams):
 
     # attention: context = sum_t weights_t h_t with weights = softmax(scores)
     buffers = cache["buffers"]
-    (H,), (dH,), (pre,) = buffers["states"], buffers["d_states"], buffers["scores"]
+    H, pre, d_pre_lin, d_pre_tmp, d_pre_h = buffers["attention"]
+    (dH,) = buffers["d_states"]
     weights = cache["weights"]
     B, T, D = H.shape
-    # d_pre_lin and its scratch overlay the forward's dead scan scratch
-    d_pre_lin, d_pre_tmp, d_pre_h = buffers["attention_backward"]
     np.multiply(weights[:, :, None], d_context[:, None, :], out=dH)
     d_weights = np.matmul(H, d_context[:, :, None])[:, :, 0]
     wsum = (weights * d_weights).sum(axis=1, keepdims=True)
@@ -623,7 +638,8 @@ def model_backward(cache, target, p: ModelParams):
     np.matmul(d_pre_lin, p["attn.w"], out=d_pre_h)
     dH += d_pre_h.reshape(B, T, D)
 
-    # the scan backward's buffers overlay the attention backward's, dead from here
+    # the scan backward's buffers overlay H, the pre-scores and the
+    # attention backward's scratch, all dead from here
     _lstm_scan_backward(buffers["scan"], dH, p["lstm.w"], g["lstm.w"], buffers["scan_backward"])
     return loss, grad
 

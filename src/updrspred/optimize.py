@@ -106,7 +106,10 @@ class EarlyStopper:
         if self.best_loss - val_loss > self.min_delta:
             self.best_loss = float(val_loss)
             self.stale_epochs = 0
-            self.best_vector = params.vector.copy()
+            if self.best_vector is None:
+                self.best_vector = params.vector.copy()
+            else:  # into the old snapshot, so two are never held at once
+                self.best_vector[:] = params.vector
             return "continue"
         self.stale_epochs += 1
         if self.stale_epochs > self.patience:
@@ -173,7 +176,9 @@ def train_network(
 
     A step's cache is dropped once its batch-norm statistics are committed,
     so no view of ``params.scratch`` is alive when the epoch's validation
-    predict grows that buffer, and the smaller one is freed.
+    predict grows that buffer, and the smaller one is freed. Its gradient
+    is dropped once Adam has applied it, so one step's gradient is freed
+    before the next one is allocated.
     """
     for name, X, y in (("train", X_train, y_train), ("val", X_val, y_val)):
         if y.shape != X.shape[:1]:
@@ -207,6 +212,7 @@ def train_network(
             commit_batchnorm(cache, params)
             del cache  # its scratch views; see the docstring
             optimizer.step(params.trainable, grad)
+            del grad  # so the next step's gradient is not allocated beside it
             epoch_loss += loss
 
         val_preds = predict_network(params, X_val)

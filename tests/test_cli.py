@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -65,7 +68,7 @@ class TestInspect:
         assert "error:" in result.output
 
     def test_malformed_row_names_row_number(self, synthetic_csv, tmp_path):
-        lines = open(synthetic_csv).read().splitlines()
+        lines = synthetic_csv.read_text().splitlines()
         cells = lines[5].split(",")
         cells[2] = "maybe"
         lines[5] = ",".join(cells)
@@ -164,6 +167,21 @@ class TestTrainEval:
         d2 = extract_run_dir(second.output)
         for name in ("report.json", "report.csv", "mse_table.txt", "r2_table.txt"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_a_whole_number_for_a_float_key_writes_the_float_report(self, synthetic_csv,
+                                                                    tmp_path, source):
+        # lr_initial 1 and 1.0 are one run, so they must write one report.json
+        reports = []
+        for text in ("1", "1.0"):
+            value = {"lr_initial": json.loads(text)} if source == "file" else {}
+            config = smoke_config_file(tmp_path, synthetic_csv, epochs=1, **value)
+            flags = ["--set", f"lr_initial={text}"] if source == "set" else []
+            result = run_cli(["--config", str(config), *flags, "train-eval"])
+            assert result.exit_code == 0, result.output
+            reports.append((extract_run_dir(result.output) / "report.json").read_bytes())
+        assert b'"lr_initial": 1.0,' in reports[0]
+        assert reports[0] == reports[1]
 
     def test_seed_flag_wins(self, synthetic_csv, tmp_path):
         config = smoke_config_file(tmp_path, synthetic_csv)
@@ -324,6 +342,16 @@ class TestGradcheck:
         result = run_cli(["gradcheck"])
         assert result.exit_code == 1
         assert "model 0 failed in blocks: fwd.w_forget" in result.output
+
+
+class TestImports:
+    def test_the_process_pool_is_not_imported_with_the_cli(self):
+        # it loads multiprocessing, which only a run with --jobs above 1 uses
+        src = Path(cli_module.__file__).parents[1]
+        code = "import sys, updrspred.cli; print('concurrent.futures.process' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert done.stdout == "False\n"
 
 
 class TestSetOverride:

@@ -51,14 +51,14 @@ class TestLoadCsv:
             load_csv(p)
 
     def test_missing_column_names_it(self, synthetic_csv, tmp_path):
-        text = open(synthetic_csv).read().replace("total_UPDRS", "total_updrs_oops")
+        text = synthetic_csv.read_text().replace("total_UPDRS", "total_updrs_oops")
         p = tmp_path / "bad.csv"
         p.write_text(text)
         with pytest.raises(SchemaError, match="total_UPDRS"):
             load_csv(p)
 
     def test_repeated_required_column_names_it(self, synthetic_csv, tmp_path):
-        header, *rows = open(synthetic_csv).read().splitlines()
+        header, *rows = synthetic_csv.read_text().splitlines()
         p = tmp_path / "bad.csv"
         p.write_text("\n".join([header + ",PPE,extra,extra"] + [r + ",1.5,0,0" for r in rows]) + "\n")
         with pytest.raises(SchemaError, match="repeated column\\(s\\) 'PPE'$"):
@@ -66,7 +66,7 @@ class TestLoadCsv:
 
     def test_row_with_an_extra_cell_reports_row_and_counts(self, synthetic_csv, tmp_path):
         # an extra cell after test_time would shift every later column by one
-        lines = open(synthetic_csv).read().splitlines()
+        lines = synthetic_csv.read_text().splitlines()
         cells = lines[3].split(",")
         cells.insert(4, "99")
         lines[3] = ",".join(cells)
@@ -76,7 +76,7 @@ class TestLoadCsv:
             load_csv(p)
 
     def test_non_numeric_cell_reports_row(self, synthetic_csv, tmp_path):
-        lines = open(synthetic_csv).read().splitlines()
+        lines = synthetic_csv.read_text().splitlines()
         cells = lines[3].split(",")
         cells[4] = "oops"
         lines[3] = ",".join(cells)
@@ -91,7 +91,7 @@ class TestLoadCsv:
     @pytest.mark.parametrize("column", ["HNR", "subject#"])
     def test_underscored_or_non_ascii_number_reports_row(self, synthetic_csv, tmp_path, raw,
                                                           column):
-        lines = open(synthetic_csv).read().splitlines()
+        lines = synthetic_csv.read_text().splitlines()
         cells = lines[3].split(",")
         cells[lines[0].split(",").index(column)] = raw
         lines[3] = ",".join(cells)
@@ -109,7 +109,7 @@ class TestLoadCsv:
         # from 2**53 on a double no longer tells every whole number apart;
         # the next four are not whole, though each parses to a whole double;
         # the last parses to 0.0 but has an exponent Decimal cannot hold
-        lines = open(synthetic_csv).read().splitlines()
+        lines = synthetic_csv.read_text().splitlines()
         cells = lines[3].split(",")
         cells[0] = raw
         lines[3] = ",".join(cells)
@@ -122,7 +122,7 @@ class TestLoadCsv:
                                               ("-0", 0), ("0e-999999999", 0)])
     def test_whole_subject_id_forms_accepted(self, synthetic_csv, tmp_path, raw, subject):
         # 0e-999999999 is exactly 0; reading it must not build 10**999999999
-        lines = open(synthetic_csv).read().splitlines()
+        lines = synthetic_csv.read_text().splitlines()
         cells = lines[3].split(",")
         cells[0] = raw
         lines[3] = ",".join(cells)
@@ -135,7 +135,7 @@ class TestLoadCsv:
             load_csv(synthetic_csv).column("mystery")
 
     def test_columns_mapped_by_name_not_position(self, synthetic_csv, tmp_path):
-        lines = open(synthetic_csv).read().splitlines()
+        lines = synthetic_csv.read_text().splitlines()
         header = lines[0].split(",")
         # swap age and sex columns wholesale
         ia, ib = header.index("age"), header.index("sex")

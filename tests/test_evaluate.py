@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -187,7 +188,7 @@ class TestRunExperiment:
     def test_forkserver_workers_match_one_process(self, synthetic_csv, monkeypatch):
         # Python 3.14 starts a pool's workers by forkserver on Linux, not by
         # fork: each worker imports the package afresh, counters at zero
-        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", functools.partial(
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")))
         docs, counts = {}, {}
         for jobs in (1, 2):
@@ -217,7 +218,7 @@ class TestRunExperiment:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         report = run_experiment(smoke_config(synthetic_csv, jobs=64, k_folds=2))
         assert recorded == [2]
         assert len(report.folds) == 2
@@ -535,6 +536,17 @@ class TestConfig:
     def test_wrong_types_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
             config_from_dict({"dataset": "x.csv", key: value})
+
+    @pytest.mark.parametrize("key, value", [("lr_initial", 1), ("lr_initial", 2 ** 53 + 1),
+                                            ("test_fraction", 0.25)])
+    def test_a_float_key_stores_a_float(self, key, value):
+        stored = getattr(config_from_dict({"dataset": "x.csv", "lr_initial": 0.5,
+                                           "test_fraction": 0.5, key: value}), key)
+        assert type(stored) is float and stored == float(value)
+
+    def test_an_integer_too_large_for_a_float_key_is_refused(self):
+        with pytest.raises(ConfigError, match="config key 'lr_initial' is too large for a float"):
+            config_from_dict({"dataset": "x.csv", "lr_initial": 10 ** 400})
 
     def test_stage_parameters_follow_config(self):
         config = config_from_dict({

@@ -60,7 +60,7 @@ def scan(X, w, mode):
     buffers, which in train mode are the backward's cache."""
     B, T, _ = X.shape
     buffers = nan_buffers(B, T, w.shape[2] // 4, mode == "train")
-    H = buffers["states"][0]
+    H = buffers["attention" if mode == "train" else "states"][0]
     _lstm_scan(X, w, buffers["scan"], buffers["scan_scratch"], H)
     return H, buffers["scan"]
 
@@ -92,17 +92,18 @@ def random_gates(rng, units, scale=0.6):
 
 
 # The groups of a carve by mode (train or not), each group's first and last
-# phase of use: 0 the scan, 1 the attention, 2 the attention's backward, 3
-# the scan's backward; an infer call ends after phase 1. Two groups may
-# share storage only if their spans do not meet.
+# phase of use: 0 the scan's steps, 1 the scan's end, which writes H from
+# the scan's buffers, 2 the attention, 3 the attention's backward, 4 the
+# scan's backward; an infer call ends after phase 2. Two groups may share
+# storage only if their spans do not meet.
 LIFETIMES = {
-    True: {"scan": (0, 3), "scan_scratch": (0, 0), "states": (0, 2), "scores": (1, 2),
-           "attention_backward": (2, 2), "d_states": (2, 3), "scan_backward": (3, 3)},
-    False: {"scan": (0, 0), "scan_scratch": (0, 0), "states": (0, 1), "scores": (1, 1)},
+    True: {"scan": (0, 4), "scan_scratch": (0, 0), "attention": (1, 3), "d_states": (3, 4),
+           "scan_backward": (4, 4)},
+    False: {"scan": (0, 1), "scan_scratch": (0, 0), "states": (1, 2), "scores": (2, 2)},
 }
 # the groups that the layout puts at one offset, by mode
-SHARED_GROUPS = {True: [("scan_scratch", "attention_backward", "scan_backward")],
-                 False: [("scan", "scores")]}
+SHARED_GROUPS = {True: [("scan_scratch", "attention", "scan_backward")],
+                 False: [("scan", "scores"), ("scan_scratch", "states")]}
 
 
 def paper_model():
@@ -798,10 +799,11 @@ class TestWorkspaceCarving:
 
     def test_results_do_not_depend_on_what_the_workspace_held(self):
         # every carved array is written before it is read: a buffer full of
-        # NaN, left by a larger call, gives the same bits as a fresh one. The
-        # groups that share the backward's region are all dead between the
-        # forward and the backward, so NaN written there then must not show
-        # either, nor NaN written over the whole buffer before an infer call
+        # NaN, left by a larger call, gives the same bits as a fresh one.
+        # Between the forward and the backward only the scan's buffers, H and
+        # the pre-scores are live, so NaN written over every other float of
+        # the buffer then must not show either, nor NaN written over the
+        # whole buffer before an infer call
         X = RandomSource(53).gaussians(0, 1, 6 * 5).reshape(6, 5, 1)
         y = RandomSource(54).gaussians(0, 1, 6)
         results = []
@@ -812,9 +814,11 @@ class TestWorkspaceCarving:
                 p.scratch.fill(np.nan)
             preds, cache = model_forward(X, p, mode="train", rng=RandomSource(56))
             if warm:
-                for name in SHARED_GROUPS[True][0]:
-                    for array in cache["buffers"][name]:
-                        array.fill(np.nan)
+                live = [*cache["buffers"]["scan"], *cache["buffers"]["attention"][:2]]
+                kept = [array.copy() for array in live]
+                p.scratch.fill(np.nan)
+                for array, values in zip(live, kept):
+                    array[...] = values
             loss, grad = model_backward(cache, y, p)
             if warm:
                 p.scratch.fill(np.nan)
@@ -841,11 +845,17 @@ class TestWorkspaceCarving:
             assert overlap == any({a, b} <= names for names in shared), (a, b)
 
     def test_paper_shape_train_carve_budget(self):
-        # B=64, T=10, 100 units, attention 64: the shared region saves the
-        # 273,920 floats (2.1 MB) the backward's groups took beside each other
+        # B=64, T=10, 100 units, attention 64: H, the pre-scores and the
+        # attention backward's scratch share the last region with the scan's
+        # step scratch and the scan backward's buffers, so a train carve is
+        # the scan's buffers, dH and the scan backward's buffers (12.52 MiB);
+        # a PREDICT_BATCH-row infer carve lays H over the step scratch
         p = paper_model()
         p.carve(64, 10, True)
-        assert p.scratch.size <= 1_810_176
+        assert p.scratch.nbytes <= 12.6 * 2 ** 20
+        p = paper_model()
+        p.carve(PREDICT_BATCH, 10, False)
+        assert p.scratch.nbytes <= 11.1 * 2 ** 20
 
     # (batch, steps, units, attn_dim): the paper's shape, which is also the
     # net-train benchmark's, and ingest-linear's 8-unit network

@@ -188,6 +188,30 @@ class TestEarlyStopper:
         restored = stopper.restore(p)
         assert np.array_equal(restored.vector, best)
 
+    def test_a_snapshot_kept_in_place_stays_apart_from_the_parameters(self):
+        # an improvement copies into the first snapshot's vector; neither a
+        # later write to the parameters nor a later improvement aliases it
+        p = init_model_params(RandomSource(5), units=2, attn_dim=2, dense_widths=(3, 2))
+        stopper = EarlyStopper(patience=5, min_delta=0.0)
+        stopper.update(1.0, p)
+        snapshot = stopper.best_vector
+        assert not np.shares_memory(snapshot, p.vector)
+        p["out.w"][:] = 7.0
+        p["bn2.running_var"][:] = 3.0
+        stopper.update(0.5, p)
+        best = p.vector.copy()
+        assert stopper.best_vector is snapshot
+        assert np.array_equal(snapshot, best)
+        p["out.w"][:] = -4.0
+        p["bn1.running_mean"][:] = 9.0
+        stopper.update(0.75, p)  # no improvement: the snapshot stays
+        assert np.array_equal(stopper.best_vector, best)
+        p["out.w"][:] = 11.0
+        assert np.array_equal(stopper.best_vector, best)
+        restored = stopper.restore(p)
+        assert restored is p and np.array_equal(p.vector, best)
+        assert not np.shares_memory(stopper.best_vector, p.vector)
+
     def test_nan_loss_aborts(self):
         p = init_model_params(RandomSource(4), units=2, attn_dim=2, dense_widths=(3, 2))
         with pytest.raises(NumericError):
