@@ -205,7 +205,9 @@ def load_config(path) -> dict:
     try:
         doc = json.loads("".join(utf8_lines(path, ConfigError)),
                          object_pairs_hook=_refuse_repeats)
-    except json.JSONDecodeError as exc:
+    # ValueError, JSONDecodeError's parent, is also what int() raises for a
+    # number of more than sys.get_int_max_str_digits() digits
+    except ValueError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -222,7 +224,7 @@ def parse_override(text: str):
         raise ConfigError(f"unknown config key {key!r}")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # also a number too long for int()
         value = raw  # bare strings (paths, column names) stay strings
     # a string key takes text that is no JSON string, such as 2024 or null, as written
     if _FIELD_TYPES[key] == "str" and not isinstance(value, str):

@@ -90,8 +90,9 @@ class Adam:
 
 @dataclass
 class EarlyStopper:
-    """Track validation loss; stop after ``patience`` epochs without
-    improvement by more than ``min_delta``, restoring the best snapshot."""
+    """Track validation loss; stop on the (``patience`` + 1)-th epoch in a row
+    without improvement by more than ``min_delta``, restoring the best
+    snapshot."""
 
     patience: int
     min_delta: float

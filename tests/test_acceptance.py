@@ -8,6 +8,7 @@ README). Everything else runs on synthetic or generated data.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ def test_criterion_7_determinism(synthetic_csv, tmp_path):
         assert result.exit_code == 0, result.output
         run_dir = next(l for l in result.output.splitlines()
                        if l.startswith("run directory:")).split(":", 1)[1].strip()
-        outputs.append(open(os.path.join(run_dir, "report.json"), "rb").read())
+        outputs.append(Path(run_dir, "report.json").read_bytes())
     assert outputs[0] == outputs[1]
     announce(7, "determinism", f"{len(outputs[0])} byte reports identical")
 

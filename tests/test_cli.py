@@ -277,6 +277,15 @@ class TestConfigFile:
         assert result.exit_code == 2
         assert "config key 'epochs' is given more than once" in result.output
 
+    def test_number_too_long_for_int_exits_2(self, tmp_path):
+        # json reads a number past Python's int digit limit with a bare
+        # ValueError, the parent of JSONDecodeError
+        path = tmp_path / "long.json"
+        path.write_text('{"dataset": "x.csv", "lr_initial": ' + "1" * 5000 + "}")
+        result = run_cli(["--config", str(path), "select"])
+        assert result.exit_code == 2
+        assert "long.json: not valid JSON (Exceeds the limit" in result.output
+
     def test_overrides_apply_before_validation(self, synthetic_csv, tmp_path):
         # with the motor target, the default regressors hold the target's
         # own column; the file alone is refused, and --set mends it
@@ -365,6 +374,14 @@ class TestSetOverride:
         assert parse_override("epochs=2") == ("epochs", 2)
         assert parse_override("lr_initial=1e3") == ("lr_initial", 1000.0)
         assert parse_override("subsample_rows=null") == ("subsample_rows", None)
+
+    def test_number_too_long_for_int_is_refused_as_text(self, tmp_path):
+        assert parse_override("lr_initial=" + "1" * 5000) == ("lr_initial", "1" * 5000)
+        config = tmp_path / "config.json"
+        config.write_text('{"dataset": "x.csv"}')
+        result = run_cli(["--config", str(config), "--set", "lr_initial=" + "1" * 5000, "select"])
+        assert result.exit_code == 2
+        assert "config key 'lr_initial' must be a number, got '111" in result.output
 
     def test_numeric_out_dir_runs(self, synthetic_csv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from updrspred.dataset import (
@@ -27,6 +29,8 @@ from updrspred.errors import (
     ShapeError,
 )
 from updrspred.linalg import RandomSource
+
+from conftest import write_synthetic_csv
 
 
 class TestLoadCsv:
@@ -169,6 +173,22 @@ class TestLoadCsv:
         ds = load_csv(real_data)
         assert len(ds) == 5875
         assert ds.n_subjects == 42
+
+    def test_peak_memory_is_near_the_tables_float64_bytes(self, tmp_path):
+        # a Python float per cell, in one list per column, peaked at 4.9x
+        # the table's float64 bytes; a float64 buffer per column peaks
+        # near 1.1x
+        rows = 4404
+        path = write_synthetic_csv(tmp_path / "wide.csv", n_rows=rows, n_subjects=126)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            dataset = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dataset) == rows
+        assert peak - before <= 2.5 * rows * len(REQUIRED_COLUMNS) * 8
 
 
 class TestBuildDesign:
@@ -565,3 +585,107 @@ class TestLoadCsvProperties:
         for name in REQUIRED_COLUMNS[1:]:
             written = np.array(table[name], dtype=np.float64)
             assert np.array_equal(ds.column(name).view(np.uint64), written.view(np.uint64)), name
+
+
+# the texts a planted cell fault writes, by kind; sex and subject# faults
+# hit their own column, and a cell-count fault adds or drops a row's last cell
+CELL_FAULTS = {
+    "non-numeric": ["oops", "", "1.2.3", "0x10"],
+    "underscore": ["2_1", "1_000.5"],
+    "non-ASCII": ["\u0662\u0661", "\uff11", "1\u00b75"],
+    "non-finite": ["inf", "-Infinity", "nan", "1e999", "-" + "9" * 400],
+}
+FAULT_KINDS = sorted(CELL_FAULTS) + ["sex", "subject#", "cell count"]
+
+
+@st.composite
+def planted_fault(draw, n_rows):
+    """(data row, kind, column, text) of one fault."""
+    row = draw(st.integers(0, n_rows - 1))
+    kind = draw(st.sampled_from(FAULT_KINDS))
+    if kind in CELL_FAULTS:
+        return row, kind, draw(st.sampled_from(REQUIRED_COLUMNS)), draw(
+            st.sampled_from(CELL_FAULTS[kind]))
+    if kind == "sex":
+        return row, kind, "sex", "2"
+    if kind == "subject#":
+        return row, kind, "subject#", draw(st.sampled_from(["1.5", "-0.25", "7e-1"]))
+    return row, kind, None, draw(st.sampled_from(["extra", "drop"]))
+
+
+@st.composite
+def faulty_tables(draw):
+    """(rows, two planted faults) for a table of 1 to 5 data rows."""
+    n_rows = draw(st.integers(1, 5))
+    return n_rows, [draw(planted_fault(n_rows)) for _ in range(2)]
+
+
+def refusal(fault, row_number, width):
+    """The loader's message for ``fault`` in row ``row_number``."""
+    _, kind, column, text = fault
+    if kind == "non-finite":
+        return f"row {row_number}: column {column!r} is not finite ({text!r})"
+    if kind in CELL_FAULTS:
+        return f"row {row_number}: column {column!r} has non-numeric value {text!r}"
+    if kind == "sex":
+        return f"row {row_number}: column 'sex' must be 0 or 1, got 2.0"
+    if kind == "subject#":
+        return (f"row {row_number}: column 'subject#' must be a whole number below 2**53 in "
+                f"magnitude, got {float(text)}")
+    return f"row {row_number}: expected {width} cells, got {width + (1 if text == 'extra' else -1)}"
+
+
+def place_in_row(fault):
+    """Where ``fault`` falls in its row's check order: the cell count, then
+    each cell in REQUIRED_COLUMNS order, then sex, then subject#."""
+    _, kind, column, _ = fault
+    if kind == "cell count":
+        return -1
+    if kind in CELL_FAULTS:
+        return REQUIRED_COLUMNS.index(column)
+    return len(REQUIRED_COLUMNS) + (kind == "subject#")
+
+
+class TestLoadCsvRefusalOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(table=faulty_tables(), order=st.permutations(REQUIRED_COLUMNS),
+           blank_before=st.none() | st.integers(0, 4), whole_floats=st.booleans())
+    # a non-finite cell whose text has no letter, before a later row's
+    # unparsable cell
+    @example(table=(3, [(0, "non-finite", "PPE", "1e999"), (1, "non-numeric", "subject#", "oops")]),
+             order=REQUIRED_COLUMNS, blank_before=None, whole_floats=False)
+    def test_first_fault_in_row_major_order_is_named(self, tmp_path_factory, table, order,
+                                                      blank_before, whole_floats):
+        n_rows, faults = table
+        # two faults on one cell overwrite each other, and two cell-count
+        # faults in one row add up
+        (row_a, kind_a, column_a, _), (row_b, kind_b, column_b, _) = faults
+        assume(row_a != row_b or (column_a != column_b and not kind_a == kind_b == "cell count"))
+
+        header = list(order) + ["note"]  # a column the loader does not read
+        rows = []
+        for i in range(n_rows):
+            cells = {name: f"{i}.25" for name in REQUIRED_COLUMNS}
+            cells.update({"subject#": f"{i + 1}.0" if whole_floats else str(i + 1),
+                          "sex": str(i % 2), "note": "\u00e9t\u00e9 _"})
+            rows.append(cells)
+        for row, kind, column, text in faults:
+            if column is not None:
+                rows[row][column] = text
+        lines = []
+        for i, cells in enumerate(rows):
+            written = [cells[name] for name in header]
+            for row, kind, _, text in faults:
+                if row == i and kind == "cell count":
+                    written = written + ["0"] if text == "extra" else written[:-1]
+            if blank_before == i:
+                lines.append("")
+            lines.append(",".join(written))
+        path = tmp_path_factory.mktemp("faults") / "table.csv"
+        path.write_text(",".join(header) + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+
+        first = min(faults, key=lambda f: (f[0], place_in_row(f)))
+        row_number = first[0] + 2 + (blank_before is not None and blank_before <= first[0])
+        with pytest.raises(ParseError) as caught:
+            load_csv(path)
+        assert str(caught.value) == refusal(first, row_number, len(header))
